@@ -1,0 +1,10 @@
+"""Lets the benchmark's tests import ctwindow from the checkout and the
+benchmark's own modules: ``python3 -m pytest perfbench``."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
