@@ -9,10 +9,10 @@ hot loops run on a compiled extension when available (see
 
 from ._kernels import BACKEND
 from .augmentation import AugmentConfig, augment_pair
-from .metrics import (DiceRecord, SummaryStats, dice, multi_label_dice,
-                      read_dice_csv, summarize, write_dice_csv)
+from .metrics import (DiceRecord, SummaryStats, dice, dice_from_counts,
+                      multi_label_dice, read_dice_csv, summarize, write_dice_csv)
 from .simulation import (Band, BandSegmenter, ExperimentConfig, FitParams,
-                         OrganSpec, PhantomConfig, Segmenter, StrategySpec,
+                         OrganSpec, PhantomConfig, StrategySpec,
                          SweepResult, SweepRow, derive_seed, fit_band_segmenter,
                          generate_phantom, reference_experiment, run_experiment,
                          run_shift_sweep, write_sweep_csv)
@@ -26,6 +26,6 @@ from .volume import (CtVolume, CtvFormatError, LabelVolume, Slice2D,
 from .windowing import (STRATEGIES, SwnParams, WindowSampler, WindowSpec,
                         W_MIN, apply_window, normalize_for_testing,
                         normalize_for_training, normalize_wir, preset,
-                        sample_window)
+                        strategy_window)
 
 __version__ = "0.1.0"

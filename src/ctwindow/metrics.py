@@ -68,10 +68,14 @@ def multi_label_dice(pred, truth, labels, subject_id=""):
         if name is None:
             warnings.warn(f"label {label_id} absent from both label-name maps")
             name = f"label_{label_id}"
-        denom = counts[0, label_id] + counts[1, label_id]
-        score = 1.0 if denom == 0 else 2.0 * counts[2, label_id] / denom
-        records.append(DiceRecord(subject_id, label_id, name, float(score)))
+        records.append(DiceRecord(subject_id, label_id, name, dice_from_counts(counts, label_id)))
     return records
+
+
+def dice_from_counts(counts, label_id):
+    """Dice of one label from ``label_overlap_counts`` output."""
+    denom = counts[0, label_id] + counts[1, label_id]
+    return 1.0 if denom == 0 else float(2.0 * counts[2, label_id] / denom)
 
 
 def summarize(scores):

@@ -1,13 +1,12 @@
 """Intensity-shift robustness simulation on synthetic phantoms.
 
 A phantom is an air background with ellipsoidal soft-tissue organs, each
-drawn as Gaussian noise around a mean HU. A pluggable segmenter predicts
-labels from normalized slices; the reference implementation is a
-percentile band classifier fitted in normalized-intensity space, so its
-shift tolerance is determined entirely by the normalization strategy it
-was trained under. The sweep shifts test volumes over a HU grid,
-re-normalizes with the strategy's test-time window, and reports mean dice
-per (shift, label).
+drawn as Gaussian noise around a mean HU. The segmenter is a percentile
+band classifier fitted in normalized-intensity space that labels each
+voxel by its intensity alone, so its shift tolerance is determined
+entirely by the normalization strategy it was trained under. The sweep
+shifts whole test volumes over a HU grid, re-normalizes them with the
+strategy's test-time window, and reports mean dice per (shift, label).
 
 All randomness derives from explicit seeds. ``run_experiment`` derives
 per-subject and per-strategy streams from the experiment seed with spawn
@@ -15,7 +14,6 @@ keys (0, i) for training phantom i, (1, i) for test phantom i and (2, j)
 for the window sampler of strategy j.
 """
 
-import abc
 import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -24,11 +22,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .metrics import multi_label_dice
-from .volume import CtVolume, LabelVolume, extract_slice, shift_intensity, stack_slices
-from .windowing import SwnParams, WindowSampler, normalize_for_testing, normalize_for_training
+from .metrics import dice_from_counts
+from .volume import CtVolume, LabelVolume
+from .windowing import SwnParams, WindowSampler, strategy_window
+
+# Not called here; kept because perfbench's tracer wraps these names on this module.
+from .metrics import multi_label_dice  # noqa: F401
+from .volume import extract_slice, shift_intensity, stack_slices  # noqa: F401
+from .windowing import normalize_for_testing, normalize_for_training  # noqa: F401
 
 SWEEP_CSV_COLUMNS = ("shift_hu", "strategy", "label_id", "label_name", "mean_dice")
+
+SLAB_VOXELS = 1 << 17  # voxels per sweep-cell slab; bounds each pool thread's scratch memory
 
 
 def derive_seed(base_seed, *key):
@@ -104,16 +109,6 @@ def generate_phantom(cfg):
     return (CtVolume(voxels, spacing=cfg.spacing), LabelVolume(labels, label_names=names))
 
 
-class Segmenter(abc.ABC):
-    """Deterministic slice-wise predictor operating on normalized slices."""
-
-    strategy: str  # normalization strategy the segmenter was fitted under
-
-    @abc.abstractmethod
-    def predict(self, normalized_slice):
-        """Return a 2D uint8 label array for one normalized slice."""
-
-
 @dataclass
 class Band:
     label_id: int
@@ -130,7 +125,7 @@ class Band:
         return 0.5 * (self.lo + self.hi)
 
 
-class BandSegmenter(Segmenter):
+class BandSegmenter:
     """Per-label intensity bands in normalized [0, 255] space.
 
     A voxel inside several bands goes to the lowest label id
@@ -152,8 +147,9 @@ class BandSegmenter(Segmenter):
         self._center = np.array([b.center for b in self.bands], dtype=np.float32)
         self._labels = np.array(ids, dtype=np.uint8)
 
-    def predict(self, normalized_slice):
-        return _kernels.classify_bands(normalized_slice.values, self._lo, self._hi,
+    def predict(self, normalized):
+        """uint8 labels for a normalized float array of any shape."""
+        return _kernels.classify_bands(normalized, self._lo, self._hi,
                                        self._center, self._labels, self.tie_break)
 
 
@@ -162,9 +158,10 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
                        tie_break="lowest_id", slice_axis=2):
     """Fit per-label percentile bands in normalized space.
 
-    Every epoch re-normalizes every slice with ``normalize_for_training``
-    (so SWN pools values over many random windows, widening its bands) and
-    pools each label's normalized intensities; the band is the stated
+    Every epoch re-normalizes every volume with the strategy's training
+    window; SWN draws a fresh window for each plane along ``slice_axis``,
+    so it pools values over many random windows, widening its bands. Each
+    label's normalized intensities are pooled; the band is the stated
     percentile range of the pool, widened to ``2 * band_epsilon`` when it
     degenerates.
     """
@@ -180,20 +177,26 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     if not label_ids:
         raise ValueError("training labels contain no nonzero ids")
     sampler = WindowSampler(swn) if strategy == "SWN" else None
+    window = strategy_window(strategy, "train")
 
+    # percentiles depend only on the multiset of pooled values: pooling by volume is exact
     pools = {lid: [] for lid in label_ids}
     for _ in range(int(epochs)):
         for vol, lab in training:
             if vol.dims != lab.dims:
                 raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
-            for index in range(vol.dims[slice_axis]):
-                normalized = normalize_for_training(
-                    extract_slice(vol, slice_axis, index), strategy, sampler)
-                plane = np.take(lab.voxels, index, axis=slice_axis)
-                for lid in label_ids:
-                    values = normalized.values[plane == lid]
-                    if values.size:
-                        pools[lid].append(values)
+            if window is not None:
+                normalized = _kernels.window_normalize(vol.voxels, window.lower, window.upper)
+            else:
+                normalized = np.empty(vol.dims, dtype=np.float32)
+                planes = np.moveaxis(normalized, slice_axis, 0)
+                for index, plane in enumerate(np.moveaxis(vol.voxels, slice_axis, 0)):
+                    drawn = sampler.sample()
+                    planes[index] = _kernels.window_normalize(plane, drawn.lower, drawn.upper)
+            for lid in label_ids:
+                values = normalized[lab.voxels == lid]
+                if values.size:
+                    pools[lid].append(values)
 
     bands = []
     for lid in label_ids:
@@ -233,15 +236,19 @@ class SweepResult:
                    if row.label_id == label_id and row.mean_dice >= threshold)
 
 
-def run_shift_sweep(seg, test, strategy, shifts, slice_axis=2, strategy_label=None):
+def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     """Mean dice per (shift, label) of a segmenter on shifted test volumes.
 
     Cells (shift x subject) are independent; they run on a thread pool
     capped by CTWINDOW_THREADS and are reduced in fixed order, so the
-    result is identical regardless of scheduling.
+    result is identical regardless of scheduling. A cell works on slabs of
+    whole rows along axis 0, at most SLAB_VOXELS each (one row if a row is
+    larger), and adds their label overlap counts.
     """
     if not shifts:
         raise ValueError("shifts grid must be nonempty")
+    if not np.all(np.isfinite(shifts)):
+        raise ValueError(f"shifts must be finite, got {shifts}")
     label_names = {}
     for _, lab in test:
         for lid, name in lab.label_names.items():
@@ -249,32 +256,23 @@ def run_shift_sweep(seg, test, strategy, shifts, slice_axis=2, strategy_label=No
                 label_names.setdefault(lid, name)
     label_ids = sorted(label_names)
     strategy_label = strategy_label or strategy
+    window = strategy_window(strategy, "test")
 
-    def cell(shift):
-        def one(pair):
-            vol, lab = pair
-            shifted = shift_intensity(vol, shift)
-            planes = [
-                seg.predict(normalize_for_testing(
-                    extract_slice(shifted, slice_axis, index), strategy))
-                for index in range(shifted.dims[slice_axis])
-            ]
-            pred = LabelVolume(stack_slices(planes, slice_axis), label_names=label_names)
-            records = multi_label_dice(pred, lab, label_ids)
-            return [r.dice for r in records]
-        return one
+    def cell(shift, vol, lab):
+        if vol.dims != lab.dims:
+            raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
+        rows = max(1, SLAB_VOXELS // (vol.dims[1] * vol.dims[2]))
+        counts = np.zeros((3, 256), dtype=np.int64)
+        for start in range(0, vol.dims[0], rows):
+            hu = np.asarray(vol.voxels[start:start + rows], dtype=np.float32) + np.float32(shift)
+            pred = seg.predict(_kernels.window_normalize(hu, window.lower, window.upper))
+            counts += _kernels.label_overlap_counts(pred, lab.voxels[start:start + rows])
+        return [dice_from_counts(counts, lid) for lid in label_ids]
 
     cells = [(i, j) for i in range(len(shifts)) for j in range(len(test))]
-    scores = {}
-    threads = worker_count(len(cells))
-    if threads == 1:
-        for i, j in cells:
-            scores[(i, j)] = cell(shifts[i])(test[j])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {(i, j): pool.submit(cell(shifts[i]), test[j]) for i, j in cells}
-        for key, fut in futures.items():
-            scores[key] = fut.result()
+    with ThreadPoolExecutor(max_workers=worker_count(len(cells))) as pool:
+        futures = {(i, j): pool.submit(cell, shifts[i], *test[j]) for i, j in cells}
+    scores = {key: fut.result() for key, fut in futures.items()}
 
     rows = []
     for i, shift in enumerate(shifts):
@@ -350,7 +348,7 @@ def run_experiment(cfg):
                                  band_epsilon=cfg.fit.band_epsilon,
                                  tie_break=cfg.fit.tie_break, slice_axis=cfg.slice_axis)
         result = run_shift_sweep(seg, test, spec.strategy, cfg.shifts,
-                                 slice_axis=cfg.slice_axis, strategy_label=spec.label)
+                                 strategy_label=spec.label)
         segmenters[spec.label] = seg
         rows.extend(result.rows)
     return rows, segmenters

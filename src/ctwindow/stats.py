@@ -108,8 +108,9 @@ def wilcoxon_signed_rank(a, b, exact_cutoff=EXACT_CUTOFF):
 def fdr_bh(p_values, m):
     """Benjamini-Hochberg step-up adjusted p-values with family size m."""
     p = np.asarray(p_values, dtype=np.float64)
-    if p.size and (np.any(p <= 0.0) or np.any(p > 1.0)):
-        raise ValueError("p-values must lie in (0, 1]")
+    # p = 0 is valid: the normal approximation underflows to it at large n
+    if p.size and (np.any(p < 0.0) or np.any(p > 1.0)):
+        raise ValueError("p-values must lie in [0, 1]")
     if m < p.size:
         raise ValueError(f"comparison count m={m} smaller than the {p.size} p-values given")
     order = np.argsort(p, kind="stable")
@@ -140,20 +141,23 @@ def compare_methods(dice_tables, reference, alpha=0.05, m=12):
     """Per-organ Wilcoxon comparison of every method against a reference.
 
     ``dice_tables`` maps method name to a list of DiceRecord covering the
-    same (subject, label) pairs for every method. Identical scores yield no
-    test and are reported as not significant with p fixed at 1. Returns one
-    row per (organ, method), reference rows marked ``Ref.``.
+    same (subject, label) pairs for every method, each pair once. Identical
+    scores yield no test and are reported as not significant with p fixed
+    at 1. Returns one row per (organ, method), reference rows marked ``Ref.``.
     """
     if reference not in dice_tables:
         raise ValueError(f"reference {reference!r} not among methods {sorted(dice_tables)}")
 
-    def keyed(records):
+    def keyed(name, records):
         table = {}
         for r in records:
+            if (r.label_id, r.subject_id) in table:
+                raise ValueError(f"method {name!r} has more than one row for subject "
+                                 f"{r.subject_id!r}, label {r.label_id}")
             table[(r.label_id, r.subject_id)] = r
         return table
 
-    tables = {name: keyed(records) for name, records in dice_tables.items()}
+    tables = {name: keyed(name, records) for name, records in dice_tables.items()}
     ref_keys = set(tables[reference])
     for name, table in tables.items():
         if set(table) != ref_keys:

@@ -61,11 +61,18 @@ class LabelVolume:
     label_names: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.voxels = np.asarray(self.voxels, dtype=np.uint8)
-        if self.voxels.ndim != 3:
-            raise ValueError(f"expected a 3D array, got ndim={self.voxels.ndim}")
+        voxels = np.asarray(self.voxels)
+        if voxels.ndim != 3:
+            raise ValueError(f"expected a 3D array, got ndim={voxels.ndim}")
+        ids = np.unique(voxels)  # before the uint8 cast, which would wrap 256 to 0
+        if ids.size and (ids[0] < 0 or ids[-1] > 255 or np.any(ids != np.round(ids))):
+            raise ValueError(f"label ids must be integers in 0..255, got {ids[0]}..{ids[-1]}")
+        self.voxels = voxels.astype(np.uint8, copy=False)
         self.label_names = {int(k): str(v) for k, v in self.label_names.items()}
-        present = set(int(v) for v in np.unique(self.voxels))
+        if any(not 0 <= k <= 255 for k in self.label_names):
+            raise ValueError(f"label ids must be integers in 0..255, "
+                             f"got names for {sorted(self.label_names)}")
+        present = set(int(v) for v in ids)
         missing = sorted(present - set(self.label_names))
         for lid in missing:
             self.label_names[lid] = "background" if lid == 0 else f"label_{lid}"
@@ -202,7 +209,8 @@ def extract_slice(volume, axis, index):
     n = volume.voxels.shape[axis]
     if not 0 <= index < n:
         raise IndexError(f"slice index {index} out of range for axis {axis} with extent {n}")
-    plane = np.take(volume.voxels, index, axis=axis)
+    # a view; np.take would copy an F-ordered volume whole for every plane
+    plane = np.moveaxis(volume.voxels, axis, 0)[index]
     return Slice2D(np.ascontiguousarray(plane, dtype=np.float32), axis=axis, index=index)
 
 

@@ -99,10 +99,6 @@ def preset(name):
     return WindowSpec(level, half_width)
 
 
-def sample_window(sampler):
-    return sampler.sample()
-
-
 def apply_window(s, window):
     """Clamp a slice to the window band and rescale onto [0, 255] float32.
 
@@ -118,26 +114,27 @@ def normalize_wir(s):
     return apply_window(s, preset("whole_range"))
 
 
-def _check_strategy(strategy):
+def strategy_window(strategy, mode):
+    """A strategy's fixed window in mode "train" or "test"; None for SWN training."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy == "WIR":
+        return preset("whole_range")
+    if strategy == "SWN" and mode == "train":
+        return None
+    return preset("soft_tissue")
 
 
 def normalize_for_training(s, strategy, sampler=None):
     """Training-time normalization; SWN draws a fresh window per call."""
-    _check_strategy(strategy)
-    if strategy == "STN":
-        return apply_window(s, preset("soft_tissue"))
-    if strategy == "WIR":
-        return normalize_wir(s)
-    if sampler is None:
-        raise ValueError("strategy SWN requires a WindowSampler")
-    return apply_window(s, sampler.sample())
+    window = strategy_window(strategy, "train")
+    if window is None:
+        if sampler is None:
+            raise ValueError("strategy SWN requires a WindowSampler")
+        window = sampler.sample()
+    return apply_window(s, window)
 
 
 def normalize_for_testing(s, strategy):
     """Test-time normalization: never random; SWN uses the soft-tissue window."""
-    _check_strategy(strategy)
-    if strategy == "WIR":
-        return normalize_wir(s)
-    return apply_window(s, preset("soft_tissue"))
+    return apply_window(s, strategy_window(strategy, "test"))

@@ -2,13 +2,20 @@
 
 These deliberately use the most literal formulation available (full
 enumeration, O(n^2) loops, triple voxel loops) and share no code with the
-library paths they check.
+library paths they check. The per-plane sweep and fit are the plain
+slice-by-slice formulation that the whole-volume sweep and fit replaced;
+they are built from the 2D slice API only.
 """
 
 import itertools
 
 import numpy as np
 from scipy.stats import rankdata
+
+from ctwindow.metrics import multi_label_dice
+from ctwindow.simulation import Band, SweepRow
+from ctwindow.volume import LabelVolume, extract_slice, shift_intensity, stack_slices
+from ctwindow.windowing import WindowSampler, normalize_for_testing, normalize_for_training
 
 
 def brute_force_wilcoxon_p(diffs):
@@ -69,3 +76,51 @@ def window_pseudocode(image, level, width):
     image[image > max_threshold] = max_threshold
     image[image < min_threshold] = min_threshold
     return np.float32(255.0) * (image - min_threshold) / (max_threshold - min_threshold)
+
+
+def per_plane_sweep(seg, test, strategy, shifts, slice_axis):
+    """Sweep rows from one prediction per plane along ``slice_axis``, serially."""
+    label_names = {}
+    for _, lab in test:
+        for lid, name in lab.label_names.items():
+            if lid != 0:
+                label_names.setdefault(lid, name)
+    label_ids = sorted(label_names)
+    rows = []
+    for shift in shifts:
+        scores = []
+        for vol, lab in test:
+            shifted = shift_intensity(vol, shift)
+            planes = [seg.predict(normalize_for_testing(
+                extract_slice(shifted, slice_axis, index), strategy).values)
+                for index in range(shifted.dims[slice_axis])]
+            pred = LabelVolume(stack_slices(planes, slice_axis), label_names=label_names)
+            scores.append([r.dice for r in multi_label_dice(pred, lab, label_ids)])
+        means = np.array(scores, dtype=np.float64).mean(axis=0)
+        rows.extend(SweepRow(shift, strategy, lid, label_names[lid], float(mean))
+                    for lid, mean in zip(label_ids, means))
+    return rows
+
+
+def per_plane_fit_bands(training, strategy, swn, epochs, percentiles, band_epsilon,
+                        slice_axis):
+    """Percentile bands pooled plane by plane, one training normalization per plane."""
+    label_ids = sorted({lid for _, lab in training for lid in lab.label_names if lid != 0})
+    sampler = WindowSampler(swn) if strategy == "SWN" else None
+    pools = {lid: [] for lid in label_ids}
+    for _ in range(epochs):
+        for vol, lab in training:
+            for index in range(vol.dims[slice_axis]):
+                normalized = normalize_for_training(
+                    extract_slice(vol, slice_axis, index), strategy, sampler)
+                plane = np.take(lab.voxels, index, axis=slice_axis)
+                for lid in label_ids:
+                    pools[lid].append(normalized.values[plane == lid])
+    bands = []
+    for lid in label_ids:
+        lo, hi = np.percentile(np.concatenate(pools[lid]), list(percentiles))
+        if hi - lo < 2.0 * band_epsilon:
+            mid = 0.5 * (lo + hi)
+            lo, hi = mid - band_epsilon, mid + band_epsilon
+        bands.append(Band(lid, float(lo), float(hi)))
+    return bands

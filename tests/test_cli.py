@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ctwindow.cli import main, parse_experiment, parse_shifts
+from ctwindow.cli import experiment_to_config, main, parse_experiment, parse_shifts
 from ctwindow.metrics import read_dice_csv
+from ctwindow.simulation import reference_experiment
 from ctwindow.volume import (CtVolume, LabelVolume, load_label_volume, load_volume,
                              save_label_volume, save_volume)
 
@@ -192,6 +194,34 @@ def test_parse_shifts_grid_matches_sweep_convention():
         parse_shifts({"start": 0, "stop": -10, "step": 5})
     with pytest.raises(ValueError):
         parse_shifts([])
+
+
+@pytest.mark.parametrize("bad", [[0, 12.5], [-0.7], {"start": 0, "stop": 50, "step": 12.5}])
+def test_fractional_shifts_are_an_error_not_truncated(tmp_path, capsys, bad):
+    with pytest.raises(ValueError, match="whole HU"):
+        parse_shifts(bad)
+    cfg = small_config(tmp_path, shifts=bad)
+    assert main(["sweep", cfg, "-o", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ctwindow: error:") and "whole HU" in err
+    shifts = parse_shifts([12.0, -3])
+    assert shifts == [12, -3] and all(type(s) is int for s in shifts)
+
+
+def test_non_uniform_shift_list_round_trips():
+    for shifts in ([0, 10, 100], [50, 0, -50], [-300, -275, -250]):
+        exp = replace(reference_experiment(), shifts=shifts)
+        assert parse_experiment(experiment_to_config(exp)).shifts == shifts
+    uniform = experiment_to_config(reference_experiment())["shifts"]
+    assert uniform == {"start": -300, "stop": 300, "step": 25}
+
+
+@pytest.mark.parametrize("key,value", [("n_test", 0), ("n_train", 0), ("n_test", -2)])
+def test_nonpositive_subject_counts_are_config_errors(tmp_path, capsys, key, value):
+    cfg = small_config(tmp_path, **{key: value})
+    assert main(["sweep", cfg, "-o", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ctwindow: error: config: n_train and n_test must be positive")
 
 
 def test_strategy_validation(tmp_path, capsys):

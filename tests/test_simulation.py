@@ -116,9 +116,9 @@ def test_band_segmenter_predict_modes():
     seg_near = BandSegmenter([Band(1, 0.0, 10.0), Band(2, 6.0, 10.0)], "STN",
                              tie_break="nearest_center")
     s = Slice2D(np.array([[2.0, 9.0, 50.0]], dtype=np.float32))
-    assert seg_low.predict(s).tolist() == [[1, 1, 0]]
+    assert seg_low.predict(s.values).tolist() == [[1, 1, 0]]
     # 9.0 sits in both bands; centers are 5.0 and 8.0, so label 2 is nearer
-    assert seg_near.predict(s).tolist() == [[1, 2, 0]]
+    assert seg_near.predict(s.values).tolist() == [[1, 2, 0]]
 
 
 def test_sweep_self_consistency_noiseless():
@@ -146,6 +146,8 @@ def test_sweep_requires_shifts():
     seg = fit_band_segmenter([pair], "STN", epochs=1)
     with pytest.raises(ValueError, match="nonempty"):
         run_shift_sweep(seg, [pair], "STN", [])
+    with pytest.raises(ValueError, match="finite"):
+        run_shift_sweep(seg, [pair], "STN", [0, float("nan")])
 
 
 def test_sweep_thread_count_does_not_change_results(monkeypatch):

@@ -116,9 +116,32 @@ def test_fdr_validation():
     with pytest.raises(ValueError, match="smaller"):
         fdr_bh([0.1, 0.2], m=1)
     with pytest.raises(ValueError):
-        fdr_bh([0.0], m=3)
+        fdr_bh([-0.1], m=3)
     with pytest.raises(ValueError):
         fdr_bh([1.1], m=3)
+
+
+def test_fdr_accepts_p_underflowed_to_zero():
+    # a constant difference over 2500 pairs puts z near 43; its tail underflows
+    res = wilcoxon_signed_rank(np.full(2500, 0.51), np.full(2500, 0.5))
+    assert res.method == "normal_approx" and res.p_two_sided == 0.0
+    assert fdr_bh([0.0, 0.5], m=3) == [0.0, 0.75]
+    ref = [DiceRecord(f"s{i}", 1, "liver", 0.5) for i in range(2500)]
+    better = [DiceRecord(f"s{i}", 1, "liver", 0.51) for i in range(2500)]
+    rows = compare_methods({"REF": ref, "M": better}, "REF")
+    m_row = next(r for r in rows if r.method == "M")
+    assert (m_row.p_raw, m_row.p_fdr, m_row.symbol) == (0.0, 0.0, SYMBOL_HIGHER)
+
+
+def test_compare_rejects_duplicate_subject_label_rows():
+    tables = _tables(n_subjects=3)
+    tables["M"].append(tables["M"][0])
+    with pytest.raises(ValueError, match="more than one row"):
+        compare_methods(tables, "REF")
+    tables = _tables(n_subjects=3)
+    tables["REF"][2] = tables["REF"][1]
+    with pytest.raises(ValueError, match="'REF' has more than one row"):
+        compare_methods(tables, "REF")
 
 
 def _tables(n_subjects=20, delta=0.0, seed=0):

@@ -93,6 +93,16 @@ def test_label_names_synthesized_for_unnamed_ids():
     assert lab.label_names == {0: "background", 3: "label_3"}
 
 
+@pytest.mark.parametrize("bad", [256, -1, 1.5, float("nan")])
+def test_label_volume_rejects_ids_outside_uint8(bad):
+    with pytest.raises(ValueError, match="0..255"):
+        LabelVolume(np.array([0, bad]).reshape(1, 1, 2))
+    with pytest.raises(ValueError, match="0..255"):
+        LabelVolume(np.zeros((1, 1, 1), dtype=np.uint8), label_names={256: "x"})
+    wide = LabelVolume(np.array([0, 255, 7], dtype=np.int64).reshape(1, 1, 3))
+    assert wide.voxels.dtype == np.uint8 and wide.voxels.ravel().tolist() == [0, 255, 7]
+
+
 def test_shift_identity_and_arithmetic():
     vol = CtVolume(np.array([[[40, -1000]]], dtype=np.int16).reshape(1, 1, 2))
     assert np.array_equal(shift_intensity(vol, 0).voxels, vol.voxels.astype(np.float32))

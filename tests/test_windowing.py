@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from ctwindow.volume import Slice2D
 from ctwindow.windowing import (SwnParams, WindowSampler, WindowSpec, W_MIN,
                                 apply_window, normalize_for_testing,
-                                normalize_for_training, normalize_wir, preset,
-                                sample_window)
+                                normalize_for_training, normalize_wir, preset)
 
 
 def slc(*values):
@@ -97,7 +96,7 @@ def test_sampler_draw_order_and_determinism():
     a = WindowSampler(SwnParams(50.0, 50.0, seed=123))
     b = WindowSampler(SwnParams(50.0, 50.0, seed=123))
     windows_a = [a.sample() for _ in range(10)]
-    windows_b = [sample_window(b) for _ in range(10)]
+    windows_b = [b.sample() for _ in range(10)]
     assert windows_a == windows_b
     worker = a.for_worker(1)
     assert [worker.sample() for _ in range(5)] != [b.sample() for _ in range(5)]
