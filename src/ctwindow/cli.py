@@ -20,7 +20,7 @@ from .simulation import (ExperimentConfig, FitParams, OrganSpec, PhantomConfig,
                          StrategySpec, derive_seed, generate_phantom,
                          reference_experiment, run_experiment, write_sweep_csv)
 from .stats import compare_methods, write_comparison_csv, write_comparison_metadata
-from .volume import (CtVolume, LabelVolume, extract_slice, load_label_volume,
+from .volume import (CtVolume, LabelVolume, extract_slice, is_number_list, load_label_volume,
                      load_volume, save_label_volume, save_volume, stack_slices)
 from .windowing import STRATEGIES, SwnParams, WindowSampler, apply_window, strategy_window
 
@@ -46,6 +46,19 @@ def _check_keys(obj, context, required, optional=()):
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _numbers(value, context, count=3):
+    """A JSON list of ``count`` numbers as a tuple; a ConfigError names ``context`` otherwise."""
+    if not is_number_list(value, count):
+        raise ConfigError(f"{context}: expected a list of {count} numbers, got {value!r}")
+    return tuple(value)
+
+
+def _objects(value, context):
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}: expected a list, got {value!r}")
+    return value
 
 
 def parse_strategy(obj, context="strategy"):
@@ -79,18 +92,20 @@ def parse_phantom(obj, context="phantom"):
     _check_keys(obj, context, required=("dims", "organs"),
                 optional=("spacing_mm", "background_hu", "background_noise_std", "seed"))
     organs = []
-    for i, org in enumerate(obj["organs"]):
+    for i, org in enumerate(_objects(obj["organs"], f"{context}.organs")):
         octx = f"{context}.organs[{i}]"
         _check_keys(org, octx,
                     required=("label_id", "label_name", "center", "radii", "mean_hu"),
                     optional=("noise_std",))
         organs.append(OrganSpec(int(org["label_id"]), str(org["label_name"]),
-                                tuple(org["center"]), tuple(org["radii"]),
+                                _numbers(org["center"], f"{octx}.center"),
+                                _numbers(org["radii"], f"{octx}.radii"),
                                 float(org["mean_hu"]), float(org.get("noise_std", 0.0))))
-    return PhantomConfig(dims=tuple(obj["dims"]), organs=organs,
+    return PhantomConfig(dims=_numbers(obj["dims"], f"{context}.dims"), organs=organs,
                          background_hu=float(obj.get("background_hu", -1000.0)),
                          background_noise_std=float(obj.get("background_noise_std", 0.0)),
-                         spacing=tuple(obj.get("spacing_mm", (1.0, 1.0, 1.0))),
+                         spacing=_numbers(obj.get("spacing_mm", [1.0, 1.0, 1.0]),
+                                          f"{context}.spacing_mm"),
                          seed=int(obj.get("seed", 0)))
 
 
@@ -99,7 +114,8 @@ def parse_fit(obj, context="fit"):
                 optional=("epochs", "percentiles", "band_epsilon", "tie_break"))
     defaults = FitParams()
     return FitParams(epochs=int(obj.get("epochs", defaults.epochs)),
-                     percentiles=tuple(obj.get("percentiles", defaults.percentiles)),
+                     percentiles=_numbers(obj.get("percentiles", list(defaults.percentiles)),
+                                          f"{context}.percentiles", count=2),
                      band_epsilon=float(obj.get("band_epsilon", defaults.band_epsilon)),
                      tie_break=str(obj.get("tie_break", defaults.tie_break)))
 
@@ -108,7 +124,7 @@ def parse_experiment(cfg):
     _check_keys(cfg, "config", required=("seed", "phantom", "strategies", "shifts"),
                 optional=("n_train", "n_test", "fit", "slice_axis"))
     strategies = [parse_strategy(s, f"strategies[{i}]")
-                  for i, s in enumerate(cfg["strategies"])]
+                  for i, s in enumerate(_objects(cfg["strategies"], "config.strategies"))]
     if not strategies:
         raise ConfigError("config: strategies must be nonempty")
     n_train, n_test = int(cfg.get("n_train", 5)), int(cfg.get("n_test", 5))

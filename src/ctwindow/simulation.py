@@ -5,8 +5,11 @@ drawn as Gaussian noise around a mean HU. The segmenter is a percentile
 band classifier fitted in normalized-intensity space that labels each
 voxel by its intensity alone, so its shift tolerance is determined
 entirely by the normalization strategy it was trained under. The sweep
-shifts whole test volumes over a HU grid, re-normalizes them with the
-strategy's test-time window, and reports mean dice per (shift, label).
+reports mean dice per (shift, label) of test volumes shifted over a HU
+grid and re-normalized with the strategy's test-time window. It sorts
+each test subject's voxel values once and reads every shift's dice counts
+off the sorted values (see ``run_shift_sweep``), because normalization is
+monotone and the classifier is piecewise constant in normalized intensity.
 
 All randomness derives from explicit seeds. ``run_experiment`` derives
 per-subject and per-strategy streams from the experiment seed with spawn
@@ -33,7 +36,7 @@ from .windowing import normalize_for_testing, normalize_for_training  # noqa: F4
 
 SWEEP_CSV_COLUMNS = ("shift_hu", "strategy", "label_id", "label_name", "mean_dice")
 
-SLAB_VOXELS = 1 << 17  # voxels per sweep-cell slab; bounds each pool thread's scratch memory
+SLAB_VOXELS = 1 << 17  # voxels per slab of a direct sweep cell; bounds a thread's scratch memory
 
 
 def derive_seed(base_seed, *key):
@@ -43,7 +46,7 @@ def derive_seed(base_seed, *key):
 
 
 def worker_count(n_cells):
-    """Thread count for sweep cells; CTWINDOW_THREADS caps it (0 = auto)."""
+    """Thread count for ``n_cells`` sweep tasks; CTWINDOW_THREADS caps it (0 = auto)."""
     raw = os.environ.get("CTWINDOW_THREADS", "0")
     try:
         cap = int(raw)
@@ -76,17 +79,33 @@ class PhantomConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        if len(self.dims) != 3 or any(d <= 0 for d in self.dims):
+        dims = _three_numbers(self.dims, "dims")
+        if any(d <= 0 or not d.is_integer() for d in dims):
             raise ValueError(f"dims must be 3 positive integers, got {self.dims}")
+        self.dims = tuple(int(d) for d in dims)
         ids = [o.label_id for o in self.organs]
         if len(set(ids)) != len(ids) or any(i <= 0 for i in ids):
             raise ValueError("organ label ids must be unique and nonzero")
         for organ in self.organs:
-            lo = np.asarray(organ.center) - np.asarray(organ.radii)
-            hi = np.asarray(organ.center) + np.asarray(organ.radii)
+            center = np.array(_three_numbers(organ.center, f"organ {organ.label_name!r} center"))
+            radii = np.array(_three_numbers(organ.radii, f"organ {organ.label_name!r} radii"))
+            if np.any(radii <= 0):
+                raise ValueError(f"organ {organ.label_name!r} radii must be positive, "
+                                 f"got {organ.radii}")
+            lo, hi = center - radii, center + radii
             if np.any(lo < 0) or np.any(hi > np.asarray(self.dims) - 1):
                 raise ValueError(f"organ {organ.label_name!r} ellipsoid extends outside dims")
+
+
+def _three_numbers(value, what):
+    """``value`` as a tuple of 3 finite floats; ValueError naming ``what`` otherwise."""
+    try:
+        numbers = tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        numbers = ()
+    if len(numbers) != 3 or not np.all(np.isfinite(numbers)):
+        raise ValueError(f"{what} must be 3 finite numbers, got {value!r}")
+    return numbers
 
 
 def generate_phantom(cfg):
@@ -239,11 +258,31 @@ class SweepResult:
 def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     """Mean dice per (shift, label) of a segmenter on shifted test volumes.
 
-    Cells (shift x subject) are independent; they run on a thread pool
-    capped by CTWINDOW_THREADS and are reduced in fixed order, so the
-    result is identical regardless of scheduling. A cell works on slabs of
-    whole rows along axis 0, at most SLAB_VOXELS each (one row if a row is
-    larger), and adds their label overlap counts.
+    The sweep is exact and sorts each test subject once. The test-time map
+    ``n(x) = window_normalize(f32(x) + f32(shift))`` is monotone
+    non-decreasing in a voxel's value x: float32 addition rounds
+    monotonically, and clip, subtract, multiply and divide by positives and
+    the 0/255 pins are all monotone. ``classify_bands`` looks at n only
+    through tests that switch at most once as n grows: ``n >= lo_j`` and
+    ``n > hi_j`` for every band, and in ``nearest_center`` mode
+    ``|n - c_k| < |n - c_j|`` for every pair j < k of band centers (see
+    ``_sorted_sweep_applies``). So at one shift the prediction is constant
+    on each run of voxel values between the points where a test switches.
+    ``_run_starts`` bisects float32 order keys for those points, probing
+    with the real ``window_normalize`` and the kernels' comparisons, and
+    labels each run with ``seg.predict`` on its first value; NaN voxels are
+    a run of their own. Then, one truth label of one subject at a time, the
+    sweep sorts that label's voxel values as float32 (at most 4 bytes per
+    voxel of the subject, plus a 1-byte label mask, both freed before the
+    next label) and ``np.searchsorted`` counts them in each run. Subjects
+    run one after another: a thread pool over them bought no wall time.
+
+    Where the tests are not proven monotone, the sweep runs each
+    (shift x subject) cell directly: shift, window, classify and count the
+    whole volume, in slabs of whole rows along axis 0 of at most
+    SLAB_VOXELS each (one row if a row is larger). Those cells run on a
+    thread pool capped by CTWINDOW_THREADS. Either way the per-subject dice
+    are reduced in fixed order, so the result does not depend on scheduling.
     """
     if not shifts:
         raise ValueError("shifts grid must be nonempty")
@@ -257,10 +296,129 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     label_ids = sorted(label_names)
     strategy_label = strategy_label or strategy
     window = strategy_window(strategy, "test")
-
-    def cell(shift, vol, lab):
+    for vol, lab in test:
         if vol.dims != lab.dims:
             raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
+
+    if _sorted_sweep_applies(seg):
+        scores = _sorted_sweep(seg, test, window, shifts, label_ids)
+    else:
+        scores = _direct_sweep(seg, test, window, shifts, label_ids)
+
+    rows = []
+    for i, shift in enumerate(shifts):
+        stacked = np.array([scores[(i, j)] for j in range(len(test))], dtype=np.float64)
+        means = stacked.mean(axis=0)
+        for lid, mean in zip(label_ids, means):
+            rows.append(SweepRow(shift, strategy_label, lid, label_names[lid], float(mean)))
+    return SweepResult(rows)
+
+
+def _sorted_sweep_applies(seg):
+    """Whether every test ``classify_bands`` makes switches at most once as n grows.
+
+    The band tests always do. In ``nearest_center`` mode, take centers
+    c_j < c_k: for n below c_j, ``|n - c_k| < |n - c_j|`` is false; between
+    the centers one side shrinks and the other grows, so it switches once;
+    above c_k it holds as long as float32 rounding cannot make
+    ``n - c_k`` and ``n - c_j`` equal, which ``c_k - c_j`` greater than the
+    float32 spacing at the largest ``|n - c|`` for n in [0, 255] rules out.
+    With centers in [0, 255], as every fitted segmenter has, that spacing is
+    at most 2**-16. Equal centers are fine (the lower id always wins); a
+    non-finite center is not covered.
+    """
+    if seg.tie_break != "nearest_center":
+        return True
+    centers = seg._center.astype(np.float64)
+    reach = np.max(np.maximum(np.abs(centers), np.abs(255.0 - centers)), initial=0.0)
+    spacing = np.spacing(np.float32(reach))
+    gaps = np.abs(centers[:, None] - centers[None, :])
+    return bool(np.all((gaps == 0) | (gaps > spacing)))
+
+
+_NEG_INF_KEY = 0x007FFFFF  # order key of float32 -inf
+_POS_INF_KEY = 0xFF800000  # order key of float32 +inf
+
+
+def _key_values(keys):
+    """float32 values of uint32 order keys, which sort like the values (-0.0 before 0.0)."""
+    keys = np.asarray(keys, dtype=np.uint32)
+    return np.where(keys & 0x80000000, keys & 0x7FFFFFFF, ~keys).view(np.float32)
+
+
+def _band_tests(seg):
+    """The tests classify_bands makes on n, and how many there are.
+
+    ``tests(n)`` takes n of shape (..., count) and applies test t to
+    ``n[..., t]``: ``n >= lo_j``, then ``n > hi_j``, then in
+    ``nearest_center`` mode ``|n - c_k| < |n - c_j|`` for each pair j < k.
+    """
+    n_bands = len(seg.bands)
+    j, k = np.triu_indices(n_bands if seg.tie_break == "nearest_center" else 0, 1)
+
+    def tests(n):
+        pair = n[..., 2 * n_bands:]
+        return np.concatenate([n[..., :n_bands] >= seg._lo, n[..., n_bands:2 * n_bands] > seg._hi,
+                               np.abs(pair - seg._center[k]) < np.abs(pair - seg._center[j])],
+                              axis=-1)
+
+    return tests, 2 * n_bands + len(j)
+
+
+def _run_starts(seg, window, shift32):
+    """Per shift, the first values of the runs on which the prediction is constant.
+
+    Returns float32 (shifts, tests + 2), each row ascending: -inf, then the
+    smallest value at which each test switches (NaN for a test that never
+    does), then NaN, which starts the run of NaN voxels.
+    """
+    tests, count = _band_tests(seg)
+
+    def state(keys):
+        return tests(_kernels.window_normalize(_key_values(keys) + shift32,
+                                               window.lower, window.upper))
+
+    lo = np.full((shift32.shape[0], count), _NEG_INF_KEY, dtype=np.int64)
+    hi = np.full_like(lo, _POS_INF_KEY)
+    first = state(lo)
+    switches = state(hi) != first
+    for _ in range(32):  # keeps state(lo) == first != state(hi); ends with hi - lo == 1
+        mid = (lo + hi) // 2
+        same = state(mid) == first
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    starts = np.sort(np.where(switches, _key_values(hi), np.float32(np.nan)), axis=1)
+    edge = np.ones((len(starts), 1), dtype=np.float32)
+    return np.hstack([-np.inf * edge, starts, np.nan * edge])
+
+
+def _sorted_sweep(seg, test, window, shifts, label_ids):
+    shift32 = np.array([np.float32(s) for s in shifts], dtype=np.float32)[:, None]
+    starts = _run_starts(seg, window, shift32)
+    run_labels = seg.predict(_kernels.window_normalize(starts + shift32,
+                                                       window.lower, window.upper))
+    rows = np.arange(len(shifts))[:, None]
+
+    def subject(vol, lab):
+        truth = np.bincount(lab.voxels.ravel(order="K"), minlength=256)
+        counts = np.zeros((3, len(shifts), 256), dtype=np.int64)
+        counts[1] = truth
+        for lid in np.flatnonzero(truth):
+            values = vol.voxels[lab.voxels == lid].astype(np.float32, copy=False)
+            values.sort()
+            ends = np.searchsorted(values, starts.ravel()).reshape(starts.shape)
+            in_run = np.diff(ends, axis=1, append=values.size)
+            np.add.at(counts[0], (rows, run_labels), in_run)
+            counts[2, :, lid] = np.where(run_labels == lid, in_run, 0).sum(axis=1)
+        return [[dice_from_counts(counts[:, i], lid) for lid in label_ids]
+                for i in range(len(shifts))]
+
+    per_subject = [subject(vol, lab) for vol, lab in test]
+    return {(i, j): per_subject[j][i] for i in range(len(shifts)) for j in range(len(test))}
+
+
+def _direct_sweep(seg, test, window, shifts, label_ids):
+    def cell(shift, vol, lab):
         rows = max(1, SLAB_VOXELS // (vol.dims[1] * vol.dims[2]))
         counts = np.zeros((3, 256), dtype=np.int64)
         for start in range(0, vol.dims[0], rows):
@@ -272,15 +430,7 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     cells = [(i, j) for i in range(len(shifts)) for j in range(len(test))]
     with ThreadPoolExecutor(max_workers=worker_count(len(cells))) as pool:
         futures = {(i, j): pool.submit(cell, shifts[i], *test[j]) for i, j in cells}
-    scores = {key: fut.result() for key, fut in futures.items()}
-
-    rows = []
-    for i, shift in enumerate(shifts):
-        stacked = np.array([scores[(i, j)] for j in range(len(test))], dtype=np.float64)
-        means = stacked.mean(axis=0)
-        for lid, mean in zip(label_ids, means):
-            rows.append(SweepRow(shift, strategy_label, lid, label_names[lid], float(mean)))
-    return SweepResult(rows)
+    return {key: fut.result() for key, fut in futures.items()}
 
 
 def write_sweep_csv(rows, path):

@@ -108,6 +108,8 @@ def _read_header(path):
             header = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CtvFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CtvFormatError(f"{path}: expected a JSON object")
     required = {"dims", "spacing_mm", "dtype", "raw", "units"}
     keys = set(header)
     if not required <= keys:
@@ -116,11 +118,22 @@ def _read_header(path):
     if extra:
         raise CtvFormatError(f"{path}: unknown header keys {sorted(extra)}")
     dims = header["dims"]
-    if len(dims) != 3 or any(int(d) != d or d <= 0 for d in dims):
+    if not is_number_list(dims) or any(not float(d).is_integer() or d <= 0 for d in dims):
         raise CtvFormatError(f"{path}: dims must be 3 positive integers, got {dims}")
-    if len(header["spacing_mm"]) != 3 or any(s <= 0 for s in header["spacing_mm"]):
+    if not is_number_list(header["spacing_mm"]) or any(not s > 0 for s in header["spacing_mm"]):
         raise CtvFormatError(f"{path}: spacing_mm must be 3 positive numbers")
+    raw = header["raw"]
+    if (not isinstance(raw, str) or os.path.isabs(raw)
+            or os.path.normpath(raw).split(os.sep)[0] in (os.curdir, os.pardir)):
+        raise CtvFormatError(f"{path}: raw must name a file inside the header's directory, "
+                             f"got {raw!r}")
     return header
+
+
+def is_number_list(value, count=3):
+    """Whether a value parsed from JSON is a list of ``count`` numbers."""
+    return (isinstance(value, list) and len(value) == count
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value))
 
 
 def _read_raw(path, header, dtype):
@@ -144,7 +157,7 @@ def load_volume(path):
         raise CtvFormatError(f"{path}: units={header['units']!r}; expected 'HU' "
                              "(use load_label_volume for label files)")
     kind = header["dtype"]
-    if kind not in _IMAGE_DTYPES:
+    if not isinstance(kind, str) or kind not in _IMAGE_DTYPES:
         raise CtvFormatError(f"{path}: unknown element kind {kind!r}")
     voxels = _read_raw(path, header, _IMAGE_DTYPES[kind])
     return CtVolume(voxels, spacing=tuple(header["spacing_mm"]))
@@ -159,6 +172,8 @@ def load_label_volume(path):
         raise CtvFormatError(f"{path}: label volumes must be uint8, got {header['dtype']!r}")
     voxels = _read_raw(path, header, _LABEL_DTYPE)
     names = header.get("label_names", {})
+    if not isinstance(names, dict):
+        raise CtvFormatError(f"{path}: label_names must be a JSON object")
     return LabelVolume(voxels, label_names=names)
 
 

@@ -228,3 +228,29 @@ def test_strategy_validation(tmp_path, capsys):
     cfg = small_config(tmp_path, strategies=[{"strategy": "XXX"}])
     assert main(["sweep", cfg, "-o", str(tmp_path / "x.csv")]) == 1
     assert "unknown strategy" in capsys.readouterr().err
+
+
+
+def edited_config(tmp_path, edit):
+    cfg = json.loads(open(small_config(tmp_path), encoding="utf-8").read())
+    edit(cfg)
+    return small_config(tmp_path, **cfg)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda c: c["phantom"].update(dims=5), "phantom.dims: expected a list of 3 numbers"),
+    (lambda c: c["phantom"]["organs"][0].update(radii="x"),
+     "phantom.organs[0].radii: expected a list of 3 numbers"),
+    (lambda c: c["phantom"]["organs"][0].update(radii=[0, 6, 2]), "radii must be positive"),
+    (lambda c: c["phantom"]["organs"][0].update(center=[10, 10]),
+     "phantom.organs[0].center: expected a list of 3 numbers"),
+    (lambda c: c["phantom"].update(dims=[20.5, 20, 6]), "dims must be 3 positive integers"),
+    (lambda c: c.update(strategies={"strategy": "STN"}), "config.strategies: expected a list"),
+    (lambda c: c.update(fit={"percentiles": 5}), "fit.percentiles: expected a list of 2"),
+], ids=["dims_int", "radii_str", "radii_zero", "center_short", "dims_fraction",
+        "strategies_object", "percentiles_int"])
+def test_malformed_phantom_configs_are_config_errors(tmp_path, capsys, recwarn, edit, message):
+    assert main(["sweep", edited_config(tmp_path, edit), "-o", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ctwindow: error:") and message in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

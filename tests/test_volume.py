@@ -159,3 +159,43 @@ def test_volume_constructor_validation():
         CtVolume(np.zeros((2, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="spacing"):
         CtVolume(np.zeros((2, 2, 2), dtype=np.float32), spacing=(1, 1, -1))
+
+
+@pytest.mark.parametrize("loader,dtype,units", [(load_volume, "int16", "HU"),
+                                                (load_label_volume, "uint8", "label")])
+@pytest.mark.parametrize("where", ["parent", "absolute", "nested_parent", "directory"])
+def test_raw_path_must_stay_inside_the_header_directory(tmp_path, loader, dtype, units, where):
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    outside = tmp_path / "outside.raw"
+    outside.write_bytes(np.zeros(8, dtype=dtype).tobytes())
+    raw = {"parent": "../outside.raw", "absolute": str(outside),
+           "nested_parent": "sub/../../outside.raw", "directory": "."}[where]
+    header = inner / "v.ctv.json"
+    header.write_text(json.dumps({"dims": [2, 2, 2], "spacing_mm": [1, 1, 1], "dtype": dtype,
+                                  "raw": raw, "units": units}))
+    with pytest.raises(CtvFormatError, match="inside the header's directory"):
+        loader(str(header))
+
+
+def test_raw_path_may_name_a_subdirectory(tmp_path):
+    (tmp_path / "data").mkdir()
+    voxels = np.arange(8, dtype="<i2")
+    (tmp_path / "data" / "v.raw").write_bytes(voxels.tobytes())
+    header = tmp_path / "v.ctv.json"
+    header.write_text(json.dumps({"dims": [2, 2, 2], "spacing_mm": [1, 1, 1], "dtype": "int16",
+                                  "raw": "data/v.raw", "units": "HU"}))
+    assert np.array_equal(load_volume(str(header)).voxels.ravel(order="F"), voxels)
+
+
+@pytest.mark.parametrize("key,value", [("dims", 5), ("dims", [2, 2, "x"]), ("dims", [2, 2, 1.5]),
+                                       ("spacing_mm", 1), ("spacing_mm", [1, 1, None]),
+                                       ("raw", 5), ("dtype", ["int16"])])
+def test_malformed_header_values_are_format_errors(tmp_path, key, value):
+    path = write_ctv(tmp_path, "v", (2, 2, 2), "int16", np.zeros(8, dtype="<i2"))
+    header = json.loads(open(path, encoding="utf-8").read())
+    header[key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(header, fh)
+    with pytest.raises(CtvFormatError):
+        load_volume(path)
