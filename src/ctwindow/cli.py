@@ -7,6 +7,7 @@ byte-identical outputs. CTWINDOW_THREADS caps worker threads (0 = auto).
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -48,6 +49,24 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _number(value, context, whole=False, lo=None, hi=None):
+    """A finite JSON number in [lo, hi] as float, or as int when ``whole``.
+
+    Anything else (a list, a string, a bool, null, NaN, a fraction where a
+    whole number is due) is a ConfigError that names ``context``.
+    """
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value) and (not whole or float(value).is_integer())
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not (ok and (lo is None or value >= lo) and (hi is None or value <= hi)):
+        span = f" in {lo}..{hi}" if hi is not None else f" >= {lo}" if lo is not None else ""
+        kind = "a whole number" if whole else "a finite number"
+        raise ConfigError(f"{context}: expected {kind}{span}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def _numbers(value, context, count=3):
     """A JSON list of ``count`` numbers as a tuple; a ConfigError names ``context`` otherwise."""
     if not is_number_list(value, count):
@@ -65,13 +84,16 @@ def parse_strategy(obj, context="strategy"):
     _check_keys(obj, context, required=("strategy",), optional=("x", "y", "seed"))
     if obj["strategy"] not in STRATEGIES:
         raise ConfigError(f"{context}: unknown strategy {obj['strategy']!r}")
-    return StrategySpec(obj["strategy"], x=float(obj.get("x", 0.0)),
-                        y=float(obj.get("y", 0.0)), seed=obj.get("seed"))
+    seed = obj.get("seed")
+    return StrategySpec(obj["strategy"], x=_number(obj.get("x", 0.0), f"{context}.x"),
+                        y=_number(obj.get("y", 0.0), f"{context}.y"),
+                        seed=None if seed is None else _number(seed, f"{context}.seed",
+                                                               whole=True, lo=0))
 
 
 def _integral(value, context):
     """An integral number as int; 12.0 is accepted, 12.5 is an error, not 12."""
-    if isinstance(value, float) and not value.is_integer():
+    if not _number(value, context).is_integer():
         raise ConfigError(f"{context}: shifts must be whole HU, got {value!r}")
     return int(value)
 
@@ -97,26 +119,32 @@ def parse_phantom(obj, context="phantom"):
         _check_keys(org, octx,
                     required=("label_id", "label_name", "center", "radii", "mean_hu"),
                     optional=("noise_std",))
-        organs.append(OrganSpec(int(org["label_id"]), str(org["label_name"]),
+        organs.append(OrganSpec(_number(org["label_id"], f"{octx}.label_id", whole=True),
+                                str(org["label_name"]),
                                 _numbers(org["center"], f"{octx}.center"),
                                 _numbers(org["radii"], f"{octx}.radii"),
-                                float(org["mean_hu"]), float(org.get("noise_std", 0.0))))
+                                _number(org["mean_hu"], f"{octx}.mean_hu"),
+                                _number(org.get("noise_std", 0.0), f"{octx}.noise_std", lo=0)))
     return PhantomConfig(dims=_numbers(obj["dims"], f"{context}.dims"), organs=organs,
-                         background_hu=float(obj.get("background_hu", -1000.0)),
-                         background_noise_std=float(obj.get("background_noise_std", 0.0)),
+                         background_hu=_number(obj.get("background_hu", -1000.0),
+                                               f"{context}.background_hu"),
+                         background_noise_std=_number(obj.get("background_noise_std", 0.0),
+                                                      f"{context}.background_noise_std", lo=0),
                          spacing=_numbers(obj.get("spacing_mm", [1.0, 1.0, 1.0]),
                                           f"{context}.spacing_mm"),
-                         seed=int(obj.get("seed", 0)))
+                         seed=_number(obj.get("seed", 0), f"{context}.seed", whole=True, lo=0))
 
 
 def parse_fit(obj, context="fit"):
     _check_keys(obj, context, required=(),
                 optional=("epochs", "percentiles", "band_epsilon", "tie_break"))
     defaults = FitParams()
-    return FitParams(epochs=int(obj.get("epochs", defaults.epochs)),
+    return FitParams(epochs=_number(obj.get("epochs", defaults.epochs), f"{context}.epochs",
+                                    whole=True, lo=1),
                      percentiles=_numbers(obj.get("percentiles", list(defaults.percentiles)),
                                           f"{context}.percentiles", count=2),
-                     band_epsilon=float(obj.get("band_epsilon", defaults.band_epsilon)),
+                     band_epsilon=_number(obj.get("band_epsilon", defaults.band_epsilon),
+                                          f"{context}.band_epsilon", lo=0),
                      tie_break=str(obj.get("tie_break", defaults.tie_break)))
 
 
@@ -127,7 +155,8 @@ def parse_experiment(cfg):
                   for i, s in enumerate(_objects(cfg["strategies"], "config.strategies"))]
     if not strategies:
         raise ConfigError("config: strategies must be nonempty")
-    n_train, n_test = int(cfg.get("n_train", 5)), int(cfg.get("n_test", 5))
+    n_train = _number(cfg.get("n_train", 5), "config.n_train", whole=True)
+    n_test = _number(cfg.get("n_test", 5), "config.n_test", whole=True)
     if n_train <= 0 or n_test <= 0:
         raise ConfigError(f"config: n_train and n_test must be positive, got {n_train}, {n_test}")
     return ExperimentConfig(
@@ -137,8 +166,8 @@ def parse_experiment(cfg):
         n_train=n_train,
         n_test=n_test,
         fit=parse_fit(cfg.get("fit", {})),
-        seed=int(cfg["seed"]),
-        slice_axis=int(cfg.get("slice_axis", 2)),
+        seed=_number(cfg["seed"], "config.seed", whole=True, lo=0),
+        slice_axis=_number(cfg.get("slice_axis", 2), "config.slice_axis", whole=True, lo=0, hi=2),
     )
 
 
@@ -147,13 +176,20 @@ def parse_augment(obj, context="augment"):
                 optional=("max_rotation_deg", "max_translation",
                           "pad_value_image", "pad_value_label", "seed"))
     defaults = AugmentConfig(crop_size=(1, 1))
+    crop = f"{context}.crop_size"
+    shift = f"{context}.max_translation"
     return AugmentConfig(
-        crop_size=tuple(obj["crop_size"]),
-        max_rotation_deg=float(obj.get("max_rotation_deg", defaults.max_rotation_deg)),
-        max_translation=tuple(obj.get("max_translation", defaults.max_translation)),
-        pad_value_image=float(obj.get("pad_value_image", defaults.pad_value_image)),
-        pad_value_label=int(obj.get("pad_value_label", defaults.pad_value_label)),
-        seed=int(obj.get("seed", 0)),
+        crop_size=tuple(_number(c, crop, whole=True, lo=1)
+                        for c in _numbers(obj["crop_size"], crop, count=2)),
+        max_rotation_deg=_number(obj.get("max_rotation_deg", defaults.max_rotation_deg),
+                                 f"{context}.max_rotation_deg", lo=0),
+        max_translation=tuple(_number(t, shift, lo=0) for t in _numbers(
+            obj.get("max_translation", list(defaults.max_translation)), shift, count=2)),
+        pad_value_image=_number(obj.get("pad_value_image", defaults.pad_value_image),
+                                f"{context}.pad_value_image"),
+        pad_value_label=_number(obj.get("pad_value_label", defaults.pad_value_label),
+                                f"{context}.pad_value_label", whole=True, lo=0, hi=255),
+        seed=_number(obj.get("seed", 0), f"{context}.seed", whole=True, lo=0),
     )
 
 
@@ -278,7 +314,7 @@ def cmd_phantom(args):
 
 def cmd_augment(args):
     raw = _load_json(args.config)
-    cfg = parse_augment(raw.get("augment", raw))
+    cfg = parse_augment(raw.get("augment", raw) if isinstance(raw, dict) else raw)
     volume = load_volume(args.image)
     labels = load_label_volume(args.labels)
     if volume.dims != labels.dims:

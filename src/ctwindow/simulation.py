@@ -18,6 +18,7 @@ for the window sampler of strategy j.
 """
 
 import csv
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -84,8 +85,8 @@ class PhantomConfig:
             raise ValueError(f"dims must be 3 positive integers, got {self.dims}")
         self.dims = tuple(int(d) for d in dims)
         ids = [o.label_id for o in self.organs]
-        if len(set(ids)) != len(ids) or any(i <= 0 for i in ids):
-            raise ValueError("organ label ids must be unique and nonzero")
+        if len(set(ids)) != len(ids) or any(not 0 < i <= 255 for i in ids):
+            raise ValueError(f"organ label ids must be unique and in 1..255, got {ids}")
         for organ in self.organs:
             center = np.array(_three_numbers(organ.center, f"organ {organ.label_name!r} center"))
             radii = np.array(_three_numbers(organ.radii, f"organ {organ.label_name!r} radii"))
@@ -114,7 +115,7 @@ def generate_phantom(cfg):
     voxels = rng.normal(cfg.background_hu, cfg.background_noise_std,
                         size=cfg.dims).astype(np.float32)
     labels = np.zeros(cfg.dims, dtype=np.uint8)
-    grids = np.meshgrid(*[np.arange(d, dtype=np.float64) for d in cfg.dims], indexing="ij")
+    grids = np.ogrid[tuple(slice(0.0, d) for d in cfg.dims)]  # float64, broadcast per axis
     names = {0: "background"}
     for organ in cfg.organs:
         mask = sum(((g - c) / r) ** 2
@@ -180,14 +181,30 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     Every epoch re-normalizes every volume with the strategy's training
     window; SWN draws a fresh window for each plane along ``slice_axis``,
     so it pools values over many random windows, widening its bands. Each
-    label's normalized intensities are pooled; the band is the stated
-    percentile range of the pool, widened to ``2 * band_epsilon`` when it
-    degenerates.
+    label's normalized intensities are pooled over all epochs and volumes;
+    the band is the stated percentile range of the pool, widened to
+    ``2 * band_epsilon`` when it degenerates.
+
+    Only the pooled voxels are normalized, and that is exact. Each volume's
+    voxels whose label is one of the fitted ids are gathered once as
+    float32, plane by plane along ``slice_axis``. Both kernel backends
+    window each value on its own, so windowing the gathered values gives
+    the same floats as windowing the volume and masking afterwards, and
+    ``np.percentile`` depends only on the multiset of pooled values, not
+    on their order. So STN and WIR window each volume once and pool the
+    result ``epochs`` times. SWN windows each plane's gathered values with
+    that plane's draw, and still draws one window per plane in the order
+    epoch, volume, plane, planes without a pooled voxel included, so its
+    random stream is the one a per-plane fit draws.
     """
     if not training:
         raise ValueError("training set must be nonempty")
     if (swn is not None) != (strategy == "SWN"):
         raise ValueError("swn params are required for SWN and disallowed otherwise")
+    if (isinstance(epochs, bool) or not isinstance(epochs, numbers.Real)
+            or not float(epochs).is_integer() or epochs < 1):
+        raise ValueError(f"epochs must be a whole number >= 1, got {epochs!r}")
+    epochs = int(epochs)
     lo_pct, hi_pct = percentiles
     if not 0.0 <= lo_pct < hi_pct <= 100.0:
         raise ValueError(f"percentiles must satisfy 0 <= lo < hi <= 100, got {percentiles}")
@@ -197,37 +214,54 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
         raise ValueError("training labels contain no nonzero ids")
     sampler = WindowSampler(swn) if strategy == "SWN" else None
     window = strategy_window(strategy, "train")
+    gathered = [_gather_pooled(vol, lab, label_ids, slice_axis) for vol, lab in training]
 
-    # percentiles depend only on the multiset of pooled values: pooling by volume is exact
     pools = {lid: [] for lid in label_ids}
-    for _ in range(int(epochs)):
-        for vol, lab in training:
-            if vol.dims != lab.dims:
-                raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
-            if window is not None:
-                normalized = _kernels.window_normalize(vol.voxels, window.lower, window.upper)
-            else:
-                normalized = np.empty(vol.dims, dtype=np.float32)
-                planes = np.moveaxis(normalized, slice_axis, 0)
-                for index, plane in enumerate(np.moveaxis(vol.voxels, slice_axis, 0)):
+    if window is not None:
+        for values, _, masks in gathered:
+            normalized = _kernels.window_normalize(values, window.lower, window.upper)
+            for lid, mask in masks.items():
+                pools[lid] += [normalized[mask]] * epochs
+    else:
+        for _ in range(epochs):
+            for values, bounds, masks in gathered:
+                normalized = np.empty_like(values)
+                for start, stop in zip(bounds, bounds[1:]):
                     drawn = sampler.sample()
-                    planes[index] = _kernels.window_normalize(plane, drawn.lower, drawn.upper)
-            for lid in label_ids:
-                values = normalized[lab.voxels == lid]
-                if values.size:
-                    pools[lid].append(values)
+                    if stop > start:
+                        _kernels.window_normalize(values[start:stop], drawn.lower, drawn.upper,
+                                                  out=normalized[start:stop])
+                for lid, mask in masks.items():
+                    pools[lid].append(normalized[mask])
 
     bands = []
     for lid in label_ids:
-        if not pools[lid]:
-            raise ValueError(f"label {lid} has no voxels in any training volume")
         pooled = np.concatenate(pools[lid])
+        if not pooled.size:
+            raise ValueError(f"label {lid} has no voxels in any training volume")
         lo, hi = np.percentile(pooled, [lo_pct, hi_pct])
         if hi - lo < 2.0 * band_epsilon:
             mid = 0.5 * (lo + hi)
             lo, hi = mid - band_epsilon, mid + band_epsilon
         bands.append(Band(lid, float(lo), float(hi)))
     return BandSegmenter(bands, strategy, tie_break=tie_break)
+
+
+def _gather_pooled(vol, lab, label_ids, slice_axis):
+    """One training volume's voxels labelled with one of ``label_ids``.
+
+    Returns their float32 values in plane order along ``slice_axis``, the
+    plane boundaries into them (plane i is ``values[bounds[i]:bounds[i + 1]]``)
+    and, per label id, a mask over them.
+    """
+    if vol.dims != lab.dims:
+        raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
+    labels = np.moveaxis(lab.voxels, slice_axis, 0)
+    keep = np.isin(labels, label_ids)
+    values = np.moveaxis(vol.voxels, slice_axis, 0)[keep].astype(np.float32, copy=False)
+    bounds = [0] + np.cumsum(np.count_nonzero(keep, axis=(1, 2))).tolist()
+    kept = labels[keep]
+    return values, bounds, {lid: kept == lid for lid in label_ids}
 
 
 @dataclass

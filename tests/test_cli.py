@@ -254,3 +254,79 @@ def test_malformed_phantom_configs_are_config_errors(tmp_path, capsys, recwarn, 
     err = capsys.readouterr().err
     assert err.startswith("ctwindow: error:") and message in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def set_field(path, value):
+    """An edit for ``edited_config`` that sets the field at ``path`` (keys and list indices)."""
+    def edit(cfg):
+        *parents, last = path
+        for key in parents:
+            cfg = cfg[key]
+        cfg[last] = value
+    return edit
+
+
+SCALAR_FIELDS = {
+    "config.seed": ("seed",),
+    "config.n_train": ("n_train",),
+    "config.n_test": ("n_test",),
+    "config.slice_axis": ("slice_axis",),
+    "fit.epochs": ("fit", "epochs"),
+    "fit.band_epsilon": ("fit", "band_epsilon"),
+    "phantom.seed": ("phantom", "seed"),
+    "phantom.background_hu": ("phantom", "background_hu"),
+    "phantom.background_noise_std": ("phantom", "background_noise_std"),
+    "phantom.organs[0].label_id": ("phantom", "organs", 0, "label_id"),
+    "phantom.organs[0].mean_hu": ("phantom", "organs", 0, "mean_hu"),
+    "phantom.organs[0].noise_std": ("phantom", "organs", 0, "noise_std"),
+    "strategies[1].x": ("strategies", 1, "x"),
+    "strategies[1].y": ("strategies", 1, "y"),
+    "strategies[1].seed": ("strategies", 1, "seed"),
+}
+
+
+@pytest.mark.parametrize("value", [[1], "7", True, {"a": 1}], ids=["list", "str", "bool", "object"])
+@pytest.mark.parametrize("field", sorted(SCALAR_FIELDS))
+def test_wrong_type_scalar_sweep_fields_are_config_errors(tmp_path, capsys, field, value):
+    cfg = edited_config(tmp_path, set_field(SCALAR_FIELDS[field], value))
+    assert main(["sweep", cfg, "-o", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ctwindow: error: {field}: expected a ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("epochs", [0, -3, 2.5])
+def test_epochs_below_one_or_fractional_are_config_errors(tmp_path, capsys, epochs):
+    cfg = edited_config(tmp_path, set_field(("fit", "epochs"), epochs))
+    assert main(["sweep", cfg, "-o", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "ctwindow: error: fit.epochs: expected a whole number >= 1")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("crop_size", 5), ("crop_size", [8]), ("crop_size", ["8", 8]), ("crop_size", [8.5, 8]),
+    ("max_rotation_deg", [1]), ("max_translation", 5), ("max_translation", [0, "x"]),
+    ("pad_value_image", "x"), ("pad_value_label", [0]), ("pad_value_label", 256),
+    ("seed", [1]), ("seed", 1.5),
+])
+def test_wrong_type_augment_fields_are_config_errors(tmp_path, capsys, image_path, field, value):
+    lab_path = str(tmp_path / "lab.ctv.json")
+    save_label_volume(LabelVolume(np.zeros((8, 8, 4), dtype=np.uint8)), lab_path)
+    augment = {"crop_size": [8, 8], "max_rotation_deg": 0, "max_translation": [0, 0]}
+    augment[field] = value
+    cfg_path = tmp_path / "aug.json"
+    cfg_path.write_text(json.dumps({"augment": augment}))
+    assert main(["augment", image_path, lab_path, str(cfg_path),
+                 "--out-image", str(tmp_path / "i.ctv.json"),
+                 "--out-labels", str(tmp_path / "l.ctv.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"ctwindow: error: augment.{field}: expected ")
+
+
+def test_augment_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, image_path):
+    lab_path = str(tmp_path / "lab.ctv.json")
+    save_label_volume(LabelVolume(np.zeros((8, 8, 4), dtype=np.uint8)), lab_path)
+    cfg_path = tmp_path / "aug.json"
+    cfg_path.write_text(json.dumps([{"crop_size": [8, 8]}]))
+    assert main(["augment", image_path, lab_path, str(cfg_path),
+                 "--out-image", str(tmp_path / "i.ctv.json"),
+                 "--out-labels", str(tmp_path / "l.ctv.json")]) == 1
+    assert capsys.readouterr().err == "ctwindow: error: augment: expected a JSON object\n"

@@ -214,3 +214,24 @@ def test_reference_experiment_shape():
     assert exp.fit.tie_break == "nearest_center"
     labels = [s.label for s in exp.strategies]
     assert labels == ["STN", "WIR", "SWN[50,50]"]
+
+
+@pytest.mark.parametrize("epochs", [0, -1, 1.5, True, "2", None])
+def test_fit_rejects_epochs_below_one_or_not_whole(epochs):
+    pair = generate_phantom(single_organ_config())
+    with pytest.raises(ValueError, match="epochs must be a whole number >= 1"):
+        fit_band_segmenter([pair], "STN", epochs=epochs)
+    with pytest.raises(ValueError, match="epochs must be a whole number >= 1"):
+        fit_band_segmenter([pair], "SWN", swn=SwnParams(1.0, 1.0, seed=0), epochs=epochs)
+
+
+def test_fit_accepts_whole_float_epochs():
+    pair = generate_phantom(single_organ_config(noise=10.0, seed=3))
+    assert fit_band_segmenter([pair], "STN", epochs=3.0).bands == \
+        fit_band_segmenter([pair], "STN", epochs=3).bands
+
+
+def test_phantom_rejects_label_ids_outside_uint8():
+    with pytest.raises(ValueError, match="1..255"):
+        PhantomConfig(dims=(20, 20, 6),
+                      organs=[OrganSpec(256, "a", (8, 8, 3), (2, 2, 1), 40.0, 0.0)])

@@ -12,7 +12,7 @@ from oracles import per_plane_fit_bands, per_plane_sweep
 from ctwindow import simulation
 from ctwindow.simulation import fit_band_segmenter, run_shift_sweep
 from ctwindow.volume import CtVolume, LabelVolume
-from ctwindow.windowing import SwnParams
+from ctwindow.windowing import SwnParams, WindowSampler
 
 ORGAN_HU = (40.0, 120.0, 235.0)
 NAMES = {0: "background", 1: "organ_a", 2: "organ_b", 3: "organ_c"}
@@ -29,15 +29,41 @@ def subject(rng, dims, dtype, order, noise):
     return CtVolume(voxels), LabelVolume(labels, label_names=NAMES)
 
 
+def relabel(pair, rng, missing, blank, unnamed, slice_axis):
+    """A copy of a subject with fewer labels and, if ``unnamed``, an unnamed label 4.
+
+    Label ``missing`` and ``blank`` random planes along ``slice_axis`` become
+    background; label 4 is present in the voxels but not in ``label_names``.
+    """
+    vol, lab = pair
+    labels = lab.voxels.copy(order="K")
+    voxels = vol.voxels.copy(order="K")
+    labels[labels == missing] = 0
+    planes = np.moveaxis(labels, slice_axis, 0)
+    planes[rng.permutation(len(planes))[:blank]] = 0
+    if unnamed:
+        spots = rng.random(labels.shape) < 0.2
+        spots.flat[1:4] = False  # where subject() put one voxel of each organ
+        labels[spots] = 4
+        voxels[spots] = 500
+    lab = LabelVolume(labels, label_names=NAMES)
+    lab.label_names.pop(4, None)  # LabelVolume names every id present; unname 4 again
+    return CtVolume(voxels), lab
+
+
 def assert_matches_oracles(train, test, strategy, swn, shifts, slice_axis, tie_break,
                            epochs=1, percentiles=(2.5, 97.5)):
-    seg = fit_band_segmenter(train, strategy, swn=swn, epochs=epochs,
-                             percentiles=percentiles, tie_break=tie_break,
-                             slice_axis=slice_axis)
+    """Check the fit and sweep against the oracles; return the fit's window draws."""
+    with mock.patch.object(WindowSampler, "sample", autospec=True,
+                           side_effect=WindowSampler.sample) as draws:
+        seg = fit_band_segmenter(train, strategy, swn=swn, epochs=epochs,
+                                 percentiles=percentiles, tie_break=tie_break,
+                                 slice_axis=slice_axis)
     assert seg.bands == per_plane_fit_bands(train, strategy, swn, epochs, percentiles,
                                             0.5, slice_axis)
     assert run_shift_sweep(seg, test, strategy, shifts).rows == \
         per_plane_sweep(seg, test, strategy, shifts, slice_axis)
+    return draws.call_count
 
 
 @settings(max_examples=100, deadline=None)
@@ -53,19 +79,30 @@ def assert_matches_oracles(train, test, strategy, swn, shifts, slice_axis, tie_b
        shifts=st.lists(st.one_of(st.integers(-400, 400), st.floats(-400, 400)),
                        min_size=1, max_size=4),
        slab_rows=st.integers(1, 9),
-       epochs=st.integers(1, 2))
+       epochs=st.integers(1, 3),
+       missing=st.integers(0, 3),
+       blank=st.integers(0, 3),
+       unnamed=st.booleans())
 def test_sweep_and_fit_match_per_plane_oracles(seed, dims, dtype, order, slice_axis,
                                                tie_break, strategy, sigmas, noise, shifts,
-                                               slab_rows, epochs):
+                                               slab_rows, epochs, missing, blank, unnamed):
     rng = np.random.default_rng(seed)
     train = [subject(rng, dims, dtype, order, noise) for _ in range(2)]
     test = [subject(rng, dims, dtype, order, noise) for _ in range(2)]
+    # the first training subject may lack a label and whole planes of labels; the second
+    # keeps every label, so each label still has voxels to fit
+    train[0] = relabel(train[0], rng, missing, blank, unnamed, slice_axis)
+    if unnamed:
+        train[1] = relabel(train[1], rng, 0, 0, True, slice_axis)
+        test = [relabel(pair, rng, 0, 0, True, slice_axis) for pair in test]
     swn = SwnParams(*sigmas, seed=seed) if strategy == "SWN" else None
     # slabs of slab_rows rows plus a partial row's worth of voxels, which must round down
     slab = slab_rows * dims[1] * dims[2] + int(rng.integers(0, dims[1] * dims[2]))
     with mock.patch.object(simulation, "SLAB_VOXELS", slab):
-        assert_matches_oracles(train, test, strategy, swn, shifts, slice_axis, tie_break,
-                               epochs=epochs)
+        draws = assert_matches_oracles(train, test, strategy, swn, shifts, slice_axis,
+                                       tie_break, epochs=epochs)
+    # one draw per plane, epoch and subject, planes without a pooled voxel included
+    assert draws == (epochs * len(train) * dims[slice_axis] if strategy == "SWN" else 0)
 
 
 @pytest.mark.parametrize("strategy", ["STN", "SWN"])
@@ -79,3 +116,17 @@ def test_sweep_matches_oracle_across_real_slabs(strategy):
     test = [subject(rng, dims, np.int16, "F", 20.0)]
     swn = SwnParams(50.0, 50.0, seed=3) if strategy == "SWN" else None
     assert_matches_oracles(train, test, strategy, swn, [-150, 0, 75], 2, "nearest_center")
+
+
+@pytest.mark.parametrize("slice_axis", [0, 2])
+def test_swn_fit_draws_for_planes_without_pooled_voxels(slice_axis):
+    rng = np.random.default_rng(5)
+    train = [subject(rng, (6, 5, 7), np.float32, "F", 20.0) for _ in range(2)]
+    vol, lab = train[0]
+    labels = lab.voxels.copy()
+    np.moveaxis(labels, slice_axis, 0)[[0, 2, 3]] = 0  # three planes hold no organ voxel
+    train[0] = (vol, LabelVolume(labels, label_names=NAMES))
+    swn = SwnParams(50.0, 50.0, seed=9)
+    draws = assert_matches_oracles(train, train, "SWN", swn, [0], slice_axis, "lowest_id",
+                                   epochs=3)
+    assert draws == 3 * len(train) * vol.dims[slice_axis]
