@@ -9,6 +9,7 @@ import numpy as np
 
 _F255 = np.float32(255.0)
 _F0 = np.float32(0.0)
+_PAIR_SLAB = 1 << 16
 
 
 def window_normalize(src, lo, hi, out):
@@ -17,6 +18,8 @@ def window_normalize(src, lo, hi, out):
     Saturated inputs are pinned to exactly 0 / 255; the scaled expression
     can otherwise round 1 ulp short of 255.
     """
+    if np.may_share_memory(src, out):  # the pins below read src after out is written
+        src = src.copy()
     np.clip(src, lo, hi, out=out)
     out -= lo
     out *= _F255
@@ -51,8 +54,19 @@ def classify_bands(src, lo, hi, center, label, mode, out):
 
 
 def label_overlap_counts(a, b, counts):
-    """Per-label voxel counts: counts[0]=|a==k|, counts[1]=|b==k|, counts[2]=|a==k & b==k|."""
-    k = counts.shape[1]
-    counts[0, :] = np.bincount(a, minlength=k)[:k]
-    counts[1, :] = np.bincount(b, minlength=k)[:k]
-    counts[2, :] = np.bincount(a[a == b], minlength=k)[:k]
+    """Per-label voxel counts: counts[0]=|a==k|, counts[1]=|b==k|, counts[2]=|a==k & b==k|.
+
+    One joint histogram of the (a, b) pairs per slab; the three rows are its
+    row sums, column sums and diagonal. Slabs bound the intp copy that
+    ``np.bincount`` makes of its input.
+    """
+    joint = np.zeros(1 << 16, dtype=np.int64)
+    for start in range(0, a.shape[0], _PAIR_SLAB):
+        pairs = a[start:start + _PAIR_SLAB].astype(np.uint16)
+        pairs <<= 8
+        pairs |= b[start:start + _PAIR_SLAB]
+        joint += np.bincount(pairs, minlength=1 << 16)
+    joint = joint.reshape(256, 256)
+    counts[0, :] = joint.sum(axis=1)
+    counts[1, :] = joint.sum(axis=0)
+    counts[2, :] = joint.diagonal()

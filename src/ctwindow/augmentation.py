@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import Slice2D
 
@@ -47,6 +46,8 @@ def _rotate_translate(plane, angle_deg, shift, order, cval):
     # content moves by F(p) = R (p - c) + c + t; resampling pulls back via F^-1
     inv = rot.T
     offset = center - inv @ (center + np.asarray(shift))
+    # imported on first use: scipy.ndimage costs every other command's start-up
+    from scipy import ndimage
     return ndimage.affine_transform(plane, inv, offset=offset, order=order,
                                     mode="constant", cval=cval, prefilter=False)
 

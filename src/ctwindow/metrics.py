@@ -96,9 +96,18 @@ def write_dice_csv(records, path):
 
 
 def read_dice_csv(path):
+    """Read a dice CSV; a malformed row is a ValueError naming its path and line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != DICE_CSV_COLUMNS:
-            raise ValueError(f"{path}: expected header {','.join(DICE_CSV_COLUMNS)}")
-        return [DiceRecord(row[0], int(row[1]), row[2], float(row[3])) for row in reader]
+        records = []
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != DICE_CSV_COLUMNS:
+                raise ValueError(f"expected header {','.join(DICE_CSV_COLUMNS)}")
+            for row in reader:
+                if len(row) != len(DICE_CSV_COLUMNS):
+                    raise ValueError(f"expected {len(DICE_CSV_COLUMNS)} fields, got {len(row)}")
+                records.append(DiceRecord(row[0], int(row[1]), row[2], float(row[3])))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    return records

@@ -320,8 +320,9 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     """
     if not shifts:
         raise ValueError("shifts grid must be nonempty")
-    if not np.all(np.isfinite(shifts)):
-        raise ValueError(f"shifts must be finite, got {shifts}")
+    # the sweep adds shifts as float32; NaN fails the comparison too
+    if not np.all(np.abs(np.asarray(shifts, dtype=np.float64)) <= np.finfo(np.float32).max):
+        raise ValueError(f"shifts must be finite in float32, got {shifts}")
     label_names = {}
     for _, lab in test:
         for lid, name in lab.label_names.items():

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .metrics import summarize
 
@@ -70,6 +69,22 @@ def _exact_positive_rank_distribution(ranks):
     return dist
 
 
+def _average_ranks(x):
+    """Mid-ranks of a 1D array (1-based, ties share their mean rank) and the tie-group sizes.
+
+    Every rank is a half-integer, so it is exact in float64 and equals
+    ``scipy.stats.rankdata(x)``; the group sizes come in ascending value order.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], x.size)
+    sizes = ends - starts
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), sizes)
+    return ranks, sizes
+
+
 def wilcoxon_signed_rank(a, b, exact_cutoff=EXACT_CUTOFF):
     """Two-sided paired Wilcoxon signed-rank test of a vs b."""
     a = np.asarray(a, dtype=np.float64)
@@ -79,11 +94,13 @@ def wilcoxon_signed_rank(a, b, exact_cutoff=EXACT_CUTOFF):
     if a.size == 0:
         raise ValueError("need at least one pair")
     d = a - b
+    if np.isnan(d).any():  # NaN has no rank
+        raise ValueError("paired differences contain NaN")
     d = d[d != 0.0]
     n = d.size
     if n == 0:
         raise ZeroDifferencesError("all paired differences are zero")
-    ranks = sps.rankdata(np.abs(d))
+    ranks, tie_counts = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
     if n <= exact_cutoff:
@@ -96,12 +113,14 @@ def wilcoxon_signed_rank(a, b, exact_cutoff=EXACT_CUTOFF):
         return WilcoxonResult(n, w_plus, p, "exact")
 
     mean = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
     var = n * (n + 1) * (2 * n + 1) / 24.0 - ((tie_counts ** 3 - tie_counts).sum()) / 48.0
     dev = w_plus - mean
     dev -= 0.5 * np.sign(dev)  # continuity correction
     z = dev / np.sqrt(var)
-    p = min(1.0, 2.0 * float(sps.norm.sf(abs(z))))
+    # imported here so that importing ctwindow loads no SciPy; ndtr(-|z|) is
+    # what scipy.stats.norm.sf(|z|) evaluates (math.erfc differs in the last bits)
+    from scipy.special import ndtr
+    p = min(1.0, 2.0 * float(ndtr(-abs(z))))
     return WilcoxonResult(n, w_plus, p, "normal_approx")
 
 

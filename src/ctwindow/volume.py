@@ -64,7 +64,9 @@ class LabelVolume:
         voxels = np.asarray(self.voxels)
         if voxels.ndim != 3:
             raise ValueError(f"expected a 3D array, got ndim={voxels.ndim}")
-        ids = np.unique(voxels)  # before the uint8 cast, which would wrap 256 to 0
+        # before the uint8 cast, which would wrap 256 to 0; raveled in memory order,
+        # because a C-order ravel would copy a loaded (F-ordered) volume whole
+        ids = np.unique(voxels.ravel(order="K"))
         if ids.size and (ids[0] < 0 or ids[-1] > 255 or np.any(ids != np.round(ids))):
             raise ValueError(f"label ids must be integers in 0..255, got {ids[0]}..{ids[-1]}")
         self.voxels = voxels.astype(np.uint8, copy=False)
@@ -230,5 +232,17 @@ def extract_slice(volume, axis, index):
 
 
 def stack_slices(planes, axis):
-    """Reassemble 2D planes (in index order) into a 3D voxel array."""
-    return np.moveaxis(np.stack(planes, axis=0), 0, axis)
+    """Reassemble 2D planes (in index order) into a 3D voxel array.
+
+    The array is F-ordered like a loaded volume, so saving it writes the
+    x-fastest raw file without a transposing copy.
+    """
+    if axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+    planes = [np.asarray(p) for p in planes]
+    if not planes:
+        raise ValueError("need at least one plane to stack")
+    shape = list(planes[0].shape)
+    shape.insert(axis, len(planes))
+    out = np.empty(shape, dtype=np.result_type(*{p.dtype for p in planes}), order="F")
+    return np.stack(planes, axis=axis, out=out)

@@ -10,7 +10,7 @@ they are built from the 2D slice API only.
 import itertools
 
 import numpy as np
-from scipy.stats import rankdata
+from scipy.stats import norm, rankdata
 
 from ctwindow.metrics import multi_label_dice
 from ctwindow.simulation import Band, SweepRow
@@ -33,6 +33,24 @@ def brute_force_wilcoxon_p(diffs):
     p_le = np.count_nonzero(stats <= observed) / total
     p_ge = np.count_nonzero(stats >= observed) / total
     return min(1.0, 2.0 * min(p_le, p_ge))
+
+
+def scipy_normal_approx_p(diffs):
+    """Two-sided normal-approximation p on scipy.stats' mid-ranks and normal tail.
+
+    Continuity and tie-variance corrections as in ``ctwindow.stats``; the tie
+    groups are counted afresh from the ranks.
+    """
+    d = np.asarray(diffs, dtype=np.float64)
+    d = d[d != 0.0]
+    n = d.size
+    ranks = rankdata(np.abs(d))
+    w_plus = float(ranks[d > 0].sum())
+    _, ties = np.unique(ranks, return_counts=True)
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - ((ties ** 3 - ties).sum()) / 48.0
+    dev = w_plus - n * (n + 1) / 4.0
+    dev -= 0.5 * np.sign(dev)
+    return min(1.0, 2.0 * float(norm.sf(abs(dev / np.sqrt(var)))))
 
 
 def stepup_fdr(p_values, m):

@@ -330,3 +330,22 @@ def test_augment_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys
                  "--out-image", str(tmp_path / "i.ctv.json"),
                  "--out-labels", str(tmp_path / "l.ctv.json")]) == 1
     assert capsys.readouterr().err == "ctwindow: error: augment: expected a JSON object\n"
+
+
+@pytest.mark.parametrize("row,line,message", [
+    ("s01,1,liver", 3, "expected 4 fields, got 3"),
+    ("", 3, "expected 4 fields, got 0"),
+    ("s01,1,liver,0.5,extra", 3, "expected 4 fields, got 5"),
+    ("s01,one,liver,0.5", 3, "invalid literal for int()"),
+    ("s01,1,liver,1.5", 3, "dice must lie in [0, 1]"),
+], ids=["short", "blank", "long", "label", "dice"])
+def test_malformed_dice_csv_rows_are_errors_naming_the_line(tmp_path, capsys, row, line, message):
+    good = tmp_path / "good.csv"
+    good.write_text("subject_id,label_id,label_name,dice\ns00,1,liver,0.5\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"subject_id,label_id,label_name,dice\ns00,1,liver,0.5\n{row}\n")
+    assert main(["compare", "--table", f"A={good}", "--table", f"B={bad}", "--reference", "A",
+                 "-o", str(tmp_path / "cmp.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ctwindow: error: {bad}:{line}: ") and message in err
+    assert err.count("\n") == 1

@@ -33,6 +33,16 @@ def test_window_normalize_matches_reference_expression(backend):
     assert out.min() >= 0.0 and out.max() <= 255.0
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_window_normalize_in_place_matches_a_separate_out(backend):
+    src = random_values(seed=2)
+    lo, hi = np.float32(-160.0), np.float32(240.0)
+    out = np.empty_like(src)
+    backend.window_normalize(src, lo, hi, out)
+    backend.window_normalize(src, lo, hi, src)
+    assert np.array_equal(src.view(np.uint32), out.view(np.uint32))
+
+
 @pytest.mark.skipif(cython_backend is None, reason="extension not built")
 def test_backends_are_bit_identical():
     src = random_values(seed=4)

@@ -146,8 +146,10 @@ def test_sweep_requires_shifts():
     seg = fit_band_segmenter([pair], "STN", epochs=1)
     with pytest.raises(ValueError, match="nonempty"):
         run_shift_sweep(seg, [pair], "STN", [])
-    with pytest.raises(ValueError, match="finite"):
-        run_shift_sweep(seg, [pair], "STN", [0, float("nan")])
+    # int(1e300) is a whole number, as the CLI passes it; 4e38 overflows float32
+    for shifts in ([0, float("nan")], [-float("inf")], [int(1e300)], [4e38]):
+        with pytest.raises(ValueError, match="finite"):
+            run_shift_sweep(seg, [pair], "STN", shifts)
 
 
 def test_sweep_thread_count_does_not_change_results(monkeypatch):

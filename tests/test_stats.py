@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_wilcoxon_p, stepup_fdr
+from oracles import brute_force_wilcoxon_p, scipy_normal_approx_p, stepup_fdr
 
 from ctwindow.metrics import DiceRecord
 from ctwindow.stats import (SYMBOL_HIGHER, SYMBOL_LOWER, SYMBOL_NOT_SIGNIFICANT,
-                            SYMBOL_REFERENCE, ZeroDifferencesError, compare_methods,
-                            fdr_bh, wilcoxon_signed_rank, write_comparison_csv)
+                            SYMBOL_REFERENCE, ZeroDifferencesError, _average_ranks,
+                            compare_methods, fdr_bh, wilcoxon_signed_rank,
+                            write_comparison_csv)
 
 
 def test_all_positive_five_pairs_exact():
@@ -75,6 +78,40 @@ def test_normal_approximation_matches_scipy():
     expected = scipy.stats.wilcoxon(a, b, zero_method="wilcox", correction=True,
                                     method="approx")
     assert res.p_two_sided == pytest.approx(expected.pvalue, abs=1e-12)
+
+
+# few distinct magnitudes, so most draws are heavily tied
+tied_values = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0, np.inf]),
+                        st.floats(0, 10, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tied_values, min_size=1, max_size=60))
+def test_average_ranks_equal_scipy_rankdata(values):
+    x = np.array(values)
+    ranks, sizes = _average_ranks(x)
+    expected = scipy.stats.rankdata(x)
+    assert ranks.dtype == expected.dtype
+    assert ranks.tobytes() == expected.tobytes()
+    assert np.array_equal(sizes, np.unique(expected, return_counts=True)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero=st.lists(st.one_of(st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 2.0]),
+                                  st.floats(-3, 3, allow_nan=False).filter(bool)),
+                        min_size=21, max_size=120),
+       zeros=st.integers(0, 5))
+def test_normal_approximation_p_equals_scipy_stats_bit_for_bit(nonzero, zeros):
+    d = np.array(nonzero + [0.0] * zeros)
+    res = wilcoxon_signed_rank(d, np.zeros_like(d))
+    assert res.method == "normal_approx" and res.n_effective == len(nonzero)
+    assert res.p_two_sided == scipy_normal_approx_p(d)
+
+
+def test_wilcoxon_rejects_nan_differences():
+    for n in (3, 25):  # exact and normal-approximation sizes
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank([np.nan] + [1.0] * (n - 1), [0.0] * n)
 
 
 def test_wilcoxon_input_validation():
