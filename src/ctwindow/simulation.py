@@ -110,21 +110,35 @@ def _three_numbers(value, what):
 
 
 def generate_phantom(cfg):
-    """Build one (CtVolume, LabelVolume) pair; deterministic under cfg.seed."""
+    """Build one (CtVolume, LabelVolume) pair; deterministic under cfg.seed.
+
+    An organ's mask is the float64 sum of one term ``((g - c) / r) ** 2``
+    per axis, ``<= 1``. Each axis' term is computed once over that axis,
+    and the mask only on the box of indices where every axis' term is
+    ``<= 1``: outside it one term exceeds 1, and a float64 sum of
+    non-negative terms is at least each term, so the mask there is all
+    False. C order inside the box is the volume's C order restricted to
+    the box, so the organ's draws land on the same voxels as with a mask
+    over the whole volume. An organ with radii too small to cover a grid
+    point has an empty box and draws nothing.
+    """
     rng = np.random.default_rng(cfg.seed)
     voxels = rng.normal(cfg.background_hu, cfg.background_noise_std,
                         size=cfg.dims).astype(np.float32)
     labels = np.zeros(cfg.dims, dtype=np.uint8)
-    grids = np.ogrid[tuple(slice(0.0, d) for d in cfg.dims)]  # float64, broadcast per axis
+    axes = [np.arange(d, dtype=np.float64) for d in cfg.dims]
     names = {0: "background"}
     for organ in cfg.organs:
-        mask = sum(((g - c) / r) ** 2
-                   for g, c, r in zip(grids, organ.center, organ.radii)) <= 1.0
-        if np.any(labels[mask]):
+        terms = [((x - c) / r) ** 2 for x, c, r in zip(axes, organ.center, organ.radii)]
+        inside = [np.flatnonzero(t <= 1.0) for t in terms]
+        box = tuple(slice(i[0], i[-1] + 1) if i.size else slice(0, 0) for i in inside)
+        t0, t1, t2 = (t[b] for t, b in zip(terms, box))
+        mask = t0[:, None, None] + t1[:, None] + t2 <= 1.0
+        if np.any(labels[box][mask]):
             raise ValueError(f"organ {organ.label_name!r} overlaps another organ")
-        voxels[mask] = rng.normal(organ.mean_hu, organ.noise_std,
-                                  size=int(mask.sum())).astype(np.float32)
-        labels[mask] = organ.label_id
+        voxels[box][mask] = rng.normal(organ.mean_hu, organ.noise_std,
+                                       size=int(mask.sum())).astype(np.float32)
+        labels[box][mask] = organ.label_id
         names[organ.label_id] = organ.label_name
     return (CtVolume(voxels, spacing=cfg.spacing), LabelVolume(labels, label_names=names))
 
@@ -191,11 +205,15 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     window each value on its own, so windowing the gathered values gives
     the same floats as windowing the volume and masking afterwards, and
     ``np.percentile`` depends only on the multiset of pooled values, not
-    on their order. So STN and WIR window each volume once and pool the
-    result ``epochs`` times. SWN windows each plane's gathered values with
+    on their order. So STN and WIR window each volume once and pool one
+    copy: every epoch would add the same values again, and
+    ``_tiled_percentile`` reads ``np.percentile``'s result on the
+    ``epochs``-fold pool off that copy, at the tiled pool's virtual index
+    ``(epochs * n - 1) * q``. SWN windows each plane's gathered values with
     that plane's draw, and still draws one window per plane in the order
     epoch, volume, plane, planes without a pooled voxel included, so its
-    random stream is the one a per-plane fit draws.
+    random stream is the one a per-plane fit draws; its pool holds
+    ``epochs`` different windowings and keeps ``np.percentile``.
     """
     if not training:
         raise ValueError("training set must be nonempty")
@@ -221,7 +239,7 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
         for values, _, masks in gathered:
             normalized = _kernels.window_normalize(values, window.lower, window.upper)
             for lid, mask in masks.items():
-                pools[lid] += [normalized[mask]] * epochs
+                pools[lid].append(normalized[mask])
     else:
         for _ in range(epochs):
             for values, bounds, masks in gathered:
@@ -239,12 +257,52 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
         pooled = np.concatenate(pools[lid])
         if not pooled.size:
             raise ValueError(f"label {lid} has no voxels in any training volume")
-        lo, hi = np.percentile(pooled, [lo_pct, hi_pct])
+        if window is not None:
+            lo, hi = _tiled_percentile(pooled, [lo_pct, hi_pct], epochs)
+        else:
+            lo, hi = np.percentile(pooled, [lo_pct, hi_pct])
         if hi - lo < 2.0 * band_epsilon:
             mid = 0.5 * (lo + hi)
             lo, hi = mid - band_epsilon, mid + band_epsilon
         bands.append(Band(lid, float(lo), float(hi)))
     return BandSegmenter(bands, strategy, tie_break=tie_break)
+
+
+def _tiled_percentile(values, percentiles, copies):
+    """``np.percentile(np.concatenate([values] * copies), percentiles)``, off one copy.
+
+    ``values`` is a nonempty 1-D float array, ``percentiles`` a list of
+    numbers in [0, 100]. Sorted, the tiled pool repeats each order
+    statistic of ``values`` ``copies`` times, so its k-th is the
+    ``k // copies``-th of ``values``. NumPy's "linear" method on the
+    ``copies * n``-value pool takes the virtual index
+    ``i = (copies * n - 1) * q`` with ``q = percentiles / 100``, the order
+    statistics ``floor(i)`` and ``floor(i) + 1``, both replaced by index -1
+    (the last) where ``i >= copies * n - 1``, and interpolates them with
+    weight ``t = i - floor(i)``, taken after that replacement, as its
+    ``_lerp`` does: ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` where
+    ``t >= 0.5``, with ``b - a`` in the values' dtype. This repeats each of
+    those steps on the same index and the same two values, so it returns
+    the same floats and dtype, NaN included where the pool holds a NaN; it
+    partitions one copy instead of ``copies``.
+    """
+    q = np.true_divide(percentiles, 100)
+    count = copies * values.size
+    virtual = (count - 1) * q
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    above = virtual >= count - 1
+    prev[above] = nxt[above] = -1
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    first, second = prev // copies % values.size, nxt // copies % values.size
+    part = np.partition(values, np.unique(np.concatenate((first, second, [values.size - 1]))))
+    a, b = part[first], part[second]
+    t = virtual - prev
+    diff = b - a
+    result = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    if np.isnan(part[-1]):  # NaN sorts last; np.percentile then returns NaN throughout
+        result[:] = part[-1]
+    return result
 
 
 def _gather_pooled(vol, lab, label_ids, slice_axis):

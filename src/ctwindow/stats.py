@@ -163,7 +163,11 @@ def compare_methods(dice_tables, reference, alpha=0.05, m=12):
     same (subject, label) pairs for every method, each pair once. Identical
     scores yield no test and are reported as not significant with p fixed
     at 1. Returns one row per (organ, method), reference rows marked ``Ref.``.
+    ``alpha`` must lie in (0, 1); NaN would fail every ``p >= alpha`` test and
+    mark every method significant.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if reference not in dice_tables:
         raise ValueError(f"reference {reference!r} not among methods {sorted(dice_tables)}")
 

@@ -19,6 +19,7 @@ import numpy as np
 
 _IMAGE_DTYPES = {"int16": np.dtype("<i2"), "float32": np.dtype("<f4")}
 _LABEL_DTYPE = np.dtype("u1")
+LABEL_SCAN_SLAB = 1 << 16  # voxels per bincount in LabelVolume's id scan; bounds its intp copy
 
 
 class CtvFormatError(ValueError):
@@ -55,7 +56,16 @@ class CtVolume:
 
 @dataclass
 class LabelVolume:
-    """Integer label grid aligned to a CtVolume; id 0 is background."""
+    """Integer label grid aligned to a CtVolume; id 0 is background.
+
+    The ids present are scanned in memory order (a C-order ravel would copy
+    a loaded, F-ordered volume whole). uint8 voxels, which every loader and
+    the phantom generator produce, cannot hold an id outside 0..255, so
+    their scan only marks which of the 256 values occur: one
+    ``np.bincount`` per slab of LABEL_SCAN_SLAB voxels, which reads the
+    volume once where ``np.unique`` would sort a copy of it. Other dtypes
+    keep ``np.unique`` and its range checks.
+    """
 
     voxels: np.ndarray
     label_names: dict = field(default_factory=dict)
@@ -64,11 +74,18 @@ class LabelVolume:
         voxels = np.asarray(self.voxels)
         if voxels.ndim != 3:
             raise ValueError(f"expected a 3D array, got ndim={voxels.ndim}")
-        # before the uint8 cast, which would wrap 256 to 0; raveled in memory order,
-        # because a C-order ravel would copy a loaded (F-ordered) volume whole
-        ids = np.unique(voxels.ravel(order="K"))
-        if ids.size and (ids[0] < 0 or ids[-1] > 255 or np.any(ids != np.round(ids))):
-            raise ValueError(f"label ids must be integers in 0..255, got {ids[0]}..{ids[-1]}")
+        flat = voxels.ravel(order="K")
+        if voxels.dtype == _LABEL_DTYPE:
+            seen = np.zeros(256, dtype=bool)
+            for start in range(0, flat.size, LABEL_SCAN_SLAB):
+                seen |= np.bincount(flat[start:start + LABEL_SCAN_SLAB], minlength=256) > 0
+            ids = np.flatnonzero(seen)
+        else:
+            # before the uint8 cast, which would wrap 256 to 0
+            ids = np.unique(flat)
+            if ids.size and (ids[0] < 0 or ids[-1] > 255 or np.any(ids != np.round(ids))):
+                raise ValueError(f"label ids must be integers in 0..255, "
+                                 f"got {ids[0]}..{ids[-1]}")
         self.voxels = voxels.astype(np.uint8, copy=False)
         self.label_names = {int(k): str(v) for k, v in self.label_names.items()}
         if any(not 0 <= k <= 255 for k in self.label_names):

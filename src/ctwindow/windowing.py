@@ -66,8 +66,9 @@ class SwnParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_level < 0 or self.sigma_width < 0:
-            raise ValueError("sigma_level and sigma_width must be >= 0")
+        if not all(0.0 <= s < np.inf for s in (self.sigma_level, self.sigma_width)):
+            raise ValueError(f"sigma_level and sigma_width must be finite and >= 0, "
+                             f"got {self.sigma_level} and {self.sigma_width}")
 
 
 class WindowSampler:

@@ -142,3 +142,23 @@ def per_plane_fit_bands(training, strategy, swn, epochs, percentiles, band_epsil
             lo, hi = mid - band_epsilon, mid + band_epsilon
         bands.append(Band(lid, float(lo), float(hi)))
     return bands
+
+
+def full_volume_phantom(cfg):
+    """A phantom's voxels, labels and label names, each organ masked over the whole volume."""
+    rng = np.random.default_rng(cfg.seed)
+    voxels = rng.normal(cfg.background_hu, cfg.background_noise_std,
+                        size=cfg.dims).astype(np.float32)
+    labels = np.zeros(cfg.dims, dtype=np.uint8)
+    grids = np.ogrid[tuple(slice(0.0, d) for d in cfg.dims)]
+    names = {0: "background"}
+    for organ in cfg.organs:
+        mask = sum(((g - c) / r) ** 2
+                   for g, c, r in zip(grids, organ.center, organ.radii)) <= 1.0
+        if np.any(labels[mask]):
+            raise ValueError(f"organ {organ.label_name!r} overlaps another organ")
+        voxels[mask] = rng.normal(organ.mean_hu, organ.noise_std,
+                                  size=int(mask.sum())).astype(np.float32)
+        labels[mask] = organ.label_id
+        names[organ.label_id] = organ.label_name
+    return voxels, labels, names

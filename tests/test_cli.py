@@ -127,6 +127,35 @@ def test_compare_command_writes_csv_and_sidecar(tmp_path):
     assert meta["fdr_method"] == "benjamini_hochberg"
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1", "1", "2"])
+def test_compare_alpha_outside_the_open_unit_interval_is_an_error(tmp_path, capsys, alpha):
+    paths = {}
+    for name, delta in (("STN", 0.0), ("SWN", 0.1)):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("subject_id,label_id,label_name,dice\n" + "".join(
+            f"s{i},1,liver,{0.5 + 0.01 * i + delta}\n" for i in range(8)))
+    out = tmp_path / "cmp.csv"
+    code = main(["compare", "--table", f"STN={paths['STN']}", "--table", f"SWN={paths['SWN']}",
+                 "--reference", "STN", f"--alpha={alpha}", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("ctwindow: error: alpha must be in (0, 1)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--x", "nan"), ("--y", "nan"), ("--x", "inf"),
+                                        ("--y", "-inf")])
+def test_window_swn_non_finite_sigma_is_an_error(tmp_path, image_path, capsys, flag, value):
+    out = tmp_path / "out.ctv.json"
+    code = main(["window", image_path, str(out), "--strategy", "SWN", "--mode", "train",
+                 f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("ctwindow: error: sigma_level and sigma_width must be finite")
+    assert not out.exists()
+
+
 def test_phantom_command_writes_suite(tmp_path):
     cfg = small_config(tmp_path)
     out_dir = tmp_path / "suite"

@@ -109,6 +109,13 @@ def test_sampler_zero_sigma_is_exactly_soft_tissue():
         assert (w.level, w.half_width) == (40.0, 200.0)
 
 
+@pytest.mark.parametrize("sigmas", [(float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 50.0),
+                                    (50.0, float("inf")), (-1.0, 0.0), (0.0, -1e-9)])
+def test_swn_params_reject_negative_and_non_finite_sigmas(sigmas):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        SwnParams(*sigmas)
+
+
 def test_sampled_width_floor_always_holds():
     sampler = WindowSampler(SwnParams(0.0, 1e6, seed=2))  # widths near zero are common
     widths = [sampler.sample().half_width for _ in range(2000)]
