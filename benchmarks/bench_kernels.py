@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Throughput comparison of the compiled and NumPy kernel backends.
+"""Throughput of the NumPy voxel kernels.
 
-Times the three voxel hot loops on synthetic data and prints MVox/s per
-backend plus the speedup of the compiled extension.
+Times the three voxel hot loops on synthetic data and prints MVox/s for
+each kernel and size.
 
 Usage: python benchmarks/bench_kernels.py [--sizes 1e5,1e6,1e7] [--repeats 7]
 """
@@ -12,12 +12,7 @@ import time
 
 import numpy as np
 
-from ctwindow._kernels import _numpy as numpy_backend
-
-try:
-    from ctwindow._kernels import _core as cython_backend
-except ImportError:
-    cython_backend = None
+from ctwindow._kernels import _backend
 
 
 def best_time(fn, repeats):
@@ -29,6 +24,7 @@ def best_time(fn, repeats):
     return min(times)
 
 
+# perfbench/child.py calls the three bench_* timers as (backend, data, repeats).
 def bench_window(backend, values, repeats):
     out = np.empty_like(values)
     lo, hi = np.float32(-160.0), np.float32(240.0)
@@ -59,16 +55,8 @@ def main():
     args = parser.parse_args()
     sizes = [int(float(s)) for s in args.sizes.split(",")]
 
-    backends = [("numpy", numpy_backend)]
-    if cython_backend is not None:
-        backends.append(("cython", cython_backend))
-    else:
-        print("note: compiled extension not built; timing the fallback only")
-
     rng = np.random.default_rng(0)
-    header = f"{'kernel':<22}{'n':>12}" + "".join(f"{name + ' MVox/s':>16}" for name, _ in backends)
-    if len(backends) == 2:
-        header += f"{'speedup':>10}"
+    header = f"{'kernel':<22}{'n':>12}{'MVox/s':>10}"
     print(header)
     print("-" * len(header))
 
@@ -77,16 +65,12 @@ def main():
         norm = rng.uniform(0, 255, n).astype(np.float32)
         la = rng.integers(0, 4, n).astype(np.uint8)
         lb = rng.integers(0, 4, n).astype(np.uint8)
-        for kernel, runner in (
-            ("window_normalize", lambda b: bench_window(b, values, args.repeats)),
-            ("classify_bands", lambda b: bench_classify(b, norm, args.repeats)),
-            ("label_overlap_counts", lambda b: bench_counts(b, la, lb, args.repeats)),
+        for kernel, seconds in (
+            ("window_normalize", bench_window(_backend, values, args.repeats)),
+            ("classify_bands", bench_classify(_backend, norm, args.repeats)),
+            ("label_overlap_counts", bench_counts(_backend, la, lb, args.repeats)),
         ):
-            rates = [n / runner(backend) / 1e6 for _, backend in backends]
-            line = f"{kernel:<22}{n:>12,}" + "".join(f"{r:>16.1f}" for r in rates)
-            if len(rates) == 2:
-                line += f"{rates[1] / rates[0]:>9.2f}x"
-            print(line)
+            print(f"{kernel:<22}{n:>12,}{n / seconds / 1e6:>10.1f}")
 
 
 if __name__ == "__main__":

@@ -2,12 +2,12 @@
 
 Core pieces: CTV volume I/O, fixed and stochastic tissue-window
 normalization, paired spatial augmentation, dice metrics, Wilcoxon/FDR
-method comparison, and a synthetic-phantom intensity-shift sweep. Voxel
-hot loops run on a compiled extension when available (see
-``ctwindow._kernels.BACKEND``), with a bit-identical NumPy fallback.
+method comparison, and a synthetic-phantom intensity-shift sweep. The
+voxel hot loops are plain NumPy (``ctwindow._kernels``); the package is
+pure Python and installs without a compiler.
 """
 
-from ._kernels import BACKEND
+from ._kernels import BACKEND  # always "numpy"; perfbench/child.py reads it
 from .augmentation import AugmentConfig, augment_pair
 from .metrics import (DiceRecord, SummaryStats, dice, dice_from_counts,
                       multi_label_dice, read_dice_csv, summarize, write_dice_csv)

@@ -1,32 +1,16 @@
-"""Kernel backend selection and array-shaped wrappers.
+"""Array-shaped wrappers around the voxel kernels in ``_numpy``.
 
-The compiled Cython extension (`_core`) is preferred; the pure-NumPy
-module (`_numpy`) is a drop-in replacement selected automatically when the
-extension is not built. Set ``CTWINDOW_KERNELS=python`` to force the
-fallback or ``CTWINDOW_KERNELS=cython`` to require the extension.
-Both backends return bit-identical results; ``benchmarks/bench_kernels.py``
-compares their throughput.
+The kernels are plain NumPy and take flat arrays and caller-allocated
+outputs; the wrappers here accept arrays of any shape and memory layout.
+``tests/oracles.py`` holds per-element scalar loops that each kernel must
+match bit for bit.
 """
-
-import os
 
 import numpy as np
 
-_requested = os.environ.get("CTWINDOW_KERNELS", "auto").strip().lower()
-if _requested in ("auto", "", "cython"):
-    try:
-        from . import _core as _backend
-        BACKEND = "cython"
-    except ImportError:
-        if _requested == "cython":
-            raise
-        from . import _numpy as _backend
-        BACKEND = "numpy"
-elif _requested in ("python", "numpy"):
-    from . import _numpy as _backend
-    BACKEND = "numpy"
-else:
-    raise ValueError(f"unknown CTWINDOW_KERNELS value: {_requested!r}")
+from . import _numpy as _backend  # perfbench/child.py times its flat kernels
+
+BACKEND = "numpy"  # perfbench/child.py records it in each run's environment
 
 TIE_BREAK_MODES = {"lowest_id": 0, "nearest_center": 1}
 

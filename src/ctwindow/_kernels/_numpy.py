@@ -1,8 +1,9 @@
 """Pure-NumPy implementations of the voxel hot loops.
 
-Operation order inside each function mirrors the compiled backend
-(`_core.pyx`) step for step so both produce bit-identical float32 results.
-All functions write into caller-allocated output buffers.
+Each function takes flat arrays and writes into a caller-allocated output
+buffer. Its result equals, bit for bit, the per-element scalar loop
+``scalar_<name>`` in ``tests/oracles.py``; keep the float32 operation order
+when changing one.
 """
 
 import numpy as np

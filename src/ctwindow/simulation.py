@@ -129,7 +129,9 @@ def generate_phantom(cfg):
     axes = [np.arange(d, dtype=np.float64) for d in cfg.dims]
     names = {0: "background"}
     for organ in cfg.organs:
-        terms = [((x - c) / r) ** 2 for x, c, r in zip(axes, organ.center, organ.radii)]
+        # a subnormal radius overflows a term to inf, which still compares > 1
+        with np.errstate(over="ignore"):
+            terms = [((x - c) / r) ** 2 for x, c, r in zip(axes, organ.center, organ.radii)]
         inside = [np.flatnonzero(t <= 1.0) for t in terms]
         box = tuple(slice(i[0], i[-1] + 1) if i.size else slice(0, 0) for i in inside)
         t0, t1, t2 = (t[b] for t, b in zip(terms, box))
@@ -201,8 +203,8 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
 
     Only the pooled voxels are normalized, and that is exact. Each volume's
     voxels whose label is one of the fitted ids are gathered once as
-    float32, plane by plane along ``slice_axis``. Both kernel backends
-    window each value on its own, so windowing the gathered values gives
+    float32, plane by plane along ``slice_axis``. The window kernel
+    windows each value on its own, so windowing the gathered values gives
     the same floats as windowing the volume and masking afterwards, and
     ``np.percentile`` depends only on the multiset of pooled values, not
     on their order. So STN and WIR window each volume once and pool one

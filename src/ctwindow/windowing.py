@@ -16,6 +16,8 @@ workers must not share one sampler: derive one per worker with
 ``WindowSampler.for_worker``.
 """
 
+import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,16 @@ _PRESETS = {
 }
 
 
+def _float32(x):
+    """``x`` rounded to float32, as a Python float; OverflowError if it rounds to inf.
+
+    Float64 arithmetic on float32 values rounded back to float32 is exactly
+    float32 arithmetic (53 >= 2 * 24 + 2 bits), so this checks the kernel's
+    float32 steps without NumPy scalars and their overflow warnings.
+    """
+    return struct.unpack("f", struct.pack("f", x))[0]
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """One tissue window: center level and half-width, both in HU."""
@@ -47,6 +59,21 @@ class WindowSpec:
     def __post_init__(self):
         if not self.half_width >= W_MIN:
             raise ValueError(f"half_width must be >= {W_MIN} HU, got {self.half_width}")
+        # The kernel windows in float32 and scales (v - lower) * 255 before it
+        # divides, so the band's ends and 255 times its float32 width must all
+        # be finite float32 numbers, the ends distinct; otherwise voxels would
+        # come out 255 or NaN where the answer lies inside [0, 255].
+        try:
+            lower, upper = _float32(self.lower), _float32(self.upper)
+            representable = (math.isfinite(lower) and lower < upper
+                             and math.isfinite(_float32(_float32(upper - lower) * 255.0)))
+        except OverflowError:
+            representable = False
+        if not representable:
+            raise ValueError(f"window [{self.lower}, {self.upper}] (level {self.level}, "
+                             f"half_width {self.half_width}) is not representable in float32: "
+                             f"its ends must be distinct finite float32 numbers and 255 times "
+                             f"its width at most {float(np.finfo(np.float32).max)}")
 
     @property
     def lower(self):

@@ -1,8 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
 These deliberately use the most literal formulation available (full
-enumeration, O(n^2) loops, triple voxel loops) and share no code with the
-library paths they check. The per-plane sweep and fit are the plain
+enumeration, O(n^2) loops, triple voxel loops, per-element loops on float32
+scalars) and share no code with the library paths they check. The per-plane sweep and fit are the plain
 slice-by-slice formulation that the whole-volume sweep and fit replaced;
 they are built from the 2D slice API only.
 """
@@ -162,3 +162,57 @@ def full_volume_phantom(cfg):
         labels[mask] = organ.label_id
         names[organ.label_id] = organ.label_name
     return voxels, labels, names
+
+
+def scalar_window_normalize(src, lo, hi):
+    """The window kernel one float32 value at a time: pin saturated values, else scale."""
+    lo, hi = np.float32(lo), np.float32(hi)
+    den = hi - lo
+    out = np.empty(len(src), dtype=np.float32)
+    for i, v in enumerate(np.asarray(src, dtype=np.float32)):
+        if v <= lo:
+            out[i] = np.float32(0.0)
+        elif v >= hi:
+            out[i] = np.float32(255.0)
+        else:
+            v = (v - lo) * np.float32(255.0) / den
+            if v < np.float32(0.0):
+                v = np.float32(0.0)
+            elif v > np.float32(255.0):
+                v = np.float32(255.0)
+            out[i] = v
+    return out
+
+
+def scalar_classify_bands(src, lo, hi, center, label, mode):
+    """Band labels one float32 value at a time.
+
+    mode 0: the first band in the given order that contains the value.
+    mode 1: the containing band with the strictly nearest center, so an
+    equidistant later band never displaces an earlier one.
+    """
+    lo, hi, center = (np.asarray(x, dtype=np.float32) for x in (lo, hi, center))
+    out = np.zeros(len(src), dtype=np.uint8)
+    for i, v in enumerate(np.asarray(src, dtype=np.float32)):
+        best = np.float32(np.inf)
+        for j in range(len(label)):
+            if lo[j] <= v <= hi[j]:
+                if mode == 0:
+                    out[i] = label[j]
+                    break
+                d = abs(v - center[j])
+                if d < best:
+                    best = d
+                    out[i] = label[j]
+    return out
+
+
+def scalar_label_overlap_counts(a, b):
+    """(|a==k|, |b==k|, |a==k & b==k|) per uint8 label id, counted pair by pair."""
+    counts = np.zeros((3, 256), dtype=np.int64)
+    for va, vb in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
+        counts[0, va] += 1
+        counts[1, vb] += 1
+        if va == vb:
+            counts[2, va] += 1
+    return counts

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ctwindow
 from ctwindow.cli import experiment_to_config, main, parse_experiment, parse_shifts
 from ctwindow.metrics import read_dice_csv
 from ctwindow.simulation import reference_experiment
@@ -154,6 +158,40 @@ def test_window_swn_non_finite_sigma_is_an_error(tmp_path, image_path, capsys, f
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("ctwindow: error: sigma_level and sigma_width must be finite")
     assert not out.exists()
+
+
+def test_window_swn_width_float32_cannot_represent_is_an_error(tmp_path, image_path, capsys):
+    out = tmp_path / "out.ctv.json"
+    code = main(["window", image_path, str(out), "--strategy", "SWN", "--mode", "train",
+                 "--y", "1e39"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("ctwindow: error: window [")
+    assert "not representable in float32" in captured.err
+    assert not out.exists()
+
+
+def test_sweep_swn_level_float32_cannot_represent_is_an_error(tmp_path, capsys):
+    cfg = small_config(tmp_path, strategies=[{"strategy": "SWN", "x": 1e30, "y": 50}])
+    out = tmp_path / "x.csv"
+    assert main(["sweep", cfg, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ctwindow: error: window [") and "not representable in float32" in err
+    assert not out.exists()
+
+
+def test_phantom_command_with_a_subnormal_radius_writes_nothing_to_stderr(tmp_path):
+    cfg = edited_config(tmp_path, lambda c: c["phantom"]["organs"][0].update(radii=[1e-320, 6, 2]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctwindow.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "ctwindow.cli", "phantom", cfg,
+                             "--out-dir", str(tmp_path / "suite")],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "suite" / "train_00_labels.ctv.json").exists()
 
 
 def test_phantom_command_writes_suite(tmp_path):

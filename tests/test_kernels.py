@@ -1,27 +1,25 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
+import ctwindow
 import ctwindow._kernels as kernels
 from ctwindow._kernels import _numpy as numpy_backend
+from oracles import scalar_classify_bands, scalar_label_overlap_counts, scalar_window_normalize
 
-try:
-    from ctwindow._kernels import _core as cython_backend
-except ImportError:
-    cython_backend = None
-
-BACKENDS = [pytest.param(numpy_backend, id="numpy")]
-if cython_backend is not None:
-    BACKENDS.append(pytest.param(cython_backend, id="cython"))
+# The one kernel module, as a parameter so that these tests keep their "[numpy]" ids.
+NUMPY = pytest.mark.parametrize("backend", [pytest.param(numpy_backend, id="numpy")])
 
 
 def random_values(n=50000, seed=0):
     return np.random.default_rng(seed).uniform(-3000, 3000, n).astype(np.float32)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_numpy_module_is_the_backend():
+    assert ctwindow.BACKEND == kernels.BACKEND == "numpy"
+    assert kernels._backend is numpy_backend
+
+
+@NUMPY
 def test_window_normalize_matches_reference_expression(backend):
     src = random_values()
     lo, hi = np.float32(-160.0), np.float32(240.0)
@@ -33,7 +31,7 @@ def test_window_normalize_matches_reference_expression(backend):
     assert out.min() >= 0.0 and out.max() <= 255.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@NUMPY
 def test_window_normalize_in_place_matches_a_separate_out(backend):
     src = random_values(seed=2)
     lo, hi = np.float32(-160.0), np.float32(240.0)
@@ -43,34 +41,48 @@ def test_window_normalize_in_place_matches_a_separate_out(backend):
     assert np.array_equal(src.view(np.uint32), out.view(np.uint32))
 
 
-@pytest.mark.skipif(cython_backend is None, reason="extension not built")
-def test_backends_are_bit_identical():
-    src = random_values(seed=4)
-    for lo, hi in ((-160.0, 240.0), (-1000.0, 1000.0), (12.5, 13.75)):
-        out_np = np.empty_like(src)
-        out_cy = np.empty_like(src)
-        numpy_backend.window_normalize(src, np.float32(lo), np.float32(hi), out_np)
-        cython_backend.window_normalize(src, np.float32(lo), np.float32(hi), out_cy)
-        assert np.array_equal(out_np.view(np.uint32), out_cy.view(np.uint32))
+@pytest.mark.parametrize("lo,hi", [(-160.0, 240.0), (-1000.0, 1000.0), (12.5, 13.75)])
+def test_window_normalize_is_bit_identical_to_the_scalar_loop(lo, hi):
+    lo, hi = np.float32(lo), np.float32(hi)
+    margin = (hi - lo) / 4
+    drawn = np.random.default_rng(4).uniform(lo - margin, hi + margin, 20000)
+    inf = np.float32(np.inf)
+    edges = [lo, hi, inf, -inf] + [np.nextafter(e, d) for e in (lo, hi) for d in (-inf, inf)]
+    src = np.concatenate([drawn, edges]).astype(np.float32)
+    assert np.count_nonzero((src > lo) & (src < hi)) > src.size // 2
+    out = np.empty_like(src)
+    numpy_backend.window_normalize(src, lo, hi, out)
+    assert np.array_equal(out.view(np.uint32), scalar_window_normalize(src, lo, hi).view(np.uint32))
 
 
-@pytest.mark.skipif(cython_backend is None, reason="extension not built")
 @pytest.mark.parametrize("mode", [0, 1])
-def test_classify_backends_agree(mode):
-    rng = np.random.default_rng(9)
-    src = rng.uniform(0, 255, 20000).astype(np.float32)
-    lo = np.array([10, 50, 40], np.float32)
-    hi = np.array([60, 120, 200], np.float32)
+def test_classify_bands_is_bit_identical_to_the_scalar_loop(mode):
+    lo = np.array([10, 50, 40, 60, 30], np.float32)
+    hi = np.array([60, 120, 200, 90, 40], np.float32)
     center = (lo + hi) / 2
-    labels = np.array([1, 2, 3], np.uint8)
-    out_np = np.zeros(src.shape, np.uint8)
-    out_cy = np.zeros(src.shape, np.uint8)
-    numpy_backend.classify_bands(src, lo, hi, center, labels, mode, out_np)
-    cython_backend.classify_bands(src, lo, hi, center, labels, mode, out_cy)
-    assert np.array_equal(out_np, out_cy)
+    labels = np.array([1, 2, 4, 7, 9], np.uint8)
+    midpoints = [(a + b) / 2 for a in center for b in center]  # equidistant from two centers
+    drawn = np.random.default_rng(9).uniform(0, 255, 20000)
+    src = np.concatenate([drawn, lo, hi, center, midpoints]).astype(np.float32)
+    inside = (src[:, None] >= lo) & (src[:, None] <= hi)
+    dist = np.where(inside, np.abs(src[:, None] - center), np.inf)
+    nearest = inside & (dist == dist.min(axis=1, keepdims=True))
+    assert np.count_nonzero(nearest.sum(axis=1) >= 2) > 0  # real nearest-center ties
+    out = np.zeros(src.shape, np.uint8)
+    numpy_backend.classify_bands(src, lo, hi, center, labels, mode, out)
+    assert np.array_equal(out, scalar_classify_bands(src, lo, hi, center, labels, mode))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def test_label_overlap_counts_is_identical_to_the_scalar_loop():
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 256, 20000).astype(np.uint8)
+    b = np.where(rng.random(a.size) < 0.5, a, rng.integers(0, 256, a.size)).astype(np.uint8)
+    counts = np.zeros((3, 256), np.int64)
+    numpy_backend.label_overlap_counts(a, b, counts)
+    assert np.array_equal(counts, scalar_label_overlap_counts(a, b))
+
+
+@NUMPY
 def test_classify_semantics(backend):
     lo = np.array([0.0, 0.0], np.float32)
     hi = np.array([10.0, 10.0], np.float32)
@@ -86,7 +98,7 @@ def test_classify_semantics(backend):
     assert nearest.tolist() == [0, 1, 2, 1, 0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@NUMPY
 def test_label_overlap_counts_against_bincount(backend):
     rng = np.random.default_rng(3)
     a = rng.integers(0, 9, 10000).astype(np.uint8)
@@ -106,13 +118,3 @@ def test_wrapper_shape_and_dtype_handling():
         kernels.classify_bands(values, [0.0], [1.0], [0.5], [1], tie_break="bogus")
     with pytest.raises(ValueError, match="shape"):
         kernels.label_overlap_counts(np.zeros(3, np.uint8), np.zeros(4, np.uint8))
-
-
-def test_env_var_forces_python_backend():
-    import os
-
-    code = "import ctwindow._kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, CTWINDOW_KERNELS="python")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=env)
-    assert result.stdout.strip() == "numpy"

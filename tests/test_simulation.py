@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,15 @@ def test_phantom_rejects_label_ids_outside_uint8():
     with pytest.raises(ValueError, match="1..255"):
         PhantomConfig(dims=(20, 20, 6),
                       organs=[OrganSpec(256, "a", (8, 8, 3), (2, 2, 1), 40.0, 0.0)])
+
+
+def test_subnormal_radius_warns_nothing_and_keeps_its_voxels():
+    # 1e-320 overflows that axis' term to inf away from the center: only x = 4 is inside
+    cfg = PhantomConfig(dims=(8, 8, 8),
+                        organs=[OrganSpec(1, "organ", (4, 4, 4), (1e-320, 2, 1), 40.0, 10.0)],
+                        background_noise_std=5.0, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, lab = generate_phantom(cfg)
+    assert np.argwhere(lab.voxels).tolist() == [[4, 2, 4], [4, 3, 4], [4, 4, 3], [4, 4, 4],
+                                                [4, 4, 5], [4, 5, 4], [4, 6, 4]]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,33 @@ def test_presets():
 def test_window_spec_floor():
     with pytest.raises(ValueError):
         WindowSpec(40.0, 0.5)
+
+
+@pytest.mark.parametrize("level,half_width", [
+    (40.0, 1e37), (40.0, 1e36), (0.0, 1e39), (1e30, 200.0), (-3e38, 1e38),
+    (float("nan"), 200.0), (float("inf"), 200.0), (40.0, float("inf"))])
+def test_window_spec_rejects_windows_float32_cannot_represent(level, half_width):
+    with pytest.raises(ValueError, match="not representable in float32"):
+        WindowSpec(level, half_width)
+
+
+def test_every_accepted_huge_window_maps_without_overflow():
+    # 255 times the width overflows float32 from a half-width of about 6.67e35 on
+    accepted = 0
+    for half_width in np.geomspace(1e35, 1e37, 41):
+        try:
+            w = WindowSpec(40.0, float(half_width))
+        except ValueError:
+            assert half_width > 6.6e35
+            continue
+        accepted += 1
+        values = np.array([w.lower, -0.5 * w.upper, 40.0, 0.5 * w.upper, w.upper], np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = out(apply_window(slc(*values), w))
+        expected = 255.0 * (values.astype(np.float64) - w.lower) / (w.upper - w.lower)
+        assert np.allclose(got, expected, rtol=1e-6, atol=1e-4)
+    assert 0 < accepted < 41
 
 
 def test_apply_window_boundary_cases_exact():
