@@ -178,7 +178,7 @@ def parse_augment(obj, context="augment"):
     defaults = AugmentConfig(crop_size=(1, 1))
     crop = f"{context}.crop_size"
     shift = f"{context}.max_translation"
-    return AugmentConfig(
+    fields = dict(
         crop_size=tuple(_number(c, crop, whole=True, lo=1)
                         for c in _numbers(obj["crop_size"], crop, count=2)),
         max_rotation_deg=_number(obj.get("max_rotation_deg", defaults.max_rotation_deg),
@@ -191,6 +191,10 @@ def parse_augment(obj, context="augment"):
                                 f"{context}.pad_value_label", whole=True, lo=0, hi=255),
         seed=_number(obj.get("seed", 0), f"{context}.seed", whole=True, lo=0),
     )
+    try:
+        return AugmentConfig(**fields)
+    except ValueError as exc:  # AugmentConfig's messages start with the field name
+        raise ConfigError(f"{context}.{exc}") from None
 
 
 def experiment_to_config(exp):
@@ -236,21 +240,21 @@ def cmd_window(args):
     axis = args.slice_axis
     window = strategy_window(args.strategy, args.mode)
     if window is None:
-        # one fresh window per slice, exactly what training normalization draws
+        # one fresh window per slice, exactly what training normalization draws;
+        # WindowSpec checks each as it is drawn, so a bad draw fails before any output
         sampler = WindowSampler(SwnParams(args.x, args.y, seed=args.seed))
-        planes = []
-        for index in range(volume.dims[axis]):
-            window = sampler.sample()
-            out = apply_window(extract_slice(volume, axis, index), window)
-            print(json.dumps({"slice": index, "level": window.level,
-                              "half_width": window.half_width}))
-            planes.append(out.values)
-        voxels = stack_slices(planes, axis)
+        windows = [sampler.sample() for _ in range(volume.dims[axis])]
+        voxels = stack_slices([apply_window(extract_slice(volume, axis, index), w).values
+                               for index, w in enumerate(windows)], axis)
+        lines = [{"slice": index, "level": w.level, "half_width": w.half_width}
+                 for index, w in enumerate(windows)]
     else:
         voxels = _kernels.window_normalize(volume.voxels, window.lower, window.upper)
-        print(json.dumps({"strategy": args.strategy, "level": window.level,
-                          "half_width": window.half_width}))
+        lines = [{"strategy": args.strategy, "level": window.level,
+                  "half_width": window.half_width}]
     save_volume(CtVolume(voxels, spacing=volume.spacing), args.output)
+    for line in lines:
+        print(json.dumps(line))
     return 0
 
 
@@ -399,6 +403,9 @@ def main(argv=None):
         return args.func(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"ctwindow: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # NumPy says how much it asked for; a bare one says nothing
+        print(f"ctwindow: error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
 
 

@@ -4,17 +4,21 @@ These deliberately use the most literal formulation available (full
 enumeration, O(n^2) loops, triple voxel loops, per-element loops on float32
 scalars) and share no code with the library paths they check. The per-plane sweep and fit are the plain
 slice-by-slice formulation that the whole-volume sweep and fit replaced;
-they are built from the 2D slice API only.
+they are built from the 2D slice API only. ``scipy_augment_pair`` is the
+augmentation the crop-only NumPy resampler replaced: two full-plane
+``scipy.ndimage.affine_transform`` passes, then a crop/pad.
 """
 
 import itertools
+import math
 
 import numpy as np
+from scipy import ndimage
 from scipy.stats import norm, rankdata
 
 from ctwindow.metrics import multi_label_dice
 from ctwindow.simulation import Band, SweepRow
-from ctwindow.volume import LabelVolume, extract_slice, shift_intensity, stack_slices
+from ctwindow.volume import LabelVolume, Slice2D, extract_slice, shift_intensity, stack_slices
 from ctwindow.windowing import WindowSampler, normalize_for_testing, normalize_for_training
 
 
@@ -216,3 +220,55 @@ def scalar_label_overlap_counts(a, b):
         if va == vb:
             counts[2, va] += 1
     return counts
+
+
+def _rotate_translate(plane, angle_deg, shift, order, cval):
+    if angle_deg == 0.0 and shift == (0.0, 0.0):
+        return plane.copy()
+    theta = math.radians(angle_deg)
+    cos, sin = math.cos(theta), math.sin(theta)
+    rot = np.array([[cos, -sin], [sin, cos]])
+    center = (np.asarray(plane.shape, dtype=np.float64) - 1.0) / 2.0
+    # content moves by F(p) = R (p - c) + c + t; resampling pulls back via F^-1
+    inv = rot.T
+    offset = center - inv @ (center + np.asarray(shift))
+    return ndimage.affine_transform(plane, inv, offset=offset, order=order,
+                                    mode="constant", cval=cval, prefilter=False)
+
+
+def _crop_or_pad(plane, target, origin_fracs, pad_value):
+    out = plane
+    for axis in range(2):
+        deficit = target[axis] - out.shape[axis]
+        if deficit > 0:
+            before = deficit // 2
+            pads = [(0, 0), (0, 0)]
+            pads[axis] = (before, deficit - before)
+            out = np.pad(out, pads, mode="constant", constant_values=pad_value)
+    starts = []
+    for axis in range(2):
+        slack = out.shape[axis] - target[axis]
+        starts.append(int(np.floor(origin_fracs[axis] * (slack + 1))) if slack > 0 else 0)
+    return out[starts[0]:starts[0] + target[0], starts[1]:starts[1] + target[1]].copy()
+
+
+def scipy_augment_pair(img, lab, cfg, rng):
+    """``augmentation.augment_pair`` as two full-plane ``scipy.ndimage`` passes and a crop/pad."""
+    lab = np.asarray(lab, dtype=np.uint8)
+    if img.dims != lab.shape:
+        raise ValueError(f"image/label dims mismatch: {img.dims} vs {lab.shape}")
+
+    angle = float(rng.uniform(-cfg.max_rotation_deg, cfg.max_rotation_deg)) \
+        if cfg.max_rotation_deg > 0 else 0.0
+    shift = tuple(
+        float(rng.uniform(-t, t)) if t > 0 else 0.0 for t in cfg.max_translation
+    )
+    origin_fracs = (float(rng.random()), float(rng.random()))
+
+    moved_img = _rotate_translate(img.values, angle, shift, order=1,
+                                  cval=np.float32(cfg.pad_value_image))
+    moved_lab = _rotate_translate(lab, angle, shift, order=0,
+                                  cval=cfg.pad_value_label)
+    out_img = _crop_or_pad(moved_img, cfg.crop_size, origin_fracs, cfg.pad_value_image)
+    out_lab = _crop_or_pad(moved_lab, cfg.crop_size, origin_fracs, cfg.pad_value_label)
+    return Slice2D(out_img, axis=img.axis, index=img.index), out_lab.astype(np.uint8)

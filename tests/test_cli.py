@@ -172,6 +172,18 @@ def test_window_swn_width_float32_cannot_represent_is_an_error(tmp_path, image_p
     assert not out.exists()
 
 
+def test_window_swn_bad_draw_after_good_ones_prints_nothing(tmp_path, image_path, capsys):
+    # seed 2 draws a representable window for slice 0 and an unrepresentable one after it
+    out = tmp_path / "out.ctv.json"
+    code = main(["window", image_path, str(out), "--strategy", "SWN", "--mode", "train",
+                 "--y", "5e35", "--seed", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("ctwindow: error: window [")
+    assert sorted(os.listdir(tmp_path)) == ["img.ctv.json", "img.raw"]
+
+
 def test_sweep_swn_level_float32_cannot_represent_is_an_error(tmp_path, capsys):
     cfg = small_config(tmp_path, strategies=[{"strategy": "SWN", "x": 1e30, "y": 50}])
     out = tmp_path / "x.csv"
@@ -182,14 +194,19 @@ def test_sweep_swn_level_float32_cannot_represent_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_phantom_command_with_a_subnormal_radius_writes_nothing_to_stderr(tmp_path):
-    cfg = edited_config(tmp_path, lambda c: c["phantom"]["organs"][0].update(radii=[1e-320, 6, 2]))
+def run_cli(argv, code=None):
+    """``ctwindow`` in a child process (``code`` instead of ``-m ctwindow.cli`` if given)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ctwindow.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-m", "ctwindow.cli", "phantom", cfg,
-                             "--out-dir", str(tmp_path / "suite")],
-                            capture_output=True, text=True, env=env, timeout=120)
+    entry = ["-m", "ctwindow.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *entry, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_phantom_command_with_a_subnormal_radius_writes_nothing_to_stderr(tmp_path):
+    cfg = edited_config(tmp_path, lambda c: c["phantom"]["organs"][0].update(radii=[1e-320, 6, 2]))
+    result = run_cli(["phantom", cfg, "--out-dir", str(tmp_path / "suite")])
     assert (result.returncode, result.stderr) == (0, "")
     assert (tmp_path / "suite" / "train_00_labels.ctv.json").exists()
 
@@ -386,6 +403,41 @@ def test_wrong_type_augment_fields_are_config_errors(tmp_path, capsys, image_pat
                  "--out-image", str(tmp_path / "i.ctv.json"),
                  "--out-labels", str(tmp_path / "l.ctv.json")]) == 1
     assert capsys.readouterr().err.startswith(f"ctwindow: error: augment.{field}: expected ")
+
+
+@pytest.mark.parametrize("value", [1e300, -1e39, 3.4028236e38])
+def test_augment_pad_value_beyond_float32_is_a_config_error(tmp_path, image_path, value):
+    lab_path = str(tmp_path / "lab.ctv.json")
+    save_label_volume(LabelVolume(np.zeros((8, 8, 4), dtype=np.uint8)), lab_path)
+    cfg_path = tmp_path / "aug.json"
+    cfg_path.write_text(json.dumps({"crop_size": [16, 16], "pad_value_image": value}))
+    result = run_cli(["augment", image_path, lab_path, str(cfg_path),
+                      "--out-image", str(tmp_path / "i.ctv.json"),
+                      "--out-labels", str(tmp_path / "l.ctv.json")])
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("ctwindow: error: augment.pad_value_image: ")
+    assert result.stderr.count("\n") == 1  # no RuntimeWarning
+    assert not (tmp_path / "i.ctv.json").exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_augment_out_of_memory_is_an_error_not_a_traceback(tmp_path, image_path):
+    """A crop of 1e7 x 1e7 pixels asks for 364 TiB; an address-space cap makes it fail at once."""
+    lab_path = str(tmp_path / "lab.ctv.json")
+    save_label_volume(LabelVolume(np.zeros((8, 8, 4), dtype=np.uint8)), lab_path)
+    cfg_path = tmp_path / "aug.json"
+    cfg_path.write_text(json.dumps({"crop_size": [10_000_000, 10_000_000]}))
+    capped = ("import os, resource, sys\n"
+              "import ctwindow.cli\n"
+              "used = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGESIZE')\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (used + 2 ** 30, used + 2 ** 30))\n"
+              "sys.exit(ctwindow.cli.main(sys.argv[1:]))\n")
+    result = run_cli(["augment", image_path, lab_path, str(cfg_path),
+                      "--out-image", str(tmp_path / "i.ctv.json"),
+                      "--out-labels", str(tmp_path / "l.ctv.json")], code=capped)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("ctwindow: error: out of memory: ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 
 def test_augment_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, image_path):

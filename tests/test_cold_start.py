@@ -1,9 +1,9 @@
 """Importing ctwindow loads no SciPy; commands load only the SciPy they call.
 
 Every CLI command runs as a fresh process, so SciPy's import time is paid by
-each command that loads it: ``augment`` loads ``scipy.ndimage`` and
-``compare`` loads ``scipy.special`` (for the normal tail at n > 20) on first
-use, and nothing loads ``scipy.stats``.
+each command that loads it: only ``compare`` loads ``scipy.special`` (for the
+normal tail at n > 20), on first use. ``augment`` resamples in NumPy and
+loads no SciPy, and nothing loads ``scipy.stats``.
 """
 
 import json
@@ -72,13 +72,13 @@ def test_commands_load_scipy_only_on_first_use(tmp_path):
         ("sweep", ["sweep", str(config), "-o", str(tmp_path / "sweep.csv")]),
         ("window", ["window", image, str(tmp_path / "w.ctv.json"), "--strategy", "STN"]),
         ("dice", ["dice", labels, labels, "-o", str(tmp_path / "dice.csv")]),
-        ("compare", ["compare"] + tables + ["--reference", "A", "-o", str(tmp_path / "cmp.csv")]),
         ("augment", ["augment", image, labels, str(augment),
                      "--out-image", str(tmp_path / "ai.ctv.json"),
                      "--out-labels", str(tmp_path / "al.ctv.json")]),
+        ("compare", ["compare"] + tables + ["--reference", "A", "-o", str(tmp_path / "cmp.csv")]),
     ])
     for step in ("import", "sweep_default", "sweep", "window", "dice"):
         assert loaded[step] == [], step
+    assert loaded["augment"] == []
     assert "scipy.special" in loaded["compare"]
-    assert "scipy.ndimage" in loaded["augment"]
-    assert "scipy.stats" not in loaded["augment"]
+    assert "scipy.stats" not in loaded["compare"]

@@ -1,12 +1,16 @@
-"""Differential tests: the exact shortcuts in phantom generation, the fit and the label scan.
+"""Differential tests: the exact shortcuts in phantom generation, the fit, the label scan
+and augmentation.
 
 Each shortcut is checked against the plain computation it replaces: the
 bounding-box organ masks against ``oracles.full_volume_phantom``, the
 tiled-pool percentile against ``np.percentile`` on the materialized pool,
-and the uint8 bincount id scan against ``np.unique``.
+the uint8 bincount id scan against ``np.unique``, and the crop-only NumPy
+resampler against ``oracles.scipy_augment_pair`` (two full-plane
+``scipy.ndimage.affine_transform`` passes, then a crop/pad).
 """
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import full_volume_phantom
+from oracles import full_volume_phantom, scipy_augment_pair
 
+from ctwindow.augmentation import AugmentConfig, augment_pair
 from ctwindow.simulation import (OrganSpec, PhantomConfig, _tiled_percentile, generate_phantom,
                                  reference_experiment)
-from ctwindow.volume import LABEL_SCAN_SLAB, LabelVolume
+from ctwindow.volume import LABEL_SCAN_SLAB, LabelVolume, Slice2D
 
 PERCENTILES = st.one_of(st.just(0.0), st.just(100.0), st.floats(0.0, 100.0))
 
@@ -175,3 +180,52 @@ def test_label_scan_sees_every_slab_end(layout):
         voxels[...] = flat.reshape(voxels.shape, order="F" if layout == 1 else "C")
     assert len(ends) == 4
     assert_scan_matches_unique(voxels)
+
+
+# NaNs of both signs, a quiet NaN with a payload and a signaling one, as float32 bit patterns
+NAN_BITS = [0x7FC00000, 0xFFC00000, 0x7FC00123, 0x7F800001]
+SPECIALS = np.concatenate([
+    np.array([np.inf, -np.inf, -0.0, 3.4e38, -3.4e38, 1e-45], dtype=np.float32),
+    np.array(NAN_BITS, dtype=np.uint32).view(np.float32)])
+# tiny shifts put source coordinates a hair past a pixel, where w1 = 1 - w0 rounds to 0
+SPANS = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.sampled_from([1e-300, 1e-17]))
+
+
+@st.composite
+def augment_cases(draw):
+    """A plane of 1-40 px a side with special voxels, its labels, a config and a draw seed."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(0.0, 300.0, shape).astype(np.float32)
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    values[special] = rng.choice(SPECIALS, size=int(special.sum()))
+    values[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = \
+        draw(st.floats(width=32))
+    labels = rng.integers(0, 256, shape, dtype=np.uint8)
+    if draw(st.booleans()):
+        labels = np.asfortranarray(labels)
+    cfg = AugmentConfig(
+        crop_size=(draw(st.integers(1, 48)), draw(st.integers(1, 48))),
+        max_rotation_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 180.0))),
+        max_translation=(draw(SPANS), draw(SPANS)),
+        pad_value_image=draw(st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        pad_value_label=draw(st.integers(0, 255)))
+    return Slice2D(values), labels, cfg, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=augment_cases())
+def test_augment_pair_matches_the_scipy_pipeline_bit_for_bit(case):
+    img, labels, cfg, seed = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):  # the second call starts where the first left the generator
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_img, got_lab = augment_pair(img, labels, cfg, rng)
+        want_img, want_lab = scipy_augment_pair(img, labels, cfg, oracle_rng)
+        assert got_img.values.dtype == want_img.values.dtype == np.float32
+        assert got_img.values.shape == want_img.values.shape == cfg.crop_size
+        np.testing.assert_array_equal(got_img.values.view(np.uint32),
+                                      want_img.values.view(np.uint32))
+        assert got_lab.dtype == want_lab.dtype == np.uint8
+        np.testing.assert_array_equal(got_lab, want_lab)
