@@ -1,7 +1,9 @@
 """Array-shaped wrappers around the voxel kernels in ``_numpy``.
 
-The kernels are plain NumPy and take flat arrays and caller-allocated
-outputs; the wrappers here accept arrays of any shape and memory layout.
+The kernels are plain NumPy and write into caller-allocated outputs. The
+wrappers here accept arrays of any shape and memory layout: they hand
+``window_normalize`` the array itself, with window bounds that broadcast
+to it, and the other two kernels a flat view of it.
 ``tests/oracles.py`` holds per-element scalar loops that each kernel must
 match bit for bit.
 """
@@ -32,11 +34,23 @@ def _shared_order(*arrays):
 def window_normalize(values, lo, hi, out=None):
     """Map values through the band [lo, hi] onto [0, 255] (float32).
 
-    ``out``, if given, is a float32 array of the values' shape that ravels
-    as a view in the order shared with the values; anything else is a
-    ValueError, since the kernel would write into a copy of it.
+    ``lo`` and ``hi`` are scalars, or arrays that broadcast to the values'
+    shape without widening it, such as one bound per plane laid along the
+    plane axis; each is rounded to float32 before any arithmetic. Bounds
+    of any other shape are a ValueError. ``out``, if given, is a float32
+    array of the values' shape, contiguous in the order shared with the
+    values; anything else is a ValueError.
     """
     values = np.asarray(values)
+    lo = np.asarray(lo, dtype=np.float32)
+    hi = np.asarray(hi, dtype=np.float32)
+    try:
+        fits = np.broadcast_shapes(values.shape, lo.shape, hi.shape) == values.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"bounds of shapes {lo.shape} and {hi.shape} do not broadcast "
+                         f"to the values' shape {values.shape}")
     order = _shared_order(values) if out is None else _shared_order(values, out)
     src = np.asarray(values, dtype=np.float32, order=order)
     if out is None:
@@ -44,8 +58,7 @@ def window_normalize(values, lo, hi, out=None):
     elif (out.dtype != np.float32 or out.shape != src.shape
           or not (out.flags.c_contiguous if order == "C" else out.flags.f_contiguous)):
         raise ValueError(f"out must be a {order}-contiguous float32 array of shape {src.shape}")
-    _backend.window_normalize(src.ravel(order), np.float32(lo), np.float32(hi),
-                              out.ravel(order))
+    _backend.window_normalize(src, lo, hi, out)
     return out
 
 

@@ -1,7 +1,9 @@
 """Pure-NumPy implementations of the voxel hot loops.
 
-Each function takes flat arrays and writes into a caller-allocated output
-buffer. Its result equals, bit for bit, the per-element scalar loop
+Each function writes into a caller-allocated output buffer.
+``window_normalize`` works elementwise on arrays of any shape, with bounds
+that broadcast to it; ``classify_bands`` and ``label_overlap_counts`` take
+flat arrays. Each result equals, bit for bit, the per-element scalar loop
 ``scalar_<name>`` in ``tests/oracles.py``; keep the float32 operation order
 when changing one.
 """
@@ -16,11 +18,15 @@ _PAIR_SLAB = 1 << 16
 def window_normalize(src, lo, hi, out):
     """out = 255 * (clip(src, lo, hi) - lo) / (hi - lo), clamped to [0, 255].
 
+    ``src`` and ``out`` are float32 arrays of one shape; ``lo`` and ``hi``
+    are float32 scalars or arrays that broadcast to it. Every value takes
+    the same float32 steps with its own bounds, so windowing many planes
+    at once with per-plane bounds gives the bytes of one call per plane.
     Saturated inputs are pinned to exactly 0 / 255; the scaled expression
     can otherwise round 1 ulp short of 255.
     """
     if np.may_share_memory(src, out):  # the pins below read src after out is written
-        src = src.copy()
+        src = src.copy(order="K")
     np.clip(src, lo, hi, out=out)
     out -= lo
     out *= _F255

@@ -61,6 +61,12 @@ class AugmentConfig:
         if len(self.max_translation) != 2 or any(t < 0 for t in self.max_translation):
             raise ValueError(f"max_translation must be 2 non-negative numbers, "
                              f"got {self.max_translation}")
+        # augment_pair draws uniformly from [-t, t], which needs a span 2 * t finite in float64
+        for name, ranges in (("max_rotation_deg", [self.max_rotation_deg]),
+                             ("max_translation", self.max_translation)):
+            if not all(math.isfinite(2.0 * t) for t in ranges):
+                raise ValueError(f"{name}: the span 2 * t of each range [-t, t] must be "
+                                 f"finite in float64, got {getattr(self, name)!r}")
         with np.errstate(over="ignore"):
             finite = np.isfinite(np.float32(self.pad_value_image))
         if not finite:

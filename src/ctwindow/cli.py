@@ -23,10 +23,10 @@ from .simulation import (ExperimentConfig, FitParams, OrganSpec, PhantomConfig,
 from .stats import compare_methods, write_comparison_csv, write_comparison_metadata
 from .volume import (CtVolume, LabelVolume, extract_slice, is_number_list, load_label_volume,
                      load_volume, save_label_volume, save_volume, stack_slices)
-from .windowing import STRATEGIES, SwnParams, WindowSampler, apply_window, strategy_window
+from .windowing import STRATEGIES, SwnParams, WindowSampler, strategy_window
 
 # Not called here; kept because perfbench's tracer wraps these names on this module.
-from .windowing import normalize_for_testing, normalize_for_training  # noqa: F401
+from .windowing import apply_window, normalize_for_testing, normalize_for_training  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -241,11 +241,16 @@ def cmd_window(args):
     window = strategy_window(args.strategy, args.mode)
     if window is None:
         # one fresh window per slice, exactly what training normalization draws;
-        # WindowSpec checks each as it is drawn, so a bad draw fails before any output
+        # WindowSpec checks each as it is drawn, so a bad draw fails before any output.
+        # The volume is then windowed in one kernel call, each slice with its own
+        # bounds laid along the slice axis; the output keeps the loaded layout.
         sampler = WindowSampler(SwnParams(args.x, args.y, seed=args.seed))
         windows = [sampler.sample() for _ in range(volume.dims[axis])]
-        voxels = stack_slices([apply_window(extract_slice(volume, axis, index), w).values
-                               for index, w in enumerate(windows)], axis)
+        along = [1, 1, 1]
+        along[axis] = -1
+        voxels = _kernels.window_normalize(volume.voxels,
+                                           np.reshape([w.lower for w in windows], along),
+                                           np.reshape([w.upper for w in windows], along))
         lines = [{"slice": index, "level": w.level, "half_width": w.half_width}
                  for index, w in enumerate(windows)]
     else:

@@ -211,11 +211,14 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     copy: every epoch would add the same values again, and
     ``_tiled_percentile`` reads ``np.percentile``'s result on the
     ``epochs``-fold pool off that copy, at the tiled pool's virtual index
-    ``(epochs * n - 1) * q``. SWN windows each plane's gathered values with
-    that plane's draw, and still draws one window per plane in the order
+    ``(epochs * n - 1) * q``. SWN draws one window per plane in the order
     epoch, volume, plane, planes without a pooled voxel included, so its
-    random stream is the one a per-plane fit draws; its pool holds
-    ``epochs`` different windowings and keeps ``np.percentile``.
+    random stream is the one a per-plane fit draws. It then windows all of
+    a volume's gathered values in one kernel call, each value with the
+    float32 bounds of its own plane's draw, repeated over the plane's
+    values; the kernel takes the same float32 steps per value as a call
+    per plane would. Its pool holds ``epochs`` different windowings and
+    keeps ``np.percentile``.
     """
     if not training:
         raise ValueError("training set must be nonempty")
@@ -244,13 +247,11 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
                 pools[lid].append(normalized[mask])
     else:
         for _ in range(epochs):
-            for values, bounds, masks in gathered:
-                normalized = np.empty_like(values)
-                for start, stop in zip(bounds, bounds[1:]):
-                    drawn = sampler.sample()
-                    if stop > start:
-                        _kernels.window_normalize(values[start:stop], drawn.lower, drawn.upper,
-                                                  out=normalized[start:stop])
+            for values, counts, masks in gathered:
+                drawn = [sampler.sample() for _ in counts]
+                lower = np.repeat(np.array([w.lower for w in drawn], dtype=np.float32), counts)
+                upper = np.repeat(np.array([w.upper for w in drawn], dtype=np.float32), counts)
+                normalized = _kernels.window_normalize(values, lower, upper)
                 for lid, mask in masks.items():
                     pools[lid].append(normalized[mask])
 
@@ -311,17 +312,15 @@ def _gather_pooled(vol, lab, label_ids, slice_axis):
     """One training volume's voxels labelled with one of ``label_ids``.
 
     Returns their float32 values in plane order along ``slice_axis``, the
-    plane boundaries into them (plane i is ``values[bounds[i]:bounds[i + 1]]``)
-    and, per label id, a mask over them.
+    number of them in each plane and, per label id, a mask over them.
     """
     if vol.dims != lab.dims:
         raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
     labels = np.moveaxis(lab.voxels, slice_axis, 0)
     keep = np.isin(labels, label_ids)
     values = np.moveaxis(vol.voxels, slice_axis, 0)[keep].astype(np.float32, copy=False)
-    bounds = [0] + np.cumsum(np.count_nonzero(keep, axis=(1, 2))).tolist()
     kept = labels[keep]
-    return values, bounds, {lid: kept == lid for lid in label_ids}
+    return values, np.count_nonzero(keep, axis=(1, 2)), {lid: kept == lid for lid in label_ids}
 
 
 @dataclass

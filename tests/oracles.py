@@ -2,9 +2,11 @@
 
 These deliberately use the most literal formulation available (full
 enumeration, O(n^2) loops, triple voxel loops, per-element loops on float32
-scalars) and share no code with the library paths they check. The per-plane sweep and fit are the plain
-slice-by-slice formulation that the whole-volume sweep and fit replaced;
-they are built from the 2D slice API only. ``scipy_augment_pair`` is the
+scalars) and share no code with the library paths they check. The per-plane
+sweep and fit are the plain slice-by-slice formulation that the whole-volume
+sweep and fit replaced, and ``per_slice_swn_window`` is the slice-by-slice
+SWN ``window`` command that one broadcast kernel call replaced; all three
+are built from the 2D slice API only. ``scipy_augment_pair`` is the
 augmentation the crop-only NumPy resampler replaced: two full-plane
 ``scipy.ndimage.affine_transform`` passes, then a crop/pad.
 """
@@ -19,7 +21,8 @@ from scipy.stats import norm, rankdata
 from ctwindow.metrics import multi_label_dice
 from ctwindow.simulation import Band, SweepRow
 from ctwindow.volume import LabelVolume, Slice2D, extract_slice, shift_intensity, stack_slices
-from ctwindow.windowing import WindowSampler, normalize_for_testing, normalize_for_training
+from ctwindow.windowing import (SwnParams, WindowSampler, apply_window, normalize_for_testing,
+                                normalize_for_training)
 
 
 def brute_force_wilcoxon_p(diffs):
@@ -146,6 +149,17 @@ def per_plane_fit_bands(training, strategy, swn, epochs, percentiles, band_epsil
             lo, hi = mid - band_epsilon, mid + band_epsilon
         bands.append(Band(lid, float(lo), float(hi)))
     return bands
+
+
+def per_slice_swn_window(volume, axis, x, y, seed):
+    """``window --strategy SWN --mode train``, one slice at a time: voxels and JSON lines."""
+    sampler = WindowSampler(SwnParams(x, y, seed=seed))
+    windows = [sampler.sample() for _ in range(volume.dims[axis])]
+    voxels = stack_slices([apply_window(extract_slice(volume, axis, index), w).values
+                           for index, w in enumerate(windows)], axis)
+    lines = [{"slice": index, "level": w.level, "half_width": w.half_width}
+             for index, w in enumerate(windows)]
+    return voxels, lines
 
 
 def full_volume_phantom(cfg):

@@ -420,6 +420,29 @@ def test_augment_pad_value_beyond_float32_is_a_config_error(tmp_path, image_path
     assert not (tmp_path / "i.ctv.json").exists()
 
 
+@pytest.mark.parametrize("field,value,code", [
+    ("max_translation", [1e308, 1e308], 1), ("max_translation", [9e307, 0], 1),
+    ("max_rotation_deg", 1e308, 1), ("max_translation", [8.98e307, 8.98e307], 0),
+    ("max_rotation_deg", 8.98e307, 0),
+])
+def test_augment_range_spans_beyond_float64_are_config_errors(tmp_path, capsys, image_path,
+                                                              field, value, code):
+    lab_path = str(tmp_path / "lab.ctv.json")
+    save_label_volume(LabelVolume(np.zeros((8, 8, 4), dtype=np.uint8)), lab_path)
+    cfg_path = tmp_path / "aug.json"
+    cfg_path.write_text(json.dumps({"crop_size": [8, 8], field: value}))
+    assert main(["augment", image_path, lab_path, str(cfg_path),
+                 "--out-image", str(tmp_path / "i.ctv.json"),
+                 "--out-labels", str(tmp_path / "l.ctv.json")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"ctwindow: error: augment.{field}: the span 2 * t ")
+        assert err.count("\n") == 1 and not (tmp_path / "i.ctv.json").exists()
+    else:  # a span just inside float64 moves every pixel out of the crop
+        assert err == ""
+        assert np.all(load_volume(str(tmp_path / "i.ctv.json")).voxels == 0.0)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 def test_augment_out_of_memory_is_an_error_not_a_traceback(tmp_path, image_path):
     """A crop of 1e7 x 1e7 pixels asks for 364 TiB; an address-space cap makes it fail at once."""

@@ -201,8 +201,10 @@ def test_fuzzed_sweep_configs(config):
 augment_config = json_object({
     "crop_size": (st.sampled_from([[5, 4], [8, 2]]),
                   st.one_of(st.lists(small_number, min_size=2, max_size=2), junk(small_number))),
-    "max_rotation_deg": ok(15),
-    "max_translation": ok([2, 3]),
+    # besides small ranges, ranges whose span 2 * t is just inside or beyond float64
+    "max_rotation_deg": (st.sampled_from([15, 15, 8.98e307, 9e307, 1e308]), junk()),
+    "max_translation": (st.sampled_from([[2, 3], [2, 3], [8.98e307, 1], [9e307, 0],
+                                         [1e308, 1e308]]), junk()),
     "pad_value_image": ok(-1000),
     "pad_value_label": ok(0),
     "seed": ok(2),

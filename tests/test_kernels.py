@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,64 @@ def test_window_normalize_is_bit_identical_to_the_scalar_loop(lo, hi):
     out = np.empty_like(src)
     numpy_backend.window_normalize(src, lo, hi, out)
     assert np.array_equal(out.view(np.uint32), scalar_window_normalize(src, lo, hi).view(np.uint32))
+
+
+def values_around(rng, lo, hi):
+    """Values drawn around per-element float32 bounds; about half are set to an edge.
+
+    The edges are each element's own bounds, one ulp either side of them, +-inf and NaN.
+    """
+    margin = (hi - lo) / 8
+    src = rng.uniform(lo - margin, hi + margin).astype(np.float32)
+    inf = np.float32(np.inf)
+    edges = [lo, hi, np.nextafter(lo, -inf), np.nextafter(lo, inf), np.nextafter(hi, -inf),
+             np.nextafter(hi, inf), np.full(lo.shape, inf), np.full(lo.shape, -inf),
+             np.full(lo.shape, np.nan)]
+    pick = rng.integers(0, 2 * len(edges), lo.shape)
+    for k, edge in enumerate(edges):
+        src[pick == k] = edge[pick == k]
+    assert np.count_nonzero((src > lo) & (src < hi)) > src.size // 4
+    return src
+
+
+def test_window_normalize_with_per_element_bounds_is_the_scalar_loop_per_element():
+    rng = np.random.default_rng(8)
+    lo = rng.uniform(-1500, 500, 6000).astype(np.float32)
+    hi = (lo + rng.uniform(1, 1500, lo.size)).astype(np.float32)
+    src = values_around(rng, lo, hi)
+    out = np.empty_like(src)
+    numpy_backend.window_normalize(src, lo, hi, out)
+    expected = np.concatenate([scalar_window_normalize([v], l, h)
+                               for v, l, h in zip(src, lo, hi)])
+    assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_window_normalize_with_bounds_along_one_axis_is_the_scalar_loop(axis, order):
+    shape = (5, 6, 7)
+    along = [1, 1, 1]
+    along[axis] = shape[axis]
+    rng = np.random.default_rng(10 + axis)
+    lo = rng.uniform(-300, 100, shape[axis]).reshape(along)  # float64, rounded by the wrapper
+    hi = lo + rng.uniform(1, 400, shape[axis]).reshape(along)
+    lo32, hi32 = (np.broadcast_to(np.float32(b), shape) for b in (lo, hi))
+    src = np.asarray(values_around(rng, lo32, hi32), order=order)
+    out = kernels.window_normalize(src, lo, hi)
+    assert out.flags.f_contiguous == (order == "F")
+    expected = [scalar_window_normalize([src[i]], lo32[i], hi32[i])[0]
+                for i in np.ndindex(shape)]
+    assert np.array_equal(out.view(np.uint32), np.reshape(expected, shape).view(np.uint32))
+
+
+@pytest.mark.parametrize("values,lo,hi", [
+    ((4,), (3,), ()), ((2, 3), (), (2,)), ((2, 3), (2, 3), (3, 2)),
+    ((1,), (4,), (4,)), ((1,), (), (4,)), ((3, 1), (1, 4), ()), ((2, 3), (1, 2, 3), ()),
+], ids=["mismatch", "trailing", "transposed", "widens", "hi-widens", "outer", "extra-axis"])
+def test_window_bounds_that_do_not_broadcast_to_the_values_are_an_error(values, lo, hi):
+    with pytest.raises(ValueError, match=re.escape(
+            f"bounds of shapes {lo} and {hi} do not broadcast to the values' shape {values}")):
+        kernels.window_normalize(np.zeros(values, np.float32), np.zeros(lo) - 1, np.ones(hi))
 
 
 @pytest.mark.parametrize("mode", [0, 1])

@@ -1,5 +1,10 @@
-"""Differential tests: the whole-volume sweep and fit against the per-plane oracles."""
+"""Differential tests: the whole-volume sweep, fit and SWN ``window`` against per-plane oracles."""
 
+import contextlib
+import io
+import json
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -7,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_plane_fit_bands, per_plane_sweep
+from oracles import per_plane_fit_bands, per_plane_sweep, per_slice_swn_window
 
 from ctwindow import simulation
+from ctwindow.cli import main
 from ctwindow.simulation import fit_band_segmenter, run_shift_sweep
-from ctwindow.volume import CtVolume, LabelVolume
+from ctwindow.volume import CtVolume, LabelVolume, load_volume, save_volume
 from ctwindow.windowing import SwnParams, WindowSampler
 
 ORGAN_HU = (40.0, 120.0, 235.0)
@@ -130,3 +136,47 @@ def test_swn_fit_draws_for_planes_without_pooled_voxels(slice_axis):
     draws = assert_matches_oracles(train, train, "SWN", swn, [0], slice_axis, "lowest_id",
                                    epochs=3)
     assert draws == 3 * len(train) * vol.dims[slice_axis]
+
+
+# sigmas up to 1e36 make some draws too wide for float32, so a run can fail
+sigma = st.one_of(st.floats(0.0, 500.0), st.sampled_from([0.0, 1e4, 1e36]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+       dtype=st.sampled_from([np.int16, np.float32]),
+       order=st.sampled_from(["C", "F"]),
+       slice_axis=st.sampled_from([0, 1, 2]),
+       sigmas=st.tuples(sigma, sigma),
+       window_seed=st.integers(0, 2 ** 31 - 1))
+def test_swn_window_command_matches_the_per_slice_oracle(seed, dims, dtype, order, slice_axis,
+                                                         sigmas, window_seed):
+    rng = np.random.default_rng(seed)
+    hu = rng.uniform(-1200.0, 1200.0, dims)
+    if dtype == np.float32:
+        special = rng.random(dims) < 0.15
+        hu[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+    voxels = (np.rint(hu) if dtype == np.int16 else hu).astype(dtype)
+    volume = CtVolume(np.asfortranarray(voxels) if order == "F" else voxels)
+    x, y = sigmas
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = os.path.join(tmp, "in.ctv.json"), os.path.join(tmp, "out.ctv.json")
+        save_volume(volume, src)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["window", src, dst, "--strategy", "SWN", "--mode", "train",
+                         "--x", repr(x), "--y", repr(y), "--seed", str(window_seed),
+                         "--slice-axis", str(slice_axis)])
+        try:
+            expected, lines = per_slice_swn_window(volume, slice_axis, x, y, window_seed)
+        except ValueError as exc:
+            assert (code, out.getvalue()) == (1, "")
+            assert err.getvalue() == f"ctwindow: error: {exc}\n"
+            assert not os.path.exists(dst)
+            return
+        assert (code, err.getvalue()) == (0, "")
+        got = load_volume(dst).voxels
+        assert got.dtype == np.float32 and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+        assert out.getvalue() == "".join(json.dumps(line) + "\n" for line in lines)
