@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Throughput of the NumPy voxel kernels.
 
-Times the three voxel hot loops on synthetic data and prints MVox/s for
-each kernel and size.
+Times the three voxel hot loops of ``ctwindow._kernels``, through their
+public signatures, on synthetic data and prints MVox/s for each kernel and
+size.
 
 Usage: python benchmarks/bench_kernels.py [--sizes 1e5,1e6,1e7] [--repeats 7]
 """
@@ -12,7 +13,7 @@ import time
 
 import numpy as np
 
-from ctwindow._kernels import _backend
+from ctwindow import _kernels
 
 
 def best_time(fn, repeats):
@@ -24,28 +25,23 @@ def best_time(fn, repeats):
     return min(times)
 
 
-# perfbench/child.py calls the three bench_* timers as (backend, data, repeats).
-def bench_window(backend, values, repeats):
-    out = np.empty_like(values)
+# perfbench/child.py calls the three bench_* timers as (kernel module, data, repeats).
+def bench_window(kernels, values, repeats):
     lo, hi = np.float32(-160.0), np.float32(240.0)
-    return best_time(lambda: backend.window_normalize(values, lo, hi, out), repeats)
+    return best_time(lambda: kernels.window_normalize(values, lo, hi), repeats)
 
 
-def bench_classify(backend, values, repeats):
+def bench_classify(kernels, values, repeats):
     lo = np.array([52.0, 108.0, 181.0], np.float32)
     hi = np.array([199.0, 255.0, 255.0], np.float32)
     center = (lo + hi) / 2
     labels = np.array([1, 2, 3], np.uint8)
-    out = np.zeros(values.shape, np.uint8)
-    return best_time(
-        lambda: backend.classify_bands(values, lo, hi, center, labels, 1, out), repeats)
+    return best_time(lambda: kernels.classify_bands(values, lo, hi, center, labels,
+                                                    "nearest_center"), repeats)
 
 
-def bench_counts(backend, labels_a, labels_b, repeats):
-    def run():
-        counts = np.zeros((3, 256), np.int64)
-        backend.label_overlap_counts(labels_a, labels_b, counts)
-    return best_time(run, repeats)
+def bench_counts(kernels, labels_a, labels_b, repeats):
+    return best_time(lambda: kernels.label_overlap_counts(labels_a, labels_b), repeats)
 
 
 def main():
@@ -66,9 +62,9 @@ def main():
         la = rng.integers(0, 4, n).astype(np.uint8)
         lb = rng.integers(0, 4, n).astype(np.uint8)
         for kernel, seconds in (
-            ("window_normalize", bench_window(_backend, values, args.repeats)),
-            ("classify_bands", bench_classify(_backend, norm, args.repeats)),
-            ("label_overlap_counts", bench_counts(_backend, la, lb, args.repeats)),
+            ("window_normalize", bench_window(_kernels, values, args.repeats)),
+            ("classify_bands", bench_classify(_kernels, norm, args.repeats)),
+            ("label_overlap_counts", bench_counts(_kernels, la, lb, args.repeats)),
         ):
             print(f"{kernel:<22}{n:>12,}{n / seconds / 1e6:>10.1f}")
 

@@ -242,15 +242,6 @@ def _moved_crop(image, labels, angle_deg, shift, starts, size, image_fill, label
     return out_img, out_lab
 
 
-def _rotate_translate(plane, angle_deg, shift, order, cval):
-    """The whole moved plane: bilinear (order 1, float planes) or nearest (order 0)."""
-    if order == 1:
-        return _moved_crop(plane, np.zeros(plane.shape, np.uint8), angle_deg, shift, (0, 0),
-                           plane.shape, cval, 0)[0]
-    return _moved_crop(np.zeros(plane.shape, np.float32), plane, angle_deg, shift, (0, 0),
-                       plane.shape, 0.0, cval)[1]
-
-
 def augment_pair(img, lab, cfg, rng):
     """Apply one random transform to an image slice and its label slice.
 

@@ -2,7 +2,7 @@
 
 Subcommands: window, dice, compare, sweep, phantom, augment. Every command
 is deterministic given its arguments and config seeds; reruns produce
-byte-identical outputs. CTWINDOW_THREADS caps worker threads (0 = auto).
+byte-identical outputs.
 """
 
 import argparse

@@ -20,7 +20,6 @@ for the window sampler of strategy j.
 import csv
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +36,7 @@ from .windowing import normalize_for_testing, normalize_for_training  # noqa: F4
 
 SWEEP_CSV_COLUMNS = ("shift_hu", "strategy", "label_id", "label_name", "mean_dice")
 
-SLAB_VOXELS = 1 << 17  # voxels per slab of a direct sweep cell; bounds a thread's scratch memory
+SLAB_VOXELS = 1 << 17  # voxels per slab of a direct sweep cell; bounds its scratch memory
 
 
 def derive_seed(base_seed, *key):
@@ -46,8 +45,9 @@ def derive_seed(base_seed, *key):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+# Not called here; kept because perfbench/child.py and perfbench/tracing.py report it.
 def worker_count(n_cells):
-    """Thread count for ``n_cells`` sweep tasks; CTWINDOW_THREADS caps it (0 = auto)."""
+    """Thread count reported for ``n_cells`` sweep cells; CTWINDOW_THREADS caps it (0 = auto)."""
     raw = os.environ.get("CTWINDOW_THREADS", "0")
     try:
         cap = int(raw)
@@ -170,7 +170,7 @@ class BandSegmenter:
     """
 
     def __init__(self, bands, strategy, tie_break="lowest_id"):
-        if tie_break not in _kernels.TIE_BREAK_MODES:
+        if tie_break not in ("lowest_id", "nearest_center"):
             raise ValueError(f"unknown tie_break {tie_break!r}")
         self.bands = sorted(bands, key=lambda b: b.label_id)
         ids = [b.label_id for b in self.bands]
@@ -367,15 +367,12 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     a run of their own. Then, one truth label of one subject at a time, the
     sweep sorts that label's voxel values as float32 (at most 4 bytes per
     voxel of the subject, plus a 1-byte label mask, both freed before the
-    next label) and ``np.searchsorted`` counts them in each run. Subjects
-    run one after another: a thread pool over them bought no wall time.
+    next label) and ``np.searchsorted`` counts them in each run.
 
     Where the tests are not proven monotone, the sweep runs each
-    (shift x subject) cell directly: shift, window, classify and count the
-    whole volume, in slabs of whole rows along axis 0 of at most
-    SLAB_VOXELS each (one row if a row is larger). Those cells run on a
-    thread pool capped by CTWINDOW_THREADS. Either way the per-subject dice
-    are reduced in fixed order, so the result does not depend on scheduling.
+    (shift x subject) cell directly, one after another: shift, window,
+    classify and count the whole volume, in slabs of whole rows along axis
+    0 of at most SLAB_VOXELS each (one row if a row is larger).
     """
     if not shifts:
         raise ValueError("shifts grid must be nonempty")
@@ -521,10 +518,8 @@ def _direct_sweep(seg, test, window, shifts, label_ids):
             counts += _kernels.label_overlap_counts(pred, lab.voxels[start:start + rows])
         return [dice_from_counts(counts, lid) for lid in label_ids]
 
-    cells = [(i, j) for i in range(len(shifts)) for j in range(len(test))]
-    with ThreadPoolExecutor(max_workers=worker_count(len(cells))) as pool:
-        futures = {(i, j): pool.submit(cell, shifts[i], *test[j]) for i, j in cells}
-    return {key: fut.result() for key, fut in futures.items()}
+    return {(i, j): cell(shift, *test[j])
+            for i, shift in enumerate(shifts) for j in range(len(test))}
 
 
 def write_sweep_csv(rows, path):

@@ -11,9 +11,7 @@ supported:
   pass; at test time SWN falls back to the fixed soft-tissue window.
 
 Gaussian draws come from NumPy's PCG64 generator (ziggurat normals); the
-stream is fully determined by the seed, level drawn before width. Parallel
-workers must not share one sampler: derive one per worker with
-``WindowSampler.for_worker``.
+stream is fully determined by the seed, level drawn before width.
 """
 
 import math
@@ -62,18 +60,25 @@ class WindowSpec:
         # The kernel windows in float32 and scales (v - lower) * 255 before it
         # divides, so the band's ends and 255 times its float32 width must all
         # be finite float32 numbers, the ends distinct; otherwise voxels would
-        # come out 255 or NaN where the answer lies inside [0, 255].
+        # come out 255 or NaN where the answer lies inside [0, 255]. Rounding
+        # the ends to float32 may move an output by at most half a step (a
+        # step is the width / 255); otherwise a window far from 0 HU would be
+        # windowed visibly narrower or wider than it was asked for.
         try:
             lower, upper = _float32(self.lower), _float32(self.upper)
             representable = (math.isfinite(lower) and lower < upper
-                             and math.isfinite(_float32(_float32(upper - lower) * 255.0)))
+                             and math.isfinite(_float32(_float32(upper - lower) * 255.0))
+                             and (abs(lower - self.lower) + abs(upper - self.upper)) * 255.0
+                             <= 0.5 * (self.upper - self.lower))
         except OverflowError:
             representable = False
         if not representable:
             raise ValueError(f"window [{self.lower}, {self.upper}] (level {self.level}, "
                              f"half_width {self.half_width}) is not representable in float32: "
-                             f"its ends must be distinct finite float32 numbers and 255 times "
-                             f"its width at most {float(np.finfo(np.float32).max)}")
+                             f"its ends must be distinct finite float32 numbers, rounding them "
+                             f"to float32 may move an output by at most half a step, and 255 "
+                             f"times its width must be at most "
+                             f"{float(np.finfo(np.float32).max)}")
 
     @property
     def lower(self):
@@ -101,20 +106,15 @@ class SwnParams:
 class WindowSampler:
     """Deterministic stream of random windows centered on the soft-tissue window."""
 
-    def __init__(self, params, _rng=None):
+    def __init__(self, params):
         self.params = params
-        self._rng = np.random.default_rng(params.seed) if _rng is None else _rng
+        self._rng = np.random.default_rng(params.seed)
 
     def sample(self):
         """Draw one window: level first, then width, |width| floored at W_MIN."""
         level = self._rng.normal(SOFT_TISSUE_LEVEL, self.params.sigma_level)
         width = abs(self._rng.normal(SOFT_TISSUE_HALF_WIDTH, self.params.sigma_width))
         return WindowSpec(level, max(width, W_MIN))
-
-    def for_worker(self, worker_id):
-        """Independent sampler for a parallel worker, derived from the base seed."""
-        seq = np.random.SeedSequence(entropy=self.params.seed, spawn_key=(worker_id,))
-        return WindowSampler(self.params, _rng=np.random.default_rng(seq))
 
 
 def preset(name):

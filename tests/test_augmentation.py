@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctwindow.augmentation import AugmentConfig, _rotate_translate, augment_pair
+from ctwindow.augmentation import AugmentConfig, _moved_crop, augment_pair
 from ctwindow.volume import Slice2D
 
 
@@ -24,7 +24,8 @@ def test_identity_transform_is_exact():
 
 def test_pure_translation_shifts_content_and_pads():
     plane = np.arange(36, dtype=np.float32).reshape(6, 6)
-    moved = _rotate_translate(plane, 0.0, (3.0, 0.0), order=1, cval=np.float32(-7.0))
+    moved, _ = _moved_crop(plane, np.zeros(plane.shape, np.uint8), 0.0, (3.0, 0.0), (0, 0),
+                           plane.shape, np.float32(-7.0), 0)
     assert np.array_equal(moved[3:, :], plane[:-3, :])
     assert np.all(moved[:3, :] == -7.0)
 
@@ -32,7 +33,8 @@ def test_pure_translation_shifts_content_and_pads():
 def test_pure_translation_nearest_for_labels():
     lab = np.zeros((6, 6), dtype=np.uint8)
     lab[0, 0] = 5
-    moved = _rotate_translate(lab, 0.0, (2.0, 1.0), order=0, cval=0)
+    _, moved = _moved_crop(np.zeros(lab.shape, np.float32), lab, 0.0, (2.0, 1.0), (0, 0),
+                           lab.shape, np.float32(0.0), 0)
     assert moved[2, 1] == 5
     assert moved.sum() == 5
 

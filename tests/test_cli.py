@@ -194,6 +194,17 @@ def test_sweep_swn_level_float32_cannot_represent_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_swn_level_float32_rounds_visibly_is_an_error(tmp_path, capsys):
+    # levels drawn around +-1e9 HU have float32 ends tens of HU off, several output steps
+    cfg = small_config(tmp_path, strategies=[{"strategy": "SWN", "x": 1e9, "y": 50}])
+    out = tmp_path / "x.csv"
+    assert main(["sweep", cfg, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ctwindow: error: window [") and "not representable in float32" in err
+    assert not out.exists()
+
+
 def run_cli(argv, code=None):
     """``ctwindow`` in a child process (``code`` instead of ``-m ctwindow.cli`` if given)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ctwindow.__file__)))

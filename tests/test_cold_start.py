@@ -1,4 +1,4 @@
-"""Importing ctwindow loads no SciPy; commands load only the SciPy they call.
+"""Importing ctwindow loads no SciPy and no thread pool; commands load only the SciPy they call.
 
 Every CLI command runs as a fresh process, so SciPy's import time is paid by
 each command that loads it: only ``compare`` loads ``scipy.special`` (for the
@@ -27,7 +27,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 
-loaded = {"import": scipy_modules()}
+loaded = {"import": scipy_modules(), "thread_pool": "concurrent.futures" in sys.modules}
 for name, argv in json.loads(sys.argv[1]):
     assert ctwindow.cli.main(argv) == 0, name
     loaded[name] = scipy_modules()
@@ -77,6 +77,7 @@ def test_commands_load_scipy_only_on_first_use(tmp_path):
                      "--out-labels", str(tmp_path / "al.ctv.json")]),
         ("compare", ["compare"] + tables + ["--reference", "A", "-o", str(tmp_path / "cmp.csv")]),
     ])
+    assert loaded["thread_pool"] is False
     for step in ("import", "sweep_default", "sweep", "window", "dice"):
         assert loaded[step] == [], step
     assert loaded["augment"] == []

@@ -5,11 +5,11 @@ import pytest
 
 import ctwindow
 import ctwindow._kernels as kernels
-from ctwindow._kernels import _numpy as numpy_backend
 from oracles import scalar_classify_bands, scalar_label_overlap_counts, scalar_window_normalize
 
 # The one kernel module, as a parameter so that these tests keep their "[numpy]" ids.
-NUMPY = pytest.mark.parametrize("backend", [pytest.param(numpy_backend, id="numpy")])
+NUMPY = pytest.mark.parametrize("backend", [pytest.param(kernels, id="numpy")])
+TIE_BREAKS = ("lowest_id", "nearest_center")  # the oracle's modes 0 and 1
 
 
 def random_values(n=50000, seed=0):
@@ -18,29 +18,18 @@ def random_values(n=50000, seed=0):
 
 def test_the_numpy_module_is_the_backend():
     assert ctwindow.BACKEND == kernels.BACKEND == "numpy"
-    assert kernels._backend is numpy_backend
+    assert kernels._backend is kernels
 
 
 @NUMPY
 def test_window_normalize_matches_reference_expression(backend):
     src = random_values()
     lo, hi = np.float32(-160.0), np.float32(240.0)
-    out = np.empty_like(src)
-    backend.window_normalize(src, lo, hi, out)
+    out = backend.window_normalize(src, lo, hi)
     expected = np.clip(src, lo, hi)
     expected = (expected - lo) * np.float32(255.0) / (hi - lo)
     assert np.allclose(out, expected, atol=2e-5)
     assert out.min() >= 0.0 and out.max() <= 255.0
-
-
-@NUMPY
-def test_window_normalize_in_place_matches_a_separate_out(backend):
-    src = random_values(seed=2)
-    lo, hi = np.float32(-160.0), np.float32(240.0)
-    out = np.empty_like(src)
-    backend.window_normalize(src, lo, hi, out)
-    backend.window_normalize(src, lo, hi, src)
-    assert np.array_equal(src.view(np.uint32), out.view(np.uint32))
 
 
 @pytest.mark.parametrize("lo,hi", [(-160.0, 240.0), (-1000.0, 1000.0), (12.5, 13.75)])
@@ -52,8 +41,7 @@ def test_window_normalize_is_bit_identical_to_the_scalar_loop(lo, hi):
     edges = [lo, hi, inf, -inf] + [np.nextafter(e, d) for e in (lo, hi) for d in (-inf, inf)]
     src = np.concatenate([drawn, edges]).astype(np.float32)
     assert np.count_nonzero((src > lo) & (src < hi)) > src.size // 2
-    out = np.empty_like(src)
-    numpy_backend.window_normalize(src, lo, hi, out)
+    out = kernels.window_normalize(src, lo, hi)
     assert np.array_equal(out.view(np.uint32), scalar_window_normalize(src, lo, hi).view(np.uint32))
 
 
@@ -80,8 +68,7 @@ def test_window_normalize_with_per_element_bounds_is_the_scalar_loop_per_element
     lo = rng.uniform(-1500, 500, 6000).astype(np.float32)
     hi = (lo + rng.uniform(1, 1500, lo.size)).astype(np.float32)
     src = values_around(rng, lo, hi)
-    out = np.empty_like(src)
-    numpy_backend.window_normalize(src, lo, hi, out)
+    out = kernels.window_normalize(src, lo, hi)
     expected = np.concatenate([scalar_window_normalize([v], l, h)
                                for v, l, h in zip(src, lo, hi)])
     assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
@@ -128,8 +115,7 @@ def test_classify_bands_is_bit_identical_to_the_scalar_loop(mode):
     dist = np.where(inside, np.abs(src[:, None] - center), np.inf)
     nearest = inside & (dist == dist.min(axis=1, keepdims=True))
     assert np.count_nonzero(nearest.sum(axis=1) >= 2) > 0  # real nearest-center ties
-    out = np.zeros(src.shape, np.uint8)
-    numpy_backend.classify_bands(src, lo, hi, center, labels, mode, out)
+    out = kernels.classify_bands(src, lo, hi, center, labels, TIE_BREAKS[mode])
     assert np.array_equal(out, scalar_classify_bands(src, lo, hi, center, labels, mode))
 
 
@@ -137,8 +123,7 @@ def test_label_overlap_counts_is_identical_to_the_scalar_loop():
     rng = np.random.default_rng(5)
     a = rng.integers(0, 256, 20000).astype(np.uint8)
     b = np.where(rng.random(a.size) < 0.5, a, rng.integers(0, 256, a.size)).astype(np.uint8)
-    counts = np.zeros((3, 256), np.int64)
-    numpy_backend.label_overlap_counts(a, b, counts)
+    counts = kernels.label_overlap_counts(a, b)
     assert np.array_equal(counts, scalar_label_overlap_counts(a, b))
 
 
@@ -149,11 +134,9 @@ def test_classify_semantics(backend):
     center = np.array([5.0, 9.0], np.float32)
     labels = np.array([1, 2], np.uint8)
     src = np.array([-1.0, 2.0, 8.0, 7.0, 11.0], np.float32)
-    lowest = np.zeros(5, np.uint8)
-    backend.classify_bands(src, lo, hi, center, labels, 0, lowest)
+    lowest = backend.classify_bands(src, lo, hi, center, labels, "lowest_id")
     assert lowest.tolist() == [0, 1, 1, 1, 0]
-    nearest = np.zeros(5, np.uint8)
-    backend.classify_bands(src, lo, hi, center, labels, 1, nearest)
+    nearest = backend.classify_bands(src, lo, hi, center, labels, "nearest_center")
     # 7.0 is equidistant from both centers: ties go to the lowest id
     assert nearest.tolist() == [0, 1, 2, 1, 0]
 
@@ -163,8 +146,7 @@ def test_label_overlap_counts_against_bincount(backend):
     rng = np.random.default_rng(3)
     a = rng.integers(0, 9, 10000).astype(np.uint8)
     b = rng.integers(0, 9, 10000).astype(np.uint8)
-    counts = np.zeros((3, 256), np.int64)
-    backend.label_overlap_counts(a, b, counts)
+    counts = backend.label_overlap_counts(a, b)
     assert np.array_equal(counts[0, :9], np.bincount(a, minlength=9))
     assert np.array_equal(counts[1, :9], np.bincount(b, minlength=9))
     assert np.array_equal(counts[2, :9], np.bincount(a[a == b], minlength=9))
@@ -174,7 +156,7 @@ def test_wrapper_shape_and_dtype_handling():
     values = np.arange(12, dtype=np.int16).reshape(3, 4)
     result = kernels.window_normalize(values, 0.0, 11.0)
     assert result.shape == (3, 4) and result.dtype == np.float32
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown tie_break"):
         kernels.classify_bands(values, [0.0], [1.0], [0.5], [1], tie_break="bogus")
     with pytest.raises(ValueError, match="shape"):
         kernels.label_overlap_counts(np.zeros(3, np.uint8), np.zeros(4, np.uint8))

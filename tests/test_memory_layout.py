@@ -1,7 +1,8 @@
 """Results do not depend on how an input array is laid out in memory.
 
-The kernel wrappers ravel every array of one call in one shared order
-('F' when all are F-ordered, else 'C'), ``LabelVolume`` collects its ids in
+The kernels keep an F-ordered volume F-ordered and ravel the two label
+arrays of ``label_overlap_counts`` in one shared order ('F' when both are
+F-ordered, else 'C'), ``LabelVolume`` collects its ids in
 memory order and ``stack_slices`` builds F-ordered volumes. Each is checked
 here against the plain C-ordered computation, over C-ordered, F-ordered,
 strided and negative-stride inputs.
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctwindow._kernels as kernels
-from ctwindow._kernels import _numpy as numpy_backend
 from ctwindow.volume import CtVolume, LabelVolume, extract_slice, stack_slices
 
 LAYOUTS = ("C", "F", "strided", "reversed")
@@ -45,10 +45,7 @@ def same_bytes(got, want):
 
 def reference_window(values, lo, hi):
     src = np.ascontiguousarray(values, dtype=np.float32)
-    out = np.empty_like(src)
-    numpy_backend.window_normalize(src.reshape(-1), np.float32(lo), np.float32(hi),
-                                   out.reshape(-1))
-    return out
+    return kernels.window_normalize(src.reshape(-1), lo, hi).reshape(src.shape)
 
 
 def reference_counts(a, b):
@@ -83,34 +80,12 @@ def test_kernel_results_do_not_depend_on_layout(shape, seed, dtype, layouts, pai
     assert same_bytes(got, expected)
     assert f_only(got) == f_only(x)  # an F-ordered volume is not transposed
 
-    out = laid_out(np.zeros(shape, dtype=np.float32), layouts[1])
-    if out.flags.c_contiguous or (f_only(out) and f_only(x)):
-        assert kernels.window_normalize(x, -160.0, 240.0, out=out) is out
-        assert same_bytes(out, expected)
-    else:  # the kernel would fill a copy and leave ``out`` as it was
-        with pytest.raises(ValueError, match="out must be"):
-            kernels.window_normalize(x, -160.0, 240.0, out=out)
-
     got = kernels.classify_bands(laid_out(expected, layouts[2]), *BANDS)
     assert same_bytes(got, classes)
 
-    with mock.patch.object(numpy_backend, "_PAIR_SLAB", pair_slab):
+    with mock.patch.object(kernels, "_PAIR_SLAB", pair_slab):
         got = kernels.label_overlap_counts(laid_out(a, layouts[1]), laid_out(b, layouts[2]))
     assert np.array_equal(got, counts)
-
-
-def test_window_normalize_fills_an_f_ordered_out_or_refuses_it():
-    values = np.asfortranarray(np.arange(-300, 300, dtype=np.float32).reshape(20, 30))
-    expected = kernels.window_normalize(values, -160.0, 240.0)
-    assert expected.max() == 255.0
-    out = np.zeros((20, 30), dtype=np.float32, order="F")
-    assert kernels.window_normalize(values, -160.0, 240.0, out=out) is out
-    assert same_bytes(out, expected)
-    with pytest.raises(ValueError, match="out must be"):
-        kernels.window_normalize(np.ascontiguousarray(values), -160.0, 240.0, out=out)
-    for bad in (np.zeros((20, 30), dtype=np.float64), np.zeros((30, 20), dtype=np.float32)):
-        with pytest.raises(ValueError, match="out must be"):
-            kernels.window_normalize(values, -160.0, 240.0, out=bad)
 
 
 @settings(max_examples=100, deadline=None)

@@ -39,10 +39,20 @@ def test_window_spec_floor():
 
 @pytest.mark.parametrize("level,half_width", [
     (40.0, 1e37), (40.0, 1e36), (0.0, 1e39), (1e30, 200.0), (-3e38, 1e38),
-    (float("nan"), 200.0), (float("inf"), 200.0), (40.0, float("inf"))])
+    (float("nan"), 200.0), (float("inf"), 200.0), (40.0, float("inf")),
+    # float32 ends 384 HU apart, not 400; ends each rounded 3 HU, 7.65 output steps together
+    (1e9, 200.0), (1e8 + 3, 200.0)])
 def test_window_spec_rejects_windows_float32_cannot_represent(level, half_width):
     with pytest.raises(ValueError, match="not representable in float32"):
         WindowSpec(level, half_width)
+
+
+@pytest.mark.parametrize("level,half_width", [
+    (40.0, 6.6e35), (1e7 + 0.3, 200.0), (1e6, 200.0), (40.0, W_MIN), (-400.0, 750.0)])
+def test_window_spec_accepts_windows_float32_rounds_by_under_half_a_step(level, half_width):
+    w = WindowSpec(level, half_width)
+    lower, upper = (float(np.float32(e)) for e in (w.lower, w.upper))
+    assert (abs(lower - w.lower) + abs(upper - w.upper)) * 255 <= 0.5 * (w.upper - w.lower)
 
 
 def test_every_accepted_huge_window_maps_without_overflow():
@@ -127,8 +137,6 @@ def test_sampler_draw_order_and_determinism():
     windows_a = [a.sample() for _ in range(10)]
     windows_b = [b.sample() for _ in range(10)]
     assert windows_a == windows_b
-    worker = a.for_worker(1)
-    assert [worker.sample() for _ in range(5)] != [b.sample() for _ in range(5)]
 
 
 def test_sampler_zero_sigma_is_exactly_soft_tissue():
