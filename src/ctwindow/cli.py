@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .augmentation import AugmentConfig, augment_pair
 from .metrics import multi_label_dice, read_dice_csv, write_dice_csv
-from .simulation import (ExperimentConfig, FitParams, OrganSpec, PhantomConfig,
+from .simulation import (TIE_BREAKS, ExperimentConfig, FitParams, OrganSpec, PhantomConfig,
                          StrategySpec, derive_seed, generate_phantom,
                          reference_experiment, run_experiment, write_sweep_csv)
 from .stats import compare_methods, write_comparison_csv, write_comparison_metadata
@@ -139,13 +139,22 @@ def parse_fit(obj, context="fit"):
     _check_keys(obj, context, required=(),
                 optional=("epochs", "percentiles", "band_epsilon", "tie_break"))
     defaults = FitParams()
+    percentiles = _numbers(obj.get("percentiles", list(defaults.percentiles)),
+                           f"{context}.percentiles", count=2)
+    lo, hi = (_number(p, f"{context}.percentiles", lo=0, hi=100) for p in percentiles)
+    if not lo < hi:
+        raise ConfigError(f"{context}.percentiles: expected 0 <= lo < hi <= 100, "
+                          f"got {list(percentiles)!r}")
+    tie_break = obj.get("tie_break", defaults.tie_break)
+    if tie_break not in TIE_BREAKS:
+        raise ConfigError(f"{context}.tie_break: expected one of {', '.join(TIE_BREAKS)}, "
+                          f"got {tie_break!r}")
     return FitParams(epochs=_number(obj.get("epochs", defaults.epochs), f"{context}.epochs",
                                     whole=True, lo=1),
-                     percentiles=_numbers(obj.get("percentiles", list(defaults.percentiles)),
-                                          f"{context}.percentiles", count=2),
+                     percentiles=percentiles,
                      band_epsilon=_number(obj.get("band_epsilon", defaults.band_epsilon),
                                           f"{context}.band_epsilon", lo=0),
-                     tie_break=str(obj.get("tie_break", defaults.tie_break)))
+                     tie_break=tie_break)
 
 
 def parse_experiment(cfg):

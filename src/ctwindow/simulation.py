@@ -7,9 +7,18 @@ voxel by its intensity alone, so its shift tolerance is determined
 entirely by the normalization strategy it was trained under. The sweep
 reports mean dice per (shift, label) of test volumes shifted over a HU
 grid and re-normalized with the strategy's test-time window. It sorts
-each test subject's voxel values once and reads every shift's dice counts
-off the sorted values (see ``run_shift_sweep``), because normalization is
-monotone and the classifier is piecewise constant in normalized intensity.
+each test subject's voxel values once per truth label and reads every
+shift's dice counts off the sorted values (see ``run_shift_sweep``),
+because normalization is monotone and the classifier is piecewise
+constant in normalized intensity.
+
+The fit and the sweep each start by reducing a (CtVolume, LabelVolume)
+pair to what they read of it: a training subject to its labelled voxels
+gathered in plane order (``_gather_pooled``), a test subject to its
+per-label sorted values (``_prepare_test``). Neither reduction depends on
+the strategy, so ``run_experiment`` reduces each phantom once, as soon as
+it is generated, drops the phantom, and passes the reduced subjects to
+every strategy's fit and sweep.
 
 All randomness derives from explicit seeds. ``run_experiment`` derives
 per-subject and per-strategy streams from the experiment seed with spawn
@@ -25,8 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .metrics import dice_from_counts
-from .volume import CtVolume, LabelVolume
+from .volume import CtVolume, LabelVolume, uint8_ids_present
 from .windowing import SwnParams, WindowSampler, strategy_window
 
 # Not called here; kept because perfbench's tracer wraps these names on this module.
@@ -36,7 +44,9 @@ from .windowing import normalize_for_testing, normalize_for_training  # noqa: F4
 
 SWEEP_CSV_COLUMNS = ("shift_hu", "strategy", "label_id", "label_name", "mean_dice")
 
-SLAB_VOXELS = 1 << 17  # voxels per slab of a direct sweep cell; bounds its scratch memory
+TIE_BREAKS = ("lowest_id", "nearest_center")
+
+SLAB_VOXELS = 1 << 17  # values per chunk of the direct sweep; bounds its scratch memory
 
 
 def derive_seed(base_seed, *key):
@@ -170,7 +180,7 @@ class BandSegmenter:
     """
 
     def __init__(self, bands, strategy, tie_break="lowest_id"):
-        if tie_break not in ("lowest_id", "nearest_center"):
+        if tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown tie_break {tie_break!r}")
         self.bands = sorted(bands, key=lambda b: b.label_id)
         ids = [b.label_id for b in self.bands]
@@ -219,6 +229,12 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     values; the kernel takes the same float32 steps per value as a call
     per plane would. Its pool holds ``epochs`` different windowings and
     keeps ``np.percentile``.
+
+    ``training`` holds (CtVolume, LabelVolume) pairs, which are gathered on
+    entry, or subjects ``run_experiment`` gathered once for every strategy
+    with ``_gather_pooled``. The label ids are the nonzero named ids of
+    all subjects; a prepared subject gathered for other ids or along
+    another ``slice_axis`` is a ValueError.
     """
     if not training:
         raise ValueError("training set must be nonempty")
@@ -232,27 +248,29 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     if not 0.0 <= lo_pct < hi_pct <= 100.0:
         raise ValueError(f"percentiles must satisfy 0 <= lo < hi <= 100, got {percentiles}")
 
-    label_ids = sorted({lid for _, lab in training for lid in lab.label_names if lid != 0})
+    label_ids = sorted({lid for subject in training for lid in _label_names(subject)
+                        if lid != 0})
     if not label_ids:
         raise ValueError("training labels contain no nonzero ids")
     sampler = WindowSampler(swn) if strategy == "SWN" else None
     window = strategy_window(strategy, "train")
-    gathered = [_gather_pooled(vol, lab, label_ids, slice_axis) for vol, lab in training]
+    gathered = [_training_subject(subject, label_ids, slice_axis) for subject in training]
 
     pools = {lid: [] for lid in label_ids}
     if window is not None:
-        for values, _, masks in gathered:
-            normalized = _kernels.window_normalize(values, window.lower, window.upper)
-            for lid, mask in masks.items():
+        for subject in gathered:
+            normalized = _kernels.window_normalize(subject.values, window.lower, window.upper)
+            for lid, mask in subject.masks.items():
                 pools[lid].append(normalized[mask])
     else:
         for _ in range(epochs):
-            for values, counts, masks in gathered:
+            for subject in gathered:
+                counts = subject.counts
                 drawn = [sampler.sample() for _ in counts]
                 lower = np.repeat(np.array([w.lower for w in drawn], dtype=np.float32), counts)
                 upper = np.repeat(np.array([w.upper for w in drawn], dtype=np.float32), counts)
-                normalized = _kernels.window_normalize(values, lower, upper)
-                for lid, mask in masks.items():
+                normalized = _kernels.window_normalize(subject.values, lower, upper)
+                for lid, mask in subject.masks.items():
                     pools[lid].append(normalized[mask])
 
     bands = []
@@ -308,19 +326,78 @@ def _tiled_percentile(values, percentiles, copies):
     return result
 
 
+@dataclass
+class _TrainingSubject:
+    """A training subject as the fit reads it (see ``_gather_pooled``)."""
+
+    values: np.ndarray
+    counts: np.ndarray
+    masks: dict
+    label_names: dict
+    label_ids: tuple
+    slice_axis: int
+
+
 def _gather_pooled(vol, lab, label_ids, slice_axis):
     """One training volume's voxels labelled with one of ``label_ids``.
 
     Returns their float32 values in plane order along ``slice_axis``, the
-    number of them in each plane and, per label id, a mask over them.
+    number of them in each plane and, per label id, a mask over them, with
+    the volume's label names and the ids and axis they were gathered for.
+    The labels are uint8, so a 256-entry lookup table selects the kept ids.
     """
-    if vol.dims != lab.dims:
-        raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
+    _check_dims(vol, lab)
     labels = np.moveaxis(lab.voxels, slice_axis, 0)
-    keep = np.isin(labels, label_ids)
+    lut = np.zeros(256, dtype=bool)
+    lut[label_ids] = True
+    keep = lut[labels]
     values = np.moveaxis(vol.voxels, slice_axis, 0)[keep].astype(np.float32, copy=False)
     kept = labels[keep]
-    return values, np.count_nonzero(keep, axis=(1, 2)), {lid: kept == lid for lid in label_ids}
+    return _TrainingSubject(values, np.count_nonzero(keep, axis=(1, 2)),
+                            {lid: kept == lid for lid in label_ids},
+                            lab.label_names, tuple(label_ids), slice_axis)
+
+
+def _training_subject(subject, label_ids, slice_axis):
+    """``subject`` gathered for ``label_ids`` along ``slice_axis``, gathering a pair now."""
+    if not isinstance(subject, _TrainingSubject):
+        return _gather_pooled(*subject, label_ids, slice_axis)
+    if subject.label_ids != tuple(label_ids) or subject.slice_axis != slice_axis:
+        raise ValueError(f"training subject was gathered for labels {list(subject.label_ids)} "
+                         f"along axis {subject.slice_axis}, not for labels {list(label_ids)} "
+                         f"along axis {slice_axis}")
+    return subject
+
+
+@dataclass
+class _TestSubject:
+    """A test subject as the sweep reads it: names, and each present id's sorted values."""
+
+    label_names: dict
+    values: dict  # label id -> that label's voxel values as float32, ascending
+
+
+def _prepare_test(vol, lab):
+    """Sort each label's voxel values of a test subject, one label at a time."""
+    _check_dims(vol, lab)
+    values = {}
+    for lid in uint8_ids_present(lab.voxels):
+        label_values = vol.voxels[lab.voxels == lid].astype(np.float32, copy=False)
+        label_values.sort()
+        values[int(lid)] = label_values
+    return _TestSubject(lab.label_names, values)
+
+
+def _check_dims(vol, lab):
+    if vol.dims != lab.dims:
+        raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
+
+
+def _label_names(subject):
+    """The label names of a prepared subject or of a (volume, labels) pair."""
+    if isinstance(subject, (_TrainingSubject, _TestSubject)):
+        return subject.label_names
+    return subject[1].label_names
 
 
 @dataclass
@@ -351,7 +428,17 @@ class SweepResult:
 def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     """Mean dice per (shift, label) of a segmenter on shifted test volumes.
 
-    The sweep is exact and sorts each test subject once. The test-time map
+    ``test`` holds (CtVolume, LabelVolume) pairs or subjects that
+    ``run_experiment`` prepared once for every strategy with
+    ``_prepare_test``: the label names, and for every id present in the
+    voxels that label's values sorted as float32. A pair is prepared when
+    its turn comes, so one pair's sorted values are held at a time. Dice
+    counts do not depend on where a voxel is, so the sweep reads them off
+    these per-label values: a label's truth count is the number of its
+    values, and its predicted and overlap counts come from the predictions
+    on every label's values.
+
+    The sweep is exact. The test-time map
     ``n(x) = window_normalize(f32(x) + f32(shift))`` is monotone
     non-decreasing in a voxel's value x: float32 addition rounds
     monotonically, and clip, subtract, multiply and divide by positives and
@@ -364,15 +451,12 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     ``_run_starts`` bisects float32 order keys for those points, probing
     with the real ``window_normalize`` and the kernels' comparisons, and
     labels each run with ``seg.predict`` on its first value; NaN voxels are
-    a run of their own. Then, one truth label of one subject at a time, the
-    sweep sorts that label's voxel values as float32 (at most 4 bytes per
-    voxel of the subject, plus a 1-byte label mask, both freed before the
-    next label) and ``np.searchsorted`` counts them in each run.
+    a run of their own. ``np.searchsorted`` then counts each label's sorted
+    values in each run.
 
-    Where the tests are not proven monotone, the sweep runs each
-    (shift x subject) cell directly, one after another: shift, window,
-    classify and count the whole volume, in slabs of whole rows along axis
-    0 of at most SLAB_VOXELS each (one row if a row is larger).
+    Where the tests are not proven monotone, the direct sweep shifts,
+    windows and classifies every value at every shift instead, one label's
+    values at a time in chunks of at most SLAB_VOXELS.
     """
     if not shifts:
         raise ValueError("shifts grid must be nonempty")
@@ -380,25 +464,23 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     if not np.all(np.abs(np.asarray(shifts, dtype=np.float64)) <= np.finfo(np.float32).max):
         raise ValueError(f"shifts must be finite in float32, got {shifts}")
     label_names = {}
-    for _, lab in test:
-        for lid, name in lab.label_names.items():
+    for subject in test:
+        if not isinstance(subject, _TestSubject):
+            _check_dims(*subject)
+        for lid, name in _label_names(subject).items():
             if lid != 0:
                 label_names.setdefault(lid, name)
     label_ids = sorted(label_names)
     strategy_label = strategy_label or strategy
     window = strategy_window(strategy, "test")
-    for vol, lab in test:
-        if vol.dims != lab.dims:
-            raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
+    subjects = (s if isinstance(s, _TestSubject) else _prepare_test(*s) for s in test)
 
-    if _sorted_sweep_applies(seg):
-        scores = _sorted_sweep(seg, test, window, shifts, label_ids)
-    else:
-        scores = _direct_sweep(seg, test, window, shifts, label_ids)
+    sweep = _sorted_sweep if _sorted_sweep_applies(seg) else _direct_sweep
+    per_subject = sweep(seg, subjects, window, shifts, label_ids)
 
     rows = []
     for i, shift in enumerate(shifts):
-        stacked = np.array([scores[(i, j)] for j in range(len(test))], dtype=np.float64)
+        stacked = np.array([scores[i] for scores in per_subject], dtype=np.float64)
         means = stacked.mean(axis=0)
         for lid, mean in zip(label_ids, means):
             rows.append(SweepRow(shift, strategy_label, lid, label_names[lid], float(mean)))
@@ -483,43 +565,59 @@ def _run_starts(seg, window, shift32):
     return np.hstack([-np.inf * edge, starts, np.nan * edge])
 
 
-def _sorted_sweep(seg, test, window, shifts, label_ids):
+def _dice_table(counts, label_ids):
+    """Dice per (shift, label) as nested lists, from counts of shape (3, shifts, 256).
+
+    Each cell takes ``dice_from_counts``'s float64 steps: 1.0 where the
+    denominator is 0, else ``2.0 * overlap / (predicted + truth)``.
+    """
+    overlap = counts[2][:, label_ids]
+    den = counts[0][:, label_ids] + counts[1][:, label_ids]
+    return np.divide(2.0 * overlap, den, out=np.ones(den.shape), where=den != 0).tolist()
+
+
+def _sorted_sweep(seg, subjects, window, shifts, label_ids):
+    """Per subject, dice per (shift, label) counted off the sorted values (see run_shift_sweep)."""
     shift32 = np.array([np.float32(s) for s in shifts], dtype=np.float32)[:, None]
     starts = _run_starts(seg, window, shift32)
     run_labels = seg.predict(_kernels.window_normalize(starts + shift32,
                                                        window.lower, window.upper))
     rows = np.arange(len(shifts))[:, None]
 
-    def subject(vol, lab):
-        truth = np.bincount(lab.voxels.ravel(order="K"), minlength=256)
+    def subject(prepared):
         counts = np.zeros((3, len(shifts), 256), dtype=np.int64)
-        counts[1] = truth
-        for lid in np.flatnonzero(truth):
-            values = vol.voxels[lab.voxels == lid].astype(np.float32, copy=False)
-            values.sort()
+        for lid, values in prepared.values.items():
+            counts[1, :, lid] = values.size
             ends = np.searchsorted(values, starts.ravel()).reshape(starts.shape)
             in_run = np.diff(ends, axis=1, append=values.size)
             np.add.at(counts[0], (rows, run_labels), in_run)
             counts[2, :, lid] = np.where(run_labels == lid, in_run, 0).sum(axis=1)
-        return [[dice_from_counts(counts[:, i], lid) for lid in label_ids]
-                for i in range(len(shifts))]
+        return _dice_table(counts, label_ids)
 
-    per_subject = [subject(vol, lab) for vol, lab in test]
-    return {(i, j): per_subject[j][i] for i in range(len(shifts)) for j in range(len(test))}
+    return [subject(prepared) for prepared in subjects]
 
 
-def _direct_sweep(seg, test, window, shifts, label_ids):
-    def cell(shift, vol, lab):
-        rows = max(1, SLAB_VOXELS // (vol.dims[1] * vol.dims[2]))
-        counts = np.zeros((3, 256), dtype=np.int64)
-        for start in range(0, vol.dims[0], rows):
-            hu = np.asarray(vol.voxels[start:start + rows], dtype=np.float32) + np.float32(shift)
-            pred = seg.predict(_kernels.window_normalize(hu, window.lower, window.upper))
-            counts += _kernels.label_overlap_counts(pred, lab.voxels[start:start + rows])
-        return [dice_from_counts(counts, lid) for lid in label_ids]
+def _direct_sweep(seg, subjects, window, shifts, label_ids):
+    """Per subject, dice per (shift, label) from classifying every value at every shift.
 
-    return {(i, j): cell(shift, *test[j])
-            for i, shift in enumerate(shifts) for j in range(len(test))}
+    Each label's values are shifted, windowed and classified in chunks of at
+    most SLAB_VOXELS; ``bincount`` of the predictions adds to the predicted
+    counts, and the predictions equal to the label to its overlap.
+    """
+    def subject(prepared):
+        counts = np.zeros((3, len(shifts), 256), dtype=np.int64)
+        for i, shift in enumerate(shifts):
+            shift32 = np.float32(shift)
+            for lid, values in prepared.values.items():
+                counts[1, i, lid] = values.size
+                for start in range(0, values.size, SLAB_VOXELS):
+                    hu = values[start:start + SLAB_VOXELS] + shift32
+                    pred = seg.predict(_kernels.window_normalize(hu, window.lower, window.upper))
+                    counts[0, i] += np.bincount(pred, minlength=256)
+                    counts[2, i, lid] += np.count_nonzero(pred == lid)
+        return _dice_table(counts, label_ids)
+
+    return [subject(prepared) for prepared in subjects]
 
 
 def write_sweep_csv(rows, path):
@@ -570,11 +668,23 @@ def run_experiment(cfg):
 
     Returns the concatenated sweep rows (strategy blocks in config order)
     and the fitted segmenters keyed by strategy label.
+
+    Each phantom is reduced as soon as it is generated and then dropped, so
+    the run holds the gathered training values, the sorted per-label test
+    values and one phantom in flight. A training phantom is gathered for
+    the organ ids, which are the ids the fit takes, since every phantom
+    names every organ; a test phantom is sorted per label. Every
+    strategy's fit and sweep reuse these, and give the rows and bands of
+    calls on the phantoms themselves. Each phantom has its own seed, so
+    the order they are generated in changes no byte.
     """
-    train = [generate_phantom(replace(cfg.phantom, seed=derive_seed(cfg.seed, 0, i)))
+    def phantom(kind, i):
+        return generate_phantom(replace(cfg.phantom, seed=derive_seed(cfg.seed, kind, i)))
+
+    label_ids = sorted(organ.label_id for organ in cfg.phantom.organs)
+    train = [_gather_pooled(*phantom(0, i), label_ids, cfg.slice_axis)
              for i in range(cfg.n_train)]
-    test = [generate_phantom(replace(cfg.phantom, seed=derive_seed(cfg.seed, 1, i)))
-            for i in range(cfg.n_test)]
+    test = [_prepare_test(*phantom(1, i)) for i in range(cfg.n_test)]
     rows = []
     segmenters = {}
     for j, spec in enumerate(cfg.strategies):

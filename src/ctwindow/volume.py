@@ -19,7 +19,7 @@ import numpy as np
 
 _IMAGE_DTYPES = {"int16": np.dtype("<i2"), "float32": np.dtype("<f4")}
 _LABEL_DTYPE = np.dtype("u1")
-LABEL_SCAN_SLAB = 1 << 16  # voxels per bincount in LabelVolume's id scan; bounds its intp copy
+LABEL_SCAN_SLAB = 1 << 16  # voxels per bincount in the uint8 id scan; bounds its intp copy
 
 
 class CtvFormatError(ValueError):
@@ -74,15 +74,11 @@ class LabelVolume:
         voxels = np.asarray(self.voxels)
         if voxels.ndim != 3:
             raise ValueError(f"expected a 3D array, got ndim={voxels.ndim}")
-        flat = voxels.ravel(order="K")
         if voxels.dtype == _LABEL_DTYPE:
-            seen = np.zeros(256, dtype=bool)
-            for start in range(0, flat.size, LABEL_SCAN_SLAB):
-                seen |= np.bincount(flat[start:start + LABEL_SCAN_SLAB], minlength=256) > 0
-            ids = np.flatnonzero(seen)
+            ids = uint8_ids_present(voxels)
         else:
             # before the uint8 cast, which would wrap 256 to 0
-            ids = np.unique(flat)
+            ids = np.unique(voxels.ravel(order="K"))
             if ids.size and (ids[0] < 0 or ids[-1] > 255 or np.any(ids != np.round(ids))):
                 raise ValueError(f"label ids must be integers in 0..255, "
                                  f"got {ids[0]}..{ids[-1]}")
@@ -99,6 +95,19 @@ class LabelVolume:
     @property
     def dims(self):
         return self.voxels.shape
+
+
+def uint8_ids_present(voxels):
+    """Ascending ids that occur in a uint8 array, read once in memory order.
+
+    One ``np.bincount`` per slab of LABEL_SCAN_SLAB voxels, so its intp
+    copy of the input stays small whatever the array's size.
+    """
+    flat = np.asarray(voxels).ravel(order="K")
+    seen = np.zeros(256, dtype=bool)
+    for start in range(0, flat.size, LABEL_SCAN_SLAB):
+        seen |= np.bincount(flat[start:start + LABEL_SCAN_SLAB], minlength=256) > 0
+    return np.flatnonzero(seen)
 
 
 @dataclass

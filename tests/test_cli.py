@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import ctwindow
+from ctwindow import simulation
 from ctwindow.cli import experiment_to_config, main, parse_experiment, parse_shifts
 from ctwindow.metrics import read_dice_csv
 from ctwindow.simulation import reference_experiment
@@ -395,6 +397,24 @@ def test_epochs_below_one_or_fractional_are_config_errors(tmp_path, capsys, epoc
     assert main(["sweep", cfg, "-o", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith(
         "ctwindow: error: fit.epochs: expected a whole number >= 1")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tie_break", "bogus"), ("tie_break", 5), ("tie_break", None), ("tie_break", ["lowest_id"]),
+    ("percentiles", [97.5, 2.5]), ("percentiles", [50, 50]), ("percentiles", [-1, 99]),
+    ("percentiles", [1, 100.5]), ("percentiles", [1, 1e300]),
+])
+def test_bad_fit_fields_are_rejected_before_any_phantom(tmp_path, capsys, field, value):
+    cfg = experiment_to_config(reference_experiment())
+    cfg["fit"][field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with mock.patch.object(simulation, "generate_phantom",
+                           side_effect=simulation.generate_phantom) as spy:
+        assert main(["sweep", str(path), "-o", str(tmp_path / "x.csv")]) == 1
+    assert spy.call_count == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"ctwindow: error: fit.{field}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("field,value", [

@@ -181,7 +181,8 @@ sweep_config = json_object({
     "shifts": (st.one_of(st.lists(any_number, min_size=1, max_size=4), shift_range), junk()),
     "fit": (json_object({
         "epochs": ok(2, small_number),
-        "percentiles": ok([2.5, 97.5]),
+        "percentiles": (st.just([2.5, 97.5]),
+                        st.one_of(st.lists(any_number, min_size=2, max_size=2), junk())),
         "band_epsilon": ok(0.5),
         "tie_break": (st.sampled_from(["lowest_id", "nearest_center"]), junk()),
     }), junk()),

@@ -4,8 +4,10 @@ and augmentation.
 Each shortcut is checked against the plain computation it replaces: the
 bounding-box organ masks against ``oracles.full_volume_phantom``, the
 tiled-pool percentile against ``np.percentile`` on the materialized pool,
-the uint8 bincount id scan against ``np.unique``, and the crop-only NumPy
-resampler against ``oracles.scipy_augment_pair`` (two full-plane
+the fit's lookup-table gather against ``np.isin``, the sweep's vectorised
+dice against ``dice_from_counts``, the uint8 bincount id scan against
+``np.unique``, and the crop-only NumPy resampler against
+``oracles.scipy_augment_pair`` (two full-plane
 ``scipy.ndimage.affine_transform`` passes, then a crop/pad).
 """
 
@@ -21,9 +23,10 @@ from hypothesis import strategies as st
 from oracles import full_volume_phantom, scipy_augment_pair
 
 from ctwindow.augmentation import AugmentConfig, augment_pair
-from ctwindow.simulation import (OrganSpec, PhantomConfig, _tiled_percentile, generate_phantom,
-                                 reference_experiment)
-from ctwindow.volume import LABEL_SCAN_SLAB, LabelVolume, Slice2D
+from ctwindow.metrics import dice_from_counts
+from ctwindow.simulation import (OrganSpec, PhantomConfig, _dice_table, _gather_pooled,
+                                 _tiled_percentile, generate_phantom, reference_experiment)
+from ctwindow.volume import LABEL_SCAN_SLAB, CtVolume, LabelVolume, Slice2D
 
 PERCENTILES = st.one_of(st.just(0.0), st.just(100.0), st.floats(0.0, 100.0))
 
@@ -136,6 +139,50 @@ def test_sub_voxel_edge_and_overlapping_organs():
     assert lab.voxels[0, 6, 2] == 2 and lab.voxels[2, 9, 2] == 2
     overlap = replace(cfg, organs=organs + [OrganSpec(3, "over", (3, 6, 2), (2, 2, 2), 0, 0)])
     assert assert_phantoms_match(overlap) == "overlap"
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dims=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+       present=st.integers(1, 256),
+       label_ids=st.lists(st.integers(0, 255), max_size=8, unique=True),
+       slice_axis=st.sampled_from([0, 1, 2]),
+       order=st.sampled_from(["C", "F"]))
+def test_gather_lookup_table_matches_isin(seed, dims, present, label_ids, slice_axis, order):
+    """The kept voxels, per-plane counts and masks that ``np.isin`` selects; ids may be absent."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(256, size=present, replace=False)[rng.integers(0, present, dims)]
+    labels = np.asarray(labels.astype(np.uint8), order=order)
+    voxels = np.asarray(rng.integers(-1000, 1000, dims).astype(np.int16), order=order)
+    gathered = _gather_pooled(CtVolume(voxels), LabelVolume(labels), label_ids, slice_axis)
+    values, counts, masks = gathered.values, gathered.counts, gathered.masks
+    planes = np.moveaxis(labels, slice_axis, 0)
+    keep = np.isin(planes, label_ids)
+    assert values.dtype == np.float32
+    assert np.array_equal(values, np.moveaxis(voxels, slice_axis, 0)[keep].astype(np.float32))
+    assert np.array_equal(counts, keep.sum(axis=(1, 2)))
+    assert list(masks) == label_ids
+    for lid, mask in masks.items():
+        assert np.array_equal(mask, planes[keep] == lid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shifts=st.integers(1, 6),
+       label_ids=st.lists(st.integers(0, 255), min_size=1, max_size=8, unique=True),
+       zeros=st.floats(0.0, 1.0))
+def test_dice_table_is_dice_from_counts_bit_for_bit(seed, shifts, label_ids, zeros):
+    """Random int64 counts, some with a zero denominator, give the same float64 dice."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 2 ** 40, size=(3, shifts, 256))
+    empty = rng.random((shifts, 256)) < zeros
+    counts[0][empty] = counts[1][empty] = 0
+    counts[2] = np.minimum(counts[2], np.minimum(counts[0], counts[1]))
+    table = _dice_table(counts, label_ids)
+    expected = [[dice_from_counts(counts[:, i], lid) for lid in label_ids]
+                for i in range(shifts)]
+    assert np.array(table).view(np.uint64).tolist() == \
+        np.array(expected).view(np.uint64).tolist()
+    assert all(type(d) is float for row in table for d in row)
 
 
 def label_layouts(labels):

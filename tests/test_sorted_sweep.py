@@ -112,7 +112,7 @@ def test_close_centers_fall_back_and_still_match():
     rng = np.random.default_rng(4)
     test = [subject(rng, (5, 4, 3), np.float32, "C", True) for _ in range(2)]
     shifts = [-300, -12.5, 0, 40, 7000]
-    with mock.patch.object(simulation, "SLAB_VOXELS", 13):  # slabs of one 4 x 3 row
+    with mock.patch.object(simulation, "SLAB_VOXELS", 13):  # chunks of 13 values
         assert run_shift_sweep(close, test, "STN", shifts).rows == \
             per_plane_sweep(close, test, "STN", shifts, 2)
 

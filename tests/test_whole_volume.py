@@ -102,7 +102,7 @@ def test_sweep_and_fit_match_per_plane_oracles(seed, dims, dtype, order, slice_a
         train[1] = relabel(train[1], rng, 0, 0, True, slice_axis)
         test = [relabel(pair, rng, 0, 0, True, slice_axis) for pair in test]
     swn = SwnParams(*sigmas, seed=seed) if strategy == "SWN" else None
-    # slabs of slab_rows rows plus a partial row's worth of voxels, which must round down
+    # direct-sweep chunks of slab_rows rows' worth of values plus part of a row
     slab = slab_rows * dims[1] * dims[2] + int(rng.integers(0, dims[1] * dims[2]))
     with mock.patch.object(simulation, "SLAB_VOXELS", slab):
         draws = assert_matches_oracles(train, test, strategy, swn, shifts, slice_axis,
@@ -113,7 +113,7 @@ def test_sweep_and_fit_match_per_plane_oracles(seed, dims, dtype, order, slice_a
 
 @pytest.mark.parametrize("strategy", ["STN", "SWN"])
 def test_sweep_matches_oracle_across_real_slabs(strategy):
-    # 37 rows of 60 x 61 voxels: slabs of 35 rows, then a slab of 2
+    # 37 rows of 60 x 61 voxels, more than SLAB_VOXELS; 35 rows fit in SLAB_VOXELS
     dims = (37, 60, 61)
     assert dims[0] % (simulation.SLAB_VOXELS // (dims[1] * dims[2])) != 0
     assert np.prod(dims) > simulation.SLAB_VOXELS
