@@ -10,7 +10,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from . import _kernels
 from .augmentation import AugmentConfig, augment_pair
 from .metrics import multi_label_dice, read_dice_csv, write_dice_csv
 from .simulation import (TIE_BREAKS, ExperimentConfig, FitParams, OrganSpec, PhantomConfig,
-                         StrategySpec, derive_seed, generate_phantom,
-                         reference_experiment, run_experiment, write_sweep_csv)
+                         StrategySpec, experiment_phantom, reference_experiment,
+                         run_experiment, write_sweep_csv)
 from .stats import compare_methods, write_comparison_csv, write_comparison_metadata
 from .volume import (CtVolume, LabelVolume, extract_slice, is_number_list, load_label_volume,
                      load_volume, save_label_volume, save_volume, stack_slices)
@@ -320,13 +320,12 @@ def cmd_sweep(args):
 def cmd_phantom(args):
     exp = parse_experiment(_load_json(args.config))
     os.makedirs(args.out_dir, exist_ok=True)
-    for role, role_key, count in (("train", 0, exp.n_train), ("test", 1, exp.n_test)):
+    for role, kind, count in (("train", 0, exp.n_train), ("test", 1, exp.n_test)):
         for i in range(count):
-            cfg = replace(exp.phantom, seed=derive_seed(exp.seed, role_key, i))
-            vol, lab = generate_phantom(cfg)
+            vol, lab = experiment_phantom(exp, kind, i)
             stem = os.path.join(args.out_dir, f"{role}_{i:02d}")
             save_volume(vol, stem + "_image.ctv.json")
-            save_label_volume(lab, stem + "_labels.ctv.json", spacing=cfg.spacing)
+            save_label_volume(lab, stem + "_labels.ctv.json", spacing=exp.phantom.spacing)
     return 0
 
 

@@ -13,17 +13,18 @@ because normalization is monotone and the classifier is piecewise
 constant in normalized intensity.
 
 The fit and the sweep each start by reducing a (CtVolume, LabelVolume)
-pair to what they read of it: a training subject to its labelled voxels
-gathered in plane order (``_gather_pooled``), a test subject to its
+pair to what they read of it: a training subject to one gather of every
+labelled voxel in plane order (``_gather_pooled``), a test subject to its
 per-label sorted values (``_prepare_test``). Neither reduction depends on
 the strategy, so ``run_experiment`` reduces each phantom once, as soon as
 it is generated, drops the phantom, and passes the reduced subjects to
-every strategy's fit and sweep.
+every strategy's fit and sweep. The fit pools them in one loop; the sweep
+counts them in one loop over subjects.
 
 All randomness derives from explicit seeds. ``run_experiment`` derives
 per-subject and per-strategy streams from the experiment seed with spawn
-keys (0, i) for training phantom i, (1, i) for test phantom i and (2, j)
-for the window sampler of strategy j.
+keys (0, i) for training phantom i, (1, i) for test phantom i
+(``experiment_phantom``) and (2, j) for the window sampler of strategy j.
 """
 
 import csv
@@ -209,32 +210,23 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     so it pools values over many random windows, widening its bands. Each
     label's normalized intensities are pooled over all epochs and volumes;
     the band is the stated percentile range of the pool, widened to
-    ``2 * band_epsilon`` when it degenerates.
+    ``2 * band_epsilon`` when it degenerates. The labels are the nonzero
+    named ids of all subjects.
 
-    Only the pooled voxels are normalized, and that is exact. Each volume's
-    voxels whose label is one of the fitted ids are gathered once as
-    float32, plane by plane along ``slice_axis``. The window kernel
-    windows each value on its own, so windowing the gathered values gives
-    the same floats as windowing the volume and masking afterwards, and
-    ``np.percentile`` depends only on the multiset of pooled values, not
-    on their order. So STN and WIR window each volume once and pool one
-    copy: every epoch would add the same values again, and
-    ``_tiled_percentile`` reads ``np.percentile``'s result on the
-    ``epochs``-fold pool off that copy, at the tiled pool's virtual index
-    ``(epochs * n - 1) * q``. SWN draws one window per plane in the order
-    epoch, volume, plane, planes without a pooled voxel included, so its
-    random stream is the one a per-plane fit draws. It then windows all of
-    a volume's gathered values in one kernel call, each value with the
-    float32 bounds of its own plane's draw, repeated over the plane's
-    values; the kernel takes the same float32 steps per value as a call
-    per plane would. Its pool holds ``epochs`` different windowings and
-    keeps ``np.percentile``.
-
-    ``training`` holds (CtVolume, LabelVolume) pairs, which are gathered on
-    entry, or subjects ``run_experiment`` gathered once for every strategy
-    with ``_gather_pooled``. The label ids are the nonzero named ids of
-    all subjects; a prepared subject gathered for other ids or along
-    another ``slice_axis`` is a ValueError.
+    ``training`` holds (CtVolume, LabelVolume) pairs, gathered on entry,
+    or subjects ``run_experiment`` gathered once for every strategy; either
+    way a volume's labelled voxels are gathered once as float32, plane by
+    plane along the slice axis (``_gather_pooled``). Windowing is exact on
+    them: the kernel windows each value on its own, and ``np.percentile``
+    depends only on the multiset of pooled values. One loop pools. STN and
+    WIR make one pass, since every epoch would add the same values again,
+    and ``_tiled_percentile`` reads ``np.percentile``'s result on the
+    ``epochs``-fold pool off that one copy. SWN makes ``epochs`` passes and
+    draws one window per plane in the order epoch, volume, plane, planes
+    without a pooled voxel included, so its random stream is the one a
+    per-plane fit draws; it windows each volume's gathered values in one
+    kernel call, each value with the float32 bounds of its own plane's
+    draw, as a call per plane would.
     """
     if not training:
         raise ValueError("training set must be nonempty")
@@ -248,40 +240,35 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     if not 0.0 <= lo_pct < hi_pct <= 100.0:
         raise ValueError(f"percentiles must satisfy 0 <= lo < hi <= 100, got {percentiles}")
 
-    label_ids = sorted({lid for subject in training for lid in _label_names(subject)
-                        if lid != 0})
+    window = strategy_window(strategy, "train")
+    sampler = WindowSampler(swn) if window is None else None
+    gathered = [s if isinstance(s, _TrainingSubject) else _gather_pooled(*s, slice_axis)
+                for s in training]
+    label_ids = sorted({lid for s in gathered for lid in s.label_names if lid != 0})
     if not label_ids:
         raise ValueError("training labels contain no nonzero ids")
-    sampler = WindowSampler(swn) if strategy == "SWN" else None
-    window = strategy_window(strategy, "train")
-    gathered = [_training_subject(subject, label_ids, slice_axis) for subject in training]
 
     pools = {lid: [] for lid in label_ids}
-    if window is not None:
+    for _ in range(1 if window is not None else epochs):
         for subject in gathered:
-            normalized = _kernels.window_normalize(subject.values, window.lower, window.upper)
-            for lid, mask in subject.masks.items():
-                pools[lid].append(normalized[mask])
-    else:
-        for _ in range(epochs):
-            for subject in gathered:
+            if window is None:
                 counts = subject.counts
                 drawn = [sampler.sample() for _ in counts]
                 lower = np.repeat(np.array([w.lower for w in drawn], dtype=np.float32), counts)
                 upper = np.repeat(np.array([w.upper for w in drawn], dtype=np.float32), counts)
-                normalized = _kernels.window_normalize(subject.values, lower, upper)
-                for lid, mask in subject.masks.items():
-                    pools[lid].append(normalized[mask])
+            else:
+                lower, upper = window.lower, window.upper
+            normalized = _kernels.window_normalize(subject.values, lower, upper)
+            for lid in label_ids:
+                if lid in subject.masks:
+                    pools[lid].append(normalized[subject.masks[lid]])
 
     bands = []
     for lid in label_ids:
-        pooled = np.concatenate(pools[lid])
-        if not pooled.size:
+        if not pools[lid]:
             raise ValueError(f"label {lid} has no voxels in any training volume")
-        if window is not None:
-            lo, hi = _tiled_percentile(pooled, [lo_pct, hi_pct], epochs)
-        else:
-            lo, hi = np.percentile(pooled, [lo_pct, hi_pct])
+        lo, hi = _tiled_percentile(np.concatenate(pools[lid]), [lo_pct, hi_pct],
+                                   epochs if window is not None else 1)
         if hi - lo < 2.0 * band_epsilon:
             mid = 0.5 * (lo + hi)
             lo, hi = mid - band_epsilon, mid + band_epsilon
@@ -334,39 +321,23 @@ class _TrainingSubject:
     counts: np.ndarray
     masks: dict
     label_names: dict
-    label_ids: tuple
-    slice_axis: int
 
 
-def _gather_pooled(vol, lab, label_ids, slice_axis):
-    """One training volume's voxels labelled with one of ``label_ids``.
+def _gather_pooled(vol, lab, slice_axis):
+    """One training volume's labelled voxels, gathered in plane order along ``slice_axis``.
 
-    Returns their float32 values in plane order along ``slice_axis``, the
-    number of them in each plane and, per label id, a mask over them, with
-    the volume's label names and the ids and axis they were gathered for.
-    The labels are uint8, so a 256-entry lookup table selects the kept ids.
+    Returns the float32 values of every voxel whose label is not 0, the
+    number of them in each plane and, per id present, a mask over them,
+    with the volume's label names.
     """
     _check_dims(vol, lab)
     labels = np.moveaxis(lab.voxels, slice_axis, 0)
-    lut = np.zeros(256, dtype=bool)
-    lut[label_ids] = True
-    keep = lut[labels]
+    keep = labels != 0
     values = np.moveaxis(vol.voxels, slice_axis, 0)[keep].astype(np.float32, copy=False)
     kept = labels[keep]
     return _TrainingSubject(values, np.count_nonzero(keep, axis=(1, 2)),
-                            {lid: kept == lid for lid in label_ids},
-                            lab.label_names, tuple(label_ids), slice_axis)
-
-
-def _training_subject(subject, label_ids, slice_axis):
-    """``subject`` gathered for ``label_ids`` along ``slice_axis``, gathering a pair now."""
-    if not isinstance(subject, _TrainingSubject):
-        return _gather_pooled(*subject, label_ids, slice_axis)
-    if subject.label_ids != tuple(label_ids) or subject.slice_axis != slice_axis:
-        raise ValueError(f"training subject was gathered for labels {list(subject.label_ids)} "
-                         f"along axis {subject.slice_axis}, not for labels {list(label_ids)} "
-                         f"along axis {slice_axis}")
-    return subject
+                            {int(lid): kept == lid for lid in uint8_ids_present(kept)},
+                            lab.label_names)
 
 
 @dataclass
@@ -391,13 +362,6 @@ def _prepare_test(vol, lab):
 def _check_dims(vol, lab):
     if vol.dims != lab.dims:
         raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
-
-
-def _label_names(subject):
-    """The label names of a prepared subject or of a (volume, labels) pair."""
-    if isinstance(subject, (_TrainingSubject, _TestSubject)):
-        return subject.label_names
-    return subject[1].label_names
 
 
 @dataclass
@@ -430,15 +394,15 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
 
     ``test`` holds (CtVolume, LabelVolume) pairs or subjects that
     ``run_experiment`` prepared once for every strategy with
-    ``_prepare_test``: the label names, and for every id present in the
-    voxels that label's values sorted as float32. A pair is prepared when
-    its turn comes, so one pair's sorted values are held at a time. Dice
-    counts do not depend on where a voxel is, so the sweep reads them off
-    these per-label values: a label's truth count is the number of its
-    values, and its predicted and overlap counts come from the predictions
-    on every label's values.
+    ``_prepare_test``: the label names, and each present id's values sorted
+    as float32. One loop takes the subjects in turn, preparing a pair when
+    its turn comes, so one pair's sorted values are held at a time. It
+    counts each subject's predicted, truth and overlap voxels per (shift,
+    id), off the per-label values since dice counts do not depend on where
+    a voxel is, and turns them into dice for all 256 ids; the nonzero named
+    ids of all subjects are selected at the end.
 
-    The sweep is exact. The test-time map
+    The counts are exact. The test-time map
     ``n(x) = window_normalize(f32(x) + f32(shift))`` is monotone
     non-decreasing in a voxel's value x: float32 addition rounds
     monotonically, and clip, subtract, multiply and divide by positives and
@@ -451,39 +415,39 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     ``_run_starts`` bisects float32 order keys for those points, probing
     with the real ``window_normalize`` and the kernels' comparisons, and
     labels each run with ``seg.predict`` on its first value; NaN voxels are
-    a run of their own. ``np.searchsorted`` then counts each label's sorted
-    values in each run.
-
-    Where the tests are not proven monotone, the direct sweep shifts,
-    windows and classifies every value at every shift instead, one label's
-    values at a time in chunks of at most SLAB_VOXELS.
+    a run of their own. ``_sorted_counts`` then counts each label's sorted
+    values in each run with ``np.searchsorted``. Where the tests are not
+    proven monotone, ``_direct_counts`` classifies every value at every
+    shift instead, in chunks of at most SLAB_VOXELS.
     """
+    if not test:
+        raise ValueError("test set must be nonempty")
     if not shifts:
         raise ValueError("shifts grid must be nonempty")
     # the sweep adds shifts as float32; NaN fails the comparison too
     if not np.all(np.abs(np.asarray(shifts, dtype=np.float64)) <= np.finfo(np.float32).max):
         raise ValueError(f"shifts must be finite in float32, got {shifts}")
+    window = strategy_window(strategy, "test")
+    counts_of = (_sorted_counts if _sorted_sweep_applies(seg) else _direct_counts)(
+        seg, window, shifts)
+
     label_names = {}
+    tables = []
     for subject in test:
         if not isinstance(subject, _TestSubject):
-            _check_dims(*subject)
-        for lid, name in _label_names(subject).items():
+            subject = _prepare_test(*subject)
+        for lid, name in subject.label_names.items():
             if lid != 0:
                 label_names.setdefault(lid, name)
+        tables.append(_dice_table(counts_of(subject)))
+
     label_ids = sorted(label_names)
-    strategy_label = strategy_label or strategy
-    window = strategy_window(strategy, "test")
-    subjects = (s if isinstance(s, _TestSubject) else _prepare_test(*s) for s in test)
-
-    sweep = _sorted_sweep if _sorted_sweep_applies(seg) else _direct_sweep
-    per_subject = sweep(seg, subjects, window, shifts, label_ids)
-
     rows = []
     for i, shift in enumerate(shifts):
-        stacked = np.array([scores[i] for scores in per_subject], dtype=np.float64)
-        means = stacked.mean(axis=0)
+        means = np.array([table[i, label_ids] for table in tables]).mean(axis=0)
         for lid, mean in zip(label_ids, means):
-            rows.append(SweepRow(shift, strategy_label, lid, label_names[lid], float(mean)))
+            rows.append(SweepRow(shift, strategy_label or strategy, lid, label_names[lid],
+                                 float(mean)))
     return SweepResult(rows)
 
 
@@ -565,59 +529,60 @@ def _run_starts(seg, window, shift32):
     return np.hstack([-np.inf * edge, starts, np.nan * edge])
 
 
-def _dice_table(counts, label_ids):
-    """Dice per (shift, label) as nested lists, from counts of shape (3, shifts, 256).
+def _dice_table(counts):
+    """Dice per (shift, id) for all 256 ids, from counts of shape (3, shifts, 256).
 
     Each cell takes ``dice_from_counts``'s float64 steps: 1.0 where the
     denominator is 0, else ``2.0 * overlap / (predicted + truth)``.
     """
-    overlap = counts[2][:, label_ids]
-    den = counts[0][:, label_ids] + counts[1][:, label_ids]
-    return np.divide(2.0 * overlap, den, out=np.ones(den.shape), where=den != 0).tolist()
+    den = counts[0] + counts[1]
+    return np.divide(2.0 * counts[2], den, out=np.ones(den.shape), where=den != 0)
 
 
-def _sorted_sweep(seg, subjects, window, shifts, label_ids):
-    """Per subject, dice per (shift, label) counted off the sorted values (see run_shift_sweep)."""
+def _sorted_counts(seg, window, shifts):
+    """The counts of a prepared test subject, read off its sorted values.
+
+    Returns a function of the subject; its counts have shape (3, shifts,
+    256): predicted, truth and overlap voxels per (shift, id).
+    """
     shift32 = np.array([np.float32(s) for s in shifts], dtype=np.float32)[:, None]
     starts = _run_starts(seg, window, shift32)
     run_labels = seg.predict(_kernels.window_normalize(starts + shift32,
                                                        window.lower, window.upper))
     rows = np.arange(len(shifts))[:, None]
 
-    def subject(prepared):
+    def counts_of(subject):
         counts = np.zeros((3, len(shifts), 256), dtype=np.int64)
-        for lid, values in prepared.values.items():
+        for lid, values in subject.values.items():
             counts[1, :, lid] = values.size
             ends = np.searchsorted(values, starts.ravel()).reshape(starts.shape)
             in_run = np.diff(ends, axis=1, append=values.size)
             np.add.at(counts[0], (rows, run_labels), in_run)
             counts[2, :, lid] = np.where(run_labels == lid, in_run, 0).sum(axis=1)
-        return _dice_table(counts, label_ids)
+        return counts
 
-    return [subject(prepared) for prepared in subjects]
+    return counts_of
 
 
-def _direct_sweep(seg, subjects, window, shifts, label_ids):
-    """Per subject, dice per (shift, label) from classifying every value at every shift.
+def _direct_counts(seg, window, shifts):
+    """The counts of ``_sorted_counts``, from classifying every value at every shift.
 
-    Each label's values are shifted, windowed and classified in chunks of at
-    most SLAB_VOXELS; ``bincount`` of the predictions adds to the predicted
-    counts, and the predictions equal to the label to its overlap.
+    Each label's values go through in chunks of at most SLAB_VOXELS.
     """
-    def subject(prepared):
+    def counts_of(subject):
         counts = np.zeros((3, len(shifts), 256), dtype=np.int64)
         for i, shift in enumerate(shifts):
             shift32 = np.float32(shift)
-            for lid, values in prepared.values.items():
+            for lid, values in subject.values.items():
                 counts[1, i, lid] = values.size
                 for start in range(0, values.size, SLAB_VOXELS):
                     hu = values[start:start + SLAB_VOXELS] + shift32
                     pred = seg.predict(_kernels.window_normalize(hu, window.lower, window.upper))
                     counts[0, i] += np.bincount(pred, minlength=256)
                     counts[2, i, lid] += np.count_nonzero(pred == lid)
-        return _dice_table(counts, label_ids)
+        return counts
 
-    return [subject(prepared) for prepared in subjects]
+    return counts_of
 
 
 def write_sweep_csv(rows, path):
@@ -663,6 +628,11 @@ class ExperimentConfig:
     slice_axis: int = 2
 
 
+def experiment_phantom(cfg, kind, i):
+    """Phantom i of an experiment's training (kind 0) or test (kind 1) suite."""
+    return generate_phantom(replace(cfg.phantom, seed=derive_seed(cfg.seed, kind, i)))
+
+
 def run_experiment(cfg):
     """Generate phantom suites, fit one segmenter per strategy, sweep each.
 
@@ -671,20 +641,16 @@ def run_experiment(cfg):
 
     Each phantom is reduced as soon as it is generated and then dropped, so
     the run holds the gathered training values, the sorted per-label test
-    values and one phantom in flight. A training phantom is gathered for
-    the organ ids, which are the ids the fit takes, since every phantom
-    names every organ; a test phantom is sorted per label. Every
-    strategy's fit and sweep reuse these, and give the rows and bands of
-    calls on the phantoms themselves. Each phantom has its own seed, so
-    the order they are generated in changes no byte.
+    values and one phantom in flight. A training phantom's labelled voxels
+    are gathered along ``cfg.slice_axis``; a test phantom is sorted per
+    label. Every strategy's fit and sweep reuse these, and give the rows
+    and bands of calls on the phantoms themselves. Each phantom has its own
+    seed (``experiment_phantom``), so the order they are generated in
+    changes no byte.
     """
-    def phantom(kind, i):
-        return generate_phantom(replace(cfg.phantom, seed=derive_seed(cfg.seed, kind, i)))
-
-    label_ids = sorted(organ.label_id for organ in cfg.phantom.organs)
-    train = [_gather_pooled(*phantom(0, i), label_ids, cfg.slice_axis)
+    train = [_gather_pooled(*experiment_phantom(cfg, 0, i), cfg.slice_axis)
              for i in range(cfg.n_train)]
-    test = [_prepare_test(*phantom(1, i)) for i in range(cfg.n_test)]
+    test = [_prepare_test(*experiment_phantom(cfg, 1, i)) for i in range(cfg.n_test)]
     rows = []
     segmenters = {}
     for j, spec in enumerate(cfg.strategies):
@@ -695,7 +661,7 @@ def run_experiment(cfg):
         seg = fit_band_segmenter(train, spec.strategy, swn=swn, epochs=cfg.fit.epochs,
                                  percentiles=cfg.fit.percentiles,
                                  band_epsilon=cfg.fit.band_epsilon,
-                                 tie_break=cfg.fit.tie_break, slice_axis=cfg.slice_axis)
+                                 tie_break=cfg.fit.tie_break)
         result = run_shift_sweep(seg, test, spec.strategy, cfg.shifts,
                                  strategy_label=spec.label)
         segmenters[spec.label] = seg

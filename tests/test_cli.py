@@ -12,7 +12,7 @@ import ctwindow
 from ctwindow import simulation
 from ctwindow.cli import experiment_to_config, main, parse_experiment, parse_shifts
 from ctwindow.metrics import read_dice_csv
-from ctwindow.simulation import reference_experiment
+from ctwindow.simulation import reference_experiment, run_experiment
 from ctwindow.volume import (CtVolume, LabelVolume, load_label_volume, load_volume,
                              save_label_volume, save_volume)
 
@@ -235,6 +235,32 @@ def test_phantom_command_writes_suite(tmp_path):
     lab = load_label_volume(str(out_dir / "train_00_labels.ctv.json"))
     assert vol.dims == lab.dims == (20, 20, 6)
     assert lab.label_names[1] == "organ"
+
+
+def test_phantom_command_writes_the_phantoms_run_experiment_generates(tmp_path):
+    spacing = [0.5, 0.75, 2.0]
+    cfg = edited_config(tmp_path, lambda c: c["phantom"].update(spacing_mm=spacing))
+    generate, generated = simulation.generate_phantom, []
+
+    def record(phantom_cfg):
+        generated.append(generate(phantom_cfg))
+        return generated[-1]
+
+    with mock.patch.object(simulation, "generate_phantom", side_effect=record):
+        run_experiment(parse_experiment(json.load(open(cfg, encoding="utf-8"))))
+    assert main(["phantom", cfg, "--out-dir", str(tmp_path / "suite")]) == 0
+    stems = ["train_00", "train_01", "test_00", "test_01"]
+    assert len(generated) == len(stems)
+    for stem, (vol, lab) in zip(stems, generated):
+        label_path = str(tmp_path / "suite" / f"{stem}_labels.ctv.json")
+        written = load_volume(str(tmp_path / "suite" / f"{stem}_image.ctv.json"))
+        labels = load_label_volume(label_path)
+        assert written.voxels.dtype == vol.voxels.dtype
+        assert written.voxels.tobytes() == vol.voxels.tobytes()
+        assert labels.voxels.tobytes() == lab.voxels.tobytes()
+        assert labels.label_names == lab.label_names
+        assert list(written.spacing) == list(vol.spacing) == spacing
+        assert json.load(open(label_path, encoding="utf-8"))["spacing_mm"] == spacing
 
 
 def test_augment_command_identity(tmp_path, image_path):

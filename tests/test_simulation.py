@@ -143,6 +143,12 @@ def test_sweep_row_grid_and_saturation_collapse():
     assert result.cell(0, 1) > 0.9
 
 
+def test_sweep_requires_test_subjects():
+    seg = fit_band_segmenter([generate_phantom(single_organ_config())], "STN", epochs=1)
+    with pytest.raises(ValueError, match="test set must be nonempty"):
+        run_shift_sweep(seg, [], "STN", [0])
+
+
 def test_sweep_requires_shifts():
     pair = generate_phantom(single_organ_config())
     seg = fit_band_segmenter([pair], "STN", epochs=1)

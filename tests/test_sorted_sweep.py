@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracles import per_plane_sweep
 
 from ctwindow import _kernels, simulation
-from ctwindow.simulation import (Band, BandSegmenter, _sorted_sweep_applies, derive_seed,
-                                 generate_phantom, reference_experiment, run_experiment,
+from ctwindow.simulation import (Band, BandSegmenter, _sorted_sweep_applies,
+                                 experiment_phantom, reference_experiment, run_experiment,
                                  run_shift_sweep)
 from ctwindow.volume import CtVolume, LabelVolume
 from ctwindow.windowing import strategy_window
@@ -120,8 +120,7 @@ def test_close_centers_fall_back_and_still_match():
 def test_reference_experiment_rows_match_the_oracle():
     cfg = reference_experiment()
     rows, segmenters = run_experiment(cfg)
-    test = [generate_phantom(replace(cfg.phantom, seed=derive_seed(cfg.seed, 1, i)))
-            for i in range(cfg.n_test)]
+    test = [experiment_phantom(cfg, 1, i) for i in range(cfg.n_test)]
     expected = []
     for spec in cfg.strategies:
         seg = segmenters[spec.label]
