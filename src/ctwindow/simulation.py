@@ -48,6 +48,7 @@ SWEEP_CSV_COLUMNS = ("shift_hu", "strategy", "label_id", "label_name", "mean_dic
 TIE_BREAKS = ("lowest_id", "nearest_center")
 
 SLAB_VOXELS = 1 << 17  # values per chunk of the direct sweep; bounds its scratch memory
+PHANTOM_SLAB = 1 << 16  # float64 draws per slab of a phantom's background
 
 
 def derive_seed(base_seed, *key):
@@ -131,11 +132,12 @@ def generate_phantom(cfg):
     False. C order inside the box is the volume's C order restricted to
     the box, so the organ's draws land on the same voxels as with a mask
     over the whole volume. An organ with radii too small to cover a grid
-    point has an empty box and draws nothing.
+    point has an empty box and draws nothing. The background is drawn in
+    float64 slabs straight into the float32 volume (``_draw_normal``).
     """
     rng = np.random.default_rng(cfg.seed)
-    voxels = rng.normal(cfg.background_hu, cfg.background_noise_std,
-                        size=cfg.dims).astype(np.float32)
+    voxels = np.empty(cfg.dims, dtype=np.float32)
+    _draw_normal(rng, cfg.background_hu, cfg.background_noise_std, voxels.reshape(-1))
     labels = np.zeros(cfg.dims, dtype=np.uint8)
     axes = [np.arange(d, dtype=np.float64) for d in cfg.dims]
     names = {0: "background"}
@@ -154,6 +156,25 @@ def generate_phantom(cfg):
         labels[box][mask] = organ.label_id
         names[organ.label_id] = organ.label_name
     return (CtVolume(voxels, spacing=cfg.spacing), LabelVolume(labels, label_names=names))
+
+
+def _draw_normal(rng, mean, std, out):
+    """Fill float32 ``out`` with ``rng.normal(mean, std, out.size).astype(np.float32)``.
+
+    ``Generator.normal`` computes ``mean + std * z`` in float64 for the
+    stream's next standard normal z, one draw after another. This draws the
+    same z into a float64 slab of at most PHANTOM_SLAB values at a time,
+    multiplies and adds in place, and casts the slab into ``out``, so no
+    float64 array of the whole volume is ever held.
+    """
+    rng.normal(mean, std, size=0)  # its argument checks and errors, with no draw
+    slab = np.empty(min(out.size, PHANTOM_SLAB))
+    for start in range(0, out.size, PHANTOM_SLAB):
+        part = slab[:out.size - start]
+        rng.standard_normal(out=part)
+        part *= std
+        part += mean
+        out[start:start + part.size] = part
 
 
 @dataclass
@@ -226,7 +247,11 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     without a pooled voxel included, so its random stream is the one a
     per-plane fit draws; it windows each volume's gathered values in one
     kernel call, each value with the float32 bounds of its own plane's
-    draw, as a call per plane would.
+    draw, as a call per plane would. Each subject's values of the fitted
+    ids are grouped id by id once (``_group_by_label``), so each pass
+    copies every label's windowed values into its pool as one slice. Each
+    label's pool is allocated once, at passes times its voxel count over
+    all subjects, and dropped as soon as its band is taken.
     """
     if not training:
         raise ValueError("training set must be nonempty")
@@ -248,26 +273,32 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     if not label_ids:
         raise ValueError("training labels contain no nonzero ids")
 
-    pools = {lid: [] for lid in label_ids}
-    for _ in range(1 if window is not None else epochs):
-        for subject in gathered:
+    passes = 1 if window is not None else epochs
+    grouped = [_group_by_label(s, label_ids) for s in gathered]
+    pools, filled = {}, dict.fromkeys(label_ids, 0)
+    for lid in label_ids:
+        size = passes * sum(sizes.get(lid, 0) for _, _, sizes in grouped)
+        if not size:
+            raise ValueError(f"label {lid} has no voxels in any training volume")
+        pools[lid] = np.empty(size, dtype=np.float32)
+    for _ in range(passes):
+        for subject, (values, plane_counts, sizes) in zip(gathered, grouped):
             if window is None:
-                counts = subject.counts
-                drawn = [sampler.sample() for _ in counts]
-                lower = np.repeat(np.array([w.lower for w in drawn], dtype=np.float32), counts)
-                upper = np.repeat(np.array([w.upper for w in drawn], dtype=np.float32), counts)
+                drawn = [sampler.sample() for _ in subject.counts]
+                ends = np.array([(w.lower, w.upper) for w in drawn], dtype=np.float32)
+                lower, upper = (np.repeat(np.tile(e, len(sizes)), plane_counts) for e in ends.T)
             else:
                 lower, upper = window.lower, window.upper
-            normalized = _kernels.window_normalize(subject.values, lower, upper)
-            for lid in label_ids:
-                if lid in subject.masks:
-                    pools[lid].append(normalized[subject.masks[lid]])
+            normalized = _kernels.window_normalize(values, lower, upper)
+            start = 0
+            for lid, size in sizes.items():
+                pools[lid][filled[lid]:filled[lid] + size] = normalized[start:start + size]
+                filled[lid] += size
+                start += size
 
     bands = []
     for lid in label_ids:
-        if not pools[lid]:
-            raise ValueError(f"label {lid} has no voxels in any training volume")
-        lo, hi = _tiled_percentile(np.concatenate(pools[lid]), [lo_pct, hi_pct],
+        lo, hi = _tiled_percentile(pools.pop(lid), [lo_pct, hi_pct],
                                    epochs if window is not None else 1)
         if hi - lo < 2.0 * band_epsilon:
             mid = 0.5 * (lo + hi)
@@ -291,8 +322,15 @@ def _tiled_percentile(values, percentiles, copies):
     ``_lerp`` does: ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` where
     ``t >= 0.5``, with ``b - a`` in the values' dtype. This repeats each of
     those steps on the same index and the same two values, so it returns
-    the same floats and dtype, NaN included where the pool holds a NaN; it
-    partitions one copy instead of ``copies``.
+    the same floats and dtype, NaN included where the pool holds a NaN.
+
+    It sorts ``values`` in place and reads the order statistics off it, where
+    NumPy partitions the whole pool. A sorted and a partitioned array hold
+    the same value at every index they are read at: both put NaN last, and
+    only equal values may trade places, which changes no value here unless
+    the pool mixes -0.0 and 0.0 (a windowed pool holds no -0.0). One sort
+    is also faster than NumPy's partition at several indices at once,
+    which leaves its SIMD selection for a scalar one.
     """
     q = np.true_divide(percentiles, 100)
     count = copies * values.size
@@ -303,13 +341,13 @@ def _tiled_percentile(values, percentiles, copies):
     prev[above] = nxt[above] = -1
     prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
     first, second = prev // copies % values.size, nxt // copies % values.size
-    part = np.partition(values, np.unique(np.concatenate((first, second, [values.size - 1]))))
-    a, b = part[first], part[second]
+    values.sort()
+    a, b = values[first], values[second]
     t = virtual - prev
     diff = b - a
     result = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
-    if np.isnan(part[-1]):  # NaN sorts last; np.percentile then returns NaN throughout
-        result[:] = part[-1]
+    if np.isnan(values[-1]):  # NaN sorts last; np.percentile then returns NaN throughout
+        result[:] = values[-1]
     return result
 
 
@@ -338,6 +376,24 @@ def _gather_pooled(vol, lab, slice_axis):
     return _TrainingSubject(values, np.count_nonzero(keep, axis=(1, 2)),
                             {int(lid): kept == lid for lid in uint8_ids_present(kept)},
                             lab.label_names)
+
+
+def _group_by_label(subject, label_ids):
+    """A gathered subject's values of ``label_ids``, grouped label by label.
+
+    Returns the float32 values of each id of ``label_ids`` the subject
+    holds, in ascending id order and in plane order within an id; each such
+    id's voxel count per plane, id by id, so that per-plane bounds tiled
+    once per id and repeated by these counts lie over the values; and each
+    such id's voxel count.
+    """
+    planes = subject.counts.size
+    plane_of = np.repeat(np.arange(planes), subject.counts)
+    masks = {lid: subject.masks[lid] for lid in label_ids if lid in subject.masks}
+    values = np.concatenate([subject.values[:0]] + [subject.values[m] for m in masks.values()])
+    plane_counts = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        np.bincount(plane_of[m], minlength=planes) for m in masks.values()])
+    return values, plane_counts, {lid: int(np.count_nonzero(m)) for lid, m in masks.items()}
 
 
 @dataclass

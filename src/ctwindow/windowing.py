@@ -12,6 +12,11 @@ supported:
 
 Gaussian draws come from NumPy's PCG64 generator (ziggurat normals); the
 stream is fully determined by the seed, level drawn before width.
+``WindowSampler`` draws its standard normals in blocks and scales them in
+Python, which gives the values of one scalar ``Generator.normal`` call per
+draw, but still returns one window per ``sample()`` call. ``WindowSpec``
+accepts a window well inside float32's exact range without the full
+representability check, which it provably passes.
 """
 
 import math
@@ -55,30 +60,24 @@ class WindowSpec:
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width >= W_MIN:
-            raise ValueError(f"half_width must be >= {W_MIN} HU, got {self.half_width}")
-        # The kernel windows in float32 and scales (v - lower) * 255 before it
-        # divides, so the band's ends and 255 times its float32 width must all
-        # be finite float32 numbers, the ends distinct; otherwise voxels would
-        # come out 255 or NaN where the answer lies inside [0, 255]. Rounding
-        # the ends to float32 may move an output by at most half a step (a
-        # step is the width / 255); otherwise a window far from 0 HU would be
-        # windowed visibly narrower or wider than it was asked for.
-        try:
-            lower, upper = _float32(self.lower), _float32(self.upper)
-            representable = (math.isfinite(lower) and lower < upper
-                             and math.isfinite(_float32(_float32(upper - lower) * 255.0))
-                             and (abs(lower - self.lower) + abs(upper - self.upper)) * 255.0
-                             <= 0.5 * (self.upper - self.lower))
-        except OverflowError:
-            representable = False
-        if not representable:
-            raise ValueError(f"window [{self.lower}, {self.upper}] (level {self.level}, "
-                             f"half_width {self.half_width}) is not representable in float32: "
-                             f"its ends must be distinct finite float32 numbers, rounding them "
-                             f"to float32 may move an output by at most half a step, and 255 "
-                             f"times its width must be at most "
-                             f"{float(np.finfo(np.float32).max)}")
+        """Accept the window or raise ``_check_window``'s error.
+
+        A window with ``half_width >= W_MIN`` and ``|level| + half_width <=
+        2048`` passes ``_check_window``, so it is accepted without it. Its
+        float64 ends, rounded from ``level -+ half_width``, are at most 2048
+        in magnitude, because rounding is monotone and ``|level -+ half_width|
+        <= |level| + half_width``. They lie ``2 * half_width >= 2`` apart,
+        less at most 2**-41 of rounding. Float32 numbers of magnitude up to
+        2048 are at most 2**-13 apart, so rounding an end to float32 moves it
+        by at most 2**-14 HU. So the float32 ends are finite and distinct,
+        255 times their width (at most 4096) is finite, and the check's sum
+        of the two moves times 255 is at most ``2 * 2**-14 * 255 < 0.032``,
+        against a bound of half the width, at least ``0.5 * (2 - 2**-41)``.
+        Every other window, NaN and infinite ones included, takes the full
+        check.
+        """
+        if not (self.half_width >= W_MIN and abs(self.level) + self.half_width <= 2048.0):
+            _check_window(self.level, self.half_width)
 
     @property
     def lower(self):
@@ -87,6 +86,35 @@ class WindowSpec:
     @property
     def upper(self):
         return self.level + self.half_width
+
+
+def _check_window(level, half_width):
+    """Raise ValueError unless the kernel windows [level -+ half_width] as asked."""
+    if not half_width >= W_MIN:
+        raise ValueError(f"half_width must be >= {W_MIN} HU, got {half_width}")
+    # The kernel windows in float32 and scales (v - lower) * 255 before it
+    # divides, so the band's ends and 255 times its float32 width must all
+    # be finite float32 numbers, the ends distinct; otherwise voxels would
+    # come out 255 or NaN where the answer lies inside [0, 255]. Rounding
+    # the ends to float32 may move an output by at most half a step (a
+    # step is the width / 255); otherwise a window far from 0 HU would be
+    # windowed visibly narrower or wider than it was asked for.
+    try:
+        lower, upper = level - half_width, level + half_width
+        lower32, upper32 = _float32(lower), _float32(upper)
+        representable = (math.isfinite(lower32) and lower32 < upper32
+                         and math.isfinite(_float32(_float32(upper32 - lower32) * 255.0))
+                         and (abs(lower32 - lower) + abs(upper32 - upper)) * 255.0
+                         <= 0.5 * (upper - lower))
+    except OverflowError:
+        representable = False
+    if not representable:
+        raise ValueError(f"window [{level - half_width}, {level + half_width}] (level {level}, "
+                         f"half_width {half_width}) is not representable in float32: "
+                         f"its ends must be distinct finite float32 numbers, rounding them "
+                         f"to float32 may move an output by at most half a step, and 255 "
+                         f"times its width must be at most "
+                         f"{float(np.finfo(np.float32).max)}")
 
 
 @dataclass(frozen=True)
@@ -103,17 +131,35 @@ class SwnParams:
                              f"got {self.sigma_level} and {self.sigma_width}")
 
 
+_DRAW_BLOCK = 512  # standard normals per refill; even, so no window's pair straddles two
+
+
 class WindowSampler:
-    """Deterministic stream of random windows centered on the soft-tissue window."""
+    """Deterministic stream of random windows centered on the soft-tissue window.
+
+    ``Generator.normal(loc, scale)`` returns ``loc + scale * z`` for the
+    stream's next standard normal z, and ``standard_normal(n)`` gives the
+    next n of them. So the sampler draws z in blocks of ``_DRAW_BLOCK`` and
+    does that float64 arithmetic itself, one window per ``sample()`` call.
+    """
 
     def __init__(self, params):
         self.params = params
         self._rng = np.random.default_rng(params.seed)
+        self._sigma_level = float(params.sigma_level)
+        self._sigma_width = float(params.sigma_width)
+        self._draws = []
+        self._next = 0
 
     def sample(self):
         """Draw one window: level first, then width, |width| floored at W_MIN."""
-        level = self._rng.normal(SOFT_TISSUE_LEVEL, self.params.sigma_level)
-        width = abs(self._rng.normal(SOFT_TISSUE_HALF_WIDTH, self.params.sigma_width))
+        if self._next == len(self._draws):
+            self._draws = self._rng.standard_normal(_DRAW_BLOCK).tolist()
+            self._next = 0
+        z_level, z_width = self._draws[self._next], self._draws[self._next + 1]
+        self._next += 2
+        level = SOFT_TISSUE_LEVEL + self._sigma_level * z_level
+        width = abs(SOFT_TISSUE_HALF_WIDTH + self._sigma_width * z_width)
         return WindowSpec(level, max(width, W_MIN))
 
 

@@ -6,7 +6,10 @@ scalars) and share no code with the library paths they check. The per-plane
 sweep and fit are the plain slice-by-slice formulation that the whole-volume
 sweep and fit replaced, and ``per_slice_swn_window`` is the slice-by-slice
 SWN ``window`` command that one broadcast kernel call replaced; all three
-are built from the 2D slice API only. ``scipy_augment_pair`` is the
+are built from the 2D slice API only. The per-plane fit and the SWN
+``window`` oracle draw their windows from ``ScalarWindowSampler``, two
+scalar ``Generator.normal`` calls per window, which is what
+``WindowSampler``'s buffered draws replaced. ``scipy_augment_pair`` is the
 augmentation the crop-only NumPy resampler replaced: two full-plane
 ``scipy.ndimage.affine_transform`` passes, then a crop/pad.
 """
@@ -21,7 +24,8 @@ from scipy.stats import norm, rankdata
 from ctwindow.metrics import multi_label_dice
 from ctwindow.simulation import Band, SweepRow
 from ctwindow.volume import LabelVolume, Slice2D, extract_slice, shift_intensity, stack_slices
-from ctwindow.windowing import (SwnParams, WindowSampler, apply_window, normalize_for_testing,
+from ctwindow.windowing import (SOFT_TISSUE_HALF_WIDTH, SOFT_TISSUE_LEVEL, W_MIN, SwnParams,
+                                WindowSpec, _check_window, apply_window, normalize_for_testing,
                                 normalize_for_training)
 
 
@@ -103,6 +107,24 @@ def window_pseudocode(image, level, width):
     return np.float32(255.0) * (image - min_threshold) / (max_threshold - min_threshold)
 
 
+class ScalarWindowSampler:
+    """``WindowSampler`` one scalar ``Generator.normal`` draw at a time, level first.
+
+    Each window takes the full ``_check_window`` before it is built.
+    """
+
+    def __init__(self, params):
+        self.params = params
+        self._rng = np.random.default_rng(params.seed)
+
+    def sample(self):
+        level = self._rng.normal(SOFT_TISSUE_LEVEL, self.params.sigma_level)
+        half_width = max(abs(self._rng.normal(SOFT_TISSUE_HALF_WIDTH, self.params.sigma_width)),
+                         W_MIN)
+        _check_window(level, half_width)
+        return WindowSpec(level, half_width)
+
+
 def per_plane_sweep(seg, test, strategy, shifts, slice_axis):
     """Sweep rows from one prediction per plane along ``slice_axis``, serially."""
     label_names = {}
@@ -131,7 +153,7 @@ def per_plane_fit_bands(training, strategy, swn, epochs, percentiles, band_epsil
                         slice_axis):
     """Percentile bands pooled plane by plane, one training normalization per plane."""
     label_ids = sorted({lid for _, lab in training for lid in lab.label_names if lid != 0})
-    sampler = WindowSampler(swn) if strategy == "SWN" else None
+    sampler = ScalarWindowSampler(swn) if strategy == "SWN" else None
     pools = {lid: [] for lid in label_ids}
     for _ in range(epochs):
         for vol, lab in training:
@@ -153,7 +175,7 @@ def per_plane_fit_bands(training, strategy, swn, epochs, percentiles, band_epsil
 
 def per_slice_swn_window(volume, axis, x, y, seed):
     """``window --strategy SWN --mode train``, one slice at a time: voxels and JSON lines."""
-    sampler = WindowSampler(SwnParams(x, y, seed=seed))
+    sampler = ScalarWindowSampler(SwnParams(x, y, seed=seed))
     windows = [sampler.sample() for _ in range(volume.dims[axis])]
     voxels = stack_slices([apply_window(extract_slice(volume, axis, index), w).values
                            for index, w in enumerate(windows)], axis)

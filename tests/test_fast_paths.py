@@ -2,7 +2,8 @@
 and augmentation.
 
 Each shortcut is checked against the plain computation it replaces: the
-bounding-box organ masks against ``oracles.full_volume_phantom``, the
+bounding-box organ masks against ``oracles.full_volume_phantom``, the slab
+background draw against one ``rng.normal`` draw cast to float32, the
 tiled-pool percentile against ``np.percentile`` on the materialized pool,
 the fit's gather of every labelled voxel against an ``np.isin`` gather
 over the named ids, the sweep's vectorised dice against
@@ -25,8 +26,9 @@ from oracles import full_volume_phantom, scipy_augment_pair
 
 from ctwindow.augmentation import AugmentConfig, augment_pair
 from ctwindow.metrics import dice_from_counts
-from ctwindow.simulation import (OrganSpec, PhantomConfig, _dice_table, _gather_pooled,
-                                 _tiled_percentile, generate_phantom, reference_experiment)
+from ctwindow.simulation import (PHANTOM_SLAB, OrganSpec, PhantomConfig, _dice_table,
+                                 _draw_normal, _gather_pooled, _tiled_percentile,
+                                 generate_phantom, reference_experiment)
 from ctwindow.volume import LABEL_SCAN_SLAB, CtVolume, LabelVolume, Slice2D
 
 PERCENTILES = st.one_of(st.just(0.0), st.just(100.0), st.floats(0.0, 100.0))
@@ -61,6 +63,25 @@ def test_tiled_percentile_on_a_fit_sized_pool(copies):
     percentiles = [1.0, 2.5, 50.0, 97.5, 99.0]
     expected = np.percentile(np.concatenate([values] * copies), percentiles)
     assert _tiled_percentile(values, percentiles, copies).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mean, std", [(-1000.0, 15.0), (0.0, 0.0), (3.0, 1e30), (-0.0, 2.5)])
+@pytest.mark.parametrize("size", [1, PHANTOM_SLAB - 1, PHANTOM_SLAB + 1, 3 * PHANTOM_SLAB + 4321])
+def test_slab_background_draw_is_one_normal_draw_cast_to_float32(mean, std, size):
+    expected_rng, rng = np.random.default_rng(size), np.random.default_rng(size)
+    expected = expected_rng.normal(mean, std, size).astype(np.float32)
+    out = np.empty(size, dtype=np.float32)
+    _draw_normal(rng, mean, std, out)
+    assert out.tobytes() == expected.tobytes()
+    assert rng.random() == expected_rng.random()  # the stream goes on where normal() left it
+
+
+@pytest.mark.parametrize("std", [-1.0, -0.0, "wide"])
+def test_slab_background_draw_rejects_what_normal_rejects(std):
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng(0).normal(0.0, std, 5)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        _draw_normal(np.random.default_rng(0), 0.0, std, np.empty(5, dtype=np.float32))
 
 
 def assert_phantoms_match(cfg):

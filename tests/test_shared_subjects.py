@@ -5,8 +5,8 @@ phantom sorted per label once (``_prepare_test``); every strategy's fit and
 sweep read those. These tests check that this gives the rows and bands of
 separate calls on the phantoms themselves, that a prepared subject fits and
 sweeps like its pair, that the direct fallback counts per-label values in
-chunks correctly, and that the run's memory peak stays well below the bytes
-of its phantoms.
+chunks correctly, that the run's memory peak stays well below the bytes
+of its phantoms, and that the SWN fit holds little more than its pools.
 """
 
 import tracemalloc
@@ -135,3 +135,26 @@ def test_run_experiment_keeps_no_phantom():
         tracemalloc.stop()
     # holding every phantom would take all of phantom_bytes (float32 HU + uint8 labels)
     assert peak < phantom_bytes / 2, (peak, phantom_bytes)
+
+
+def test_the_swn_fit_holds_one_pool_per_label():
+    cfg = replace(reference_experiment(), phantom=fit_heavy_phantom())
+    train = [_gather_pooled(*experiment_phantom(cfg, 0, i), cfg.slice_axis)
+             for i in range(cfg.n_train)]
+    swn = SwnParams(50.0, 50.0, seed=derive_seed(cfg.seed, 2, 2))
+
+    def fit():
+        return fit_band_segmenter(train, "SWN", swn=swn, epochs=cfg.fit.epochs,
+                                  percentiles=cfg.fit.percentiles,
+                                  tie_break=cfg.fit.tie_break)
+
+    expected = fit().bands  # a first fit, so that first-call imports do not count
+    pooled_bytes = 4 * cfg.fit.epochs * sum(s.values.size for s in train)
+    tracemalloc.start()
+    try:
+        assert fit().bands == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every label's float32 pool of all epochs' windowed values is held until its band is taken
+    assert peak < 2 * pooled_bytes, (peak, pooled_bytes)

@@ -1,13 +1,18 @@
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ScalarWindowSampler
+
+from ctwindow import windowing
 from ctwindow.volume import Slice2D
-from ctwindow.windowing import (SwnParams, WindowSampler, WindowSpec, W_MIN,
-                                apply_window, normalize_for_testing,
+from ctwindow.windowing import (SwnParams, WindowSampler, WindowSpec, W_MIN, _DRAW_BLOCK,
+                                _check_window, apply_window, normalize_for_testing,
                                 normalize_for_training, normalize_wir, preset)
 
 
@@ -144,6 +149,93 @@ def test_sampler_zero_sigma_is_exactly_soft_tissue():
     for _ in range(10):
         w = sampler.sample()
         assert (w.level, w.half_width) == (40.0, 200.0)
+
+
+def outcomes(sampler, count):
+    """Each of ``count`` draws as (type, level, half-width) in hex, or its ValueError message."""
+    drawn = []
+    for _ in range(count):
+        try:
+            w = sampler.sample()
+        except ValueError as exc:
+            drawn.append(str(exc))
+        else:
+            drawn.append((type(w.level), type(w.half_width), w.level.hex(), w.half_width.hex()))
+    return drawn
+
+
+SIGMAS = st.one_of(st.sampled_from([0.0, 1e4, 1e36]), st.floats(0.0, 500.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), x=SIGMAS, y=SIGMAS)
+def test_buffered_draws_equal_scalar_normal_draws(seed, x, y):
+    """Values bit for bit, and which draws fail with which message, over several draw blocks.
+
+    Where the platform fuses ``loc + scale * z`` inside ``Generator.normal``, this fails.
+    """
+    params = SwnParams(x, y, seed=seed)
+    count = _DRAW_BLOCK + _DRAW_BLOCK // 2 + 3  # 1,542 standard normals: four draw blocks
+    assert outcomes(WindowSampler(params), count) == outcomes(ScalarWindowSampler(params), count)
+
+
+def nudged(x, steps):
+    """``x`` moved by ``steps`` float64 ulps."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 3.4e38, 1e36,
+                           0.0, -0.0, W_MIN, 2048.0, -2048.0, 2047.0, 5e-324])
+
+
+@st.composite
+def window_args(draw):
+    """(level, half_width) pairs, most of them on or near ``|level| + half_width = 2048``.
+
+    The rest are arbitrary, special, or of any magnitude up to 2**60 with
+    narrow widths, where float32 rounding makes the full check reject.
+    """
+    kind = draw(st.sampled_from(["edge", "edge", "floor", "scaled", "any"]))
+    if kind == "any":
+        return draw(st.one_of(SPECIAL, st.floats())), draw(st.one_of(SPECIAL, st.floats()))
+    if kind == "scaled":
+        level = draw(st.integers(-2 ** 53, 2 ** 53)) * 2.0 ** draw(st.integers(-53, 7))
+        return level, draw(st.floats(0.5, 2.0)) * 2.0 ** draw(st.integers(0, 12))
+    level = draw(st.one_of(st.floats(-2047.0, 2047.0), st.sampled_from([0.0, -0.0, 2047.0])))
+    steps = draw(st.integers(-3, 3))
+    if kind == "edge":
+        return level, nudged(2048.0 - abs(level), steps)
+    return nudged(math.copysign(2048.0 - W_MIN, level), draw(st.integers(-3, 3))), \
+        nudged(W_MIN, steps)
+
+
+def check_error(make):
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(args=window_args())
+def test_window_fast_accept_agrees_with_the_full_check(args):
+    level, half_width = args
+    assert check_error(lambda: WindowSpec(level, half_width)) == \
+        check_error(lambda: _check_window(level, half_width))
+
+
+def test_window_fast_accept_skips_the_full_check_only_inside_its_bound():
+    with mock.patch.object(windowing, "_check_window",
+                           side_effect=windowing._check_window) as full:
+        WindowSpec(40.0, 200.0)
+        WindowSpec(-2047.0, 1.0)
+        assert full.call_count == 0
+        WindowSpec(nudged(-2047.0, -3), 1.0)
+        WindowSpec(1e6, 200.0)
+        assert full.call_count == 2
 
 
 @pytest.mark.parametrize("sigmas", [(float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 50.0),
