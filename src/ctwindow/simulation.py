@@ -12,14 +12,16 @@ shift's dice counts off the sorted values (see ``run_shift_sweep``),
 because normalization is monotone and the classifier is piecewise
 constant in normalized intensity.
 
-The fit and the sweep each start by reducing a (CtVolume, LabelVolume)
-pair to what they read of it: a training subject to one gather of every
-labelled voxel in plane order (``_gather_pooled``), a test subject to its
-per-label sorted values (``_prepare_test``). Neither reduction depends on
-the strategy, so ``run_experiment`` reduces each phantom once, as soon as
-it is generated, drops the phantom, and passes the reduced subjects to
-every strategy's fit and sweep. The fit pools them in one loop; the sweep
-counts them in one loop over subjects.
+The fit and the sweep read a (CtVolume, LabelVolume) pair as one
+prepared subject (``_prepare``): each label's voxel values as float32, in
+plane order along the slice axis, with that label's voxel count per
+plane. The ids are the ones ``LabelVolume`` found when it was built, so
+no reduction scans the labels again: a training subject holds the
+nonzero ids, a test subject every id, its values sorted. Neither
+reduction depends on the strategy, so ``run_experiment`` reduces each
+phantom once, as soon as it is generated, drops the phantom, and passes
+the subjects to every strategy's fit and sweep. The fit pools them in
+one loop; the sweep counts them in one loop over subjects.
 
 All randomness derives from explicit seeds. ``run_experiment`` derives
 per-subject and per-strategy streams from the experiment seed with spawn
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .volume import CtVolume, LabelVolume, uint8_ids_present
+from .volume import CtVolume, LabelVolume
 from .windowing import SwnParams, WindowSampler, strategy_window
 
 # Not called here; kept because perfbench's tracer wraps these names on this module.
@@ -234,24 +236,23 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     ``2 * band_epsilon`` when it degenerates. The labels are the nonzero
     named ids of all subjects.
 
-    ``training`` holds (CtVolume, LabelVolume) pairs, gathered on entry,
-    or subjects ``run_experiment`` gathered once for every strategy; either
-    way a volume's labelled voxels are gathered once as float32, plane by
-    plane along the slice axis (``_gather_pooled``). Windowing is exact on
+    ``training`` holds (CtVolume, LabelVolume) pairs, prepared on entry,
+    or subjects ``run_experiment`` prepared once for every strategy; either
+    way each nonzero id's voxel values are gathered once as float32, plane
+    by plane along the slice axis (``_prepare``). Windowing is exact on
     them: the kernel windows each value on its own, and ``np.percentile``
-    depends only on the multiset of pooled values. One loop pools. STN and
-    WIR make one pass, since every epoch would add the same values again,
-    and ``_tiled_percentile`` reads ``np.percentile``'s result on the
-    ``epochs``-fold pool off that one copy. SWN makes ``epochs`` passes and
-    draws one window per plane in the order epoch, volume, plane, planes
-    without a pooled voxel included, so its random stream is the one a
-    per-plane fit draws; it windows each volume's gathered values in one
-    kernel call, each value with the float32 bounds of its own plane's
-    draw, as a call per plane would. Each subject's values of the fitted
-    ids are grouped id by id once (``_group_by_label``), so each pass
-    copies every label's windowed values into its pool as one slice. Each
-    label's pool is allocated once, at passes times its voxel count over
-    all subjects, and dropped as soon as its band is taken.
+    depends only on the multiset of pooled values. One loop pools, and
+    windows each label's values of each subject straight into that label's
+    pool. STN and WIR make one pass, since every epoch would add the same
+    values again, and ``_tiled_percentile`` reads ``np.percentile``'s
+    result on the ``epochs``-fold pool off that one copy. SWN makes
+    ``epochs`` passes and draws one window per plane in the order epoch,
+    volume, plane, planes without a pooled voxel included, so its random
+    stream is the one a per-plane fit draws; it windows each label's values
+    with the float32 bounds of each value's own plane, repeated by the
+    label's per-plane counts, as a call per plane would. Each label's pool
+    is allocated once, at passes times its voxel count over all subjects,
+    and dropped as soon as its band is taken.
     """
     if not training:
         raise ValueError("training set must be nonempty")
@@ -267,34 +268,34 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
 
     window = strategy_window(strategy, "train")
     sampler = WindowSampler(swn) if window is None else None
-    gathered = [s if isinstance(s, _TrainingSubject) else _gather_pooled(*s, slice_axis)
+    subjects = [s if isinstance(s, _Subject) else _training_subject(*s, slice_axis)
                 for s in training]
-    label_ids = sorted({lid for s in gathered for lid in s.label_names if lid != 0})
+    label_ids = sorted({lid for s in subjects for lid in s.label_names if lid != 0})
     if not label_ids:
         raise ValueError("training labels contain no nonzero ids")
 
     passes = 1 if window is not None else epochs
-    grouped = [_group_by_label(s, label_ids) for s in gathered]
     pools, filled = {}, dict.fromkeys(label_ids, 0)
     for lid in label_ids:
-        size = passes * sum(sizes.get(lid, 0) for _, _, sizes in grouped)
+        size = passes * sum(s.values[lid].size for s in subjects if lid in s.values)
         if not size:
             raise ValueError(f"label {lid} has no voxels in any training volume")
         pools[lid] = np.empty(size, dtype=np.float32)
     for _ in range(passes):
-        for subject, (values, plane_counts, sizes) in zip(gathered, grouped):
+        for subject in subjects:
             if window is None:
-                drawn = [sampler.sample() for _ in subject.counts]
-                ends = np.array([(w.lower, w.upper) for w in drawn], dtype=np.float32)
-                lower, upper = (np.repeat(np.tile(e, len(sizes)), plane_counts) for e in ends.T)
-            else:
-                lower, upper = window.lower, window.upper
-            normalized = _kernels.window_normalize(values, lower, upper)
-            start = 0
-            for lid, size in sizes.items():
-                pools[lid][filled[lid]:filled[lid] + size] = normalized[start:start + size]
-                filled[lid] += size
-                start += size
+                drawn = [sampler.sample() for _ in range(subject.planes)]
+                ends = np.array([(w.lower, w.upper) for w in drawn], dtype=np.float32).T
+            for lid, values in subject.values.items():
+                if lid not in pools:
+                    continue
+                if window is None:
+                    lower, upper = (np.repeat(e, subject.plane_counts[lid]) for e in ends)
+                else:
+                    lower, upper = window.lower, window.upper
+                pools[lid][filled[lid]:filled[lid] + values.size] = \
+                    _kernels.window_normalize(values, lower, upper)
+                filled[lid] += values.size
 
     bands = []
     for lid in label_ids:
@@ -352,72 +353,50 @@ def _tiled_percentile(values, percentiles, copies):
 
 
 @dataclass
-class _TrainingSubject:
-    """A training subject as the fit reads it (see ``_gather_pooled``)."""
-
-    values: np.ndarray
-    counts: np.ndarray
-    masks: dict
-    label_names: dict
-
-
-def _gather_pooled(vol, lab, slice_axis):
-    """One training volume's labelled voxels, gathered in plane order along ``slice_axis``.
-
-    Returns the float32 values of every voxel whose label is not 0, the
-    number of them in each plane and, per id present, a mask over them,
-    with the volume's label names.
-    """
-    _check_dims(vol, lab)
-    labels = np.moveaxis(lab.voxels, slice_axis, 0)
-    keep = labels != 0
-    values = np.moveaxis(vol.voxels, slice_axis, 0)[keep].astype(np.float32, copy=False)
-    kept = labels[keep]
-    return _TrainingSubject(values, np.count_nonzero(keep, axis=(1, 2)),
-                            {int(lid): kept == lid for lid in uint8_ids_present(kept)},
-                            lab.label_names)
-
-
-def _group_by_label(subject, label_ids):
-    """A gathered subject's values of ``label_ids``, grouped label by label.
-
-    Returns the float32 values of each id of ``label_ids`` the subject
-    holds, in ascending id order and in plane order within an id; each such
-    id's voxel count per plane, id by id, so that per-plane bounds tiled
-    once per id and repeated by these counts lie over the values; and each
-    such id's voxel count.
-    """
-    planes = subject.counts.size
-    plane_of = np.repeat(np.arange(planes), subject.counts)
-    masks = {lid: subject.masks[lid] for lid in label_ids if lid in subject.masks}
-    values = np.concatenate([subject.values[:0]] + [subject.values[m] for m in masks.values()])
-    plane_counts = np.concatenate([np.zeros(0, dtype=np.intp)] + [
-        np.bincount(plane_of[m], minlength=planes) for m in masks.values()])
-    return values, plane_counts, {lid: int(np.count_nonzero(m)) for lid, m in masks.items()}
-
-
-@dataclass
-class _TestSubject:
-    """A test subject as the sweep reads it: names, and each present id's sorted values."""
+class _Subject:
+    """A (CtVolume, LabelVolume) pair as the fit and the sweep read it (see ``_prepare``)."""
 
     label_names: dict
-    values: dict  # label id -> that label's voxel values as float32, ascending
+    values: dict  # label id -> its voxel values as float32, in plane order or sorted
+    plane_counts: dict  # label id -> its voxel count in each plane
+    planes: int
 
 
-def _prepare_test(vol, lab):
-    """Sort each label's voxel values of a test subject, one label at a time."""
-    _check_dims(vol, lab)
-    values = {}
-    for lid in uint8_ids_present(lab.voxels):
-        label_values = vol.voxels[lab.voxels == lid].astype(np.float32, copy=False)
-        label_values.sort()
-        values[int(lid)] = label_values
-    return _TestSubject(lab.label_names, values)
+def _prepare(vol, lab, ids, slice_axis):
+    """The float32 values of each id of ``ids``, in plane order along ``slice_axis``.
 
-
-def _check_dims(vol, lab):
+    Also counts each id's voxels in every plane, so that per-plane bounds
+    repeated by these counts lie over the id's values. The labels are
+    copied into plane order once, so each id's mask is laid out plane by
+    plane and its per-plane counts are row sums.
+    """
     if vol.dims != lab.dims:
         raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
+    labels = np.ascontiguousarray(np.moveaxis(lab.voxels, slice_axis, 0))
+    voxels = np.moveaxis(vol.voxels, slice_axis, 0)
+    values, plane_counts = {}, {}
+    for lid in ids.tolist():
+        mask = labels == lid
+        values[lid] = voxels[mask].astype(np.float32, copy=False)
+        plane_counts[lid] = mask.reshape(len(mask), -1).sum(axis=1)
+    return _Subject(lab.label_names, values, plane_counts, labels.shape[0])
+
+
+def _training_subject(vol, lab, slice_axis):
+    """A training pair as the fit reads it: its nonzero ids' values in plane order."""
+    return _prepare(vol, lab, lab.ids[lab.ids != 0], slice_axis)
+
+
+def _test_subject(vol, lab):
+    """A test pair as the sweep reads it: every id's values, each sorted in place.
+
+    Sorted values keep no plane order, so the planes lie along axis 0, where
+    the gather reads a C-ordered volume in memory order.
+    """
+    subject = _prepare(vol, lab, lab.ids, 0)
+    for values in subject.values.values():
+        values.sort()
+    return subject
 
 
 @dataclass
@@ -449,10 +428,10 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     """Mean dice per (shift, label) of a segmenter on shifted test volumes.
 
     ``test`` holds (CtVolume, LabelVolume) pairs or subjects that
-    ``run_experiment`` prepared once for every strategy with
-    ``_prepare_test``: the label names, and each present id's values sorted
-    as float32. One loop takes the subjects in turn, preparing a pair when
-    its turn comes, so one pair's sorted values are held at a time. It
+    ``run_experiment`` prepared once for every strategy (``_test_subject``):
+    the label names, and the values of each id present sorted as float32.
+    One loop takes the subjects in turn, preparing a pair when its turn
+    comes, so one pair's sorted values are held at a time. It
     counts each subject's predicted, truth and overlap voxels per (shift,
     id), off the per-label values since dice counts do not depend on where
     a voxel is, and turns them into dice for all 256 ids; the nonzero named
@@ -490,8 +469,8 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     label_names = {}
     tables = []
     for subject in test:
-        if not isinstance(subject, _TestSubject):
-            subject = _prepare_test(*subject)
+        if not isinstance(subject, _Subject):
+            subject = _test_subject(*subject)
         for lid, name in subject.label_names.items():
             if lid != 0:
                 label_names.setdefault(lid, name)
@@ -695,18 +674,18 @@ def run_experiment(cfg):
     Returns the concatenated sweep rows (strategy blocks in config order)
     and the fitted segmenters keyed by strategy label.
 
-    Each phantom is reduced as soon as it is generated and then dropped, so
-    the run holds the gathered training values, the sorted per-label test
-    values and one phantom in flight. A training phantom's labelled voxels
-    are gathered along ``cfg.slice_axis``; a test phantom is sorted per
-    label. Every strategy's fit and sweep reuse these, and give the rows
-    and bands of calls on the phantoms themselves. Each phantom has its own
-    seed (``experiment_phantom``), so the order they are generated in
-    changes no byte.
+    Each phantom is reduced to a prepared subject as soon as it is
+    generated and then dropped, so the run holds each training phantom's
+    per-label values in plane order along ``cfg.slice_axis``, each test
+    phantom's sorted per-label values and one phantom in flight. Every
+    strategy's fit and sweep reuse these, and give the rows and bands of
+    calls on the phantoms themselves. Each phantom has its own seed
+    (``experiment_phantom``), so the order they are generated in changes
+    no byte.
     """
-    train = [_gather_pooled(*experiment_phantom(cfg, 0, i), cfg.slice_axis)
+    train = [_training_subject(*experiment_phantom(cfg, 0, i), cfg.slice_axis)
              for i in range(cfg.n_train)]
-    test = [_prepare_test(*experiment_phantom(cfg, 1, i)) for i in range(cfg.n_test)]
+    test = [_test_subject(*experiment_phantom(cfg, 1, i)) for i in range(cfg.n_test)]
     rows = []
     segmenters = {}
     for j, spec in enumerate(cfg.strategies):

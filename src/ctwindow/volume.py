@@ -19,6 +19,8 @@ import numpy as np
 
 _IMAGE_DTYPES = {"int16": np.dtype("<i2"), "float32": np.dtype("<f4")}
 _LABEL_DTYPE = np.dtype("u1")
+# the label_names keys save_label_volume writes, and the only ones load_label_volume reads
+_LABEL_KEYS = frozenset(str(i) for i in range(256))
 LABEL_SCAN_SLAB = 1 << 16  # voxels per bincount in the uint8 id scan; bounds its intp copy
 
 
@@ -64,11 +66,14 @@ class LabelVolume:
     their scan only marks which of the 256 values occur: one
     ``np.bincount`` per slab of LABEL_SCAN_SLAB voxels, which reads the
     volume once where ``np.unique`` would sort a copy of it. Other dtypes
-    keep ``np.unique`` and its range checks.
+    keep ``np.unique`` and its range checks. ``ids`` keeps the scan's
+    result, the ascending ids present as an intp array, so that readers of
+    the volume need not scan it again.
     """
 
     voxels: np.ndarray
     label_names: dict = field(default_factory=dict)
+    ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         voxels = np.asarray(self.voxels)
@@ -83,13 +88,12 @@ class LabelVolume:
                 raise ValueError(f"label ids must be integers in 0..255, "
                                  f"got {ids[0]}..{ids[-1]}")
         self.voxels = voxels.astype(np.uint8, copy=False)
+        self.ids = ids.astype(np.intp, copy=False)
         self.label_names = {int(k): str(v) for k, v in self.label_names.items()}
         if any(not 0 <= k <= 255 for k in self.label_names):
             raise ValueError(f"label ids must be integers in 0..255, "
                              f"got names for {sorted(self.label_names)}")
-        present = set(int(v) for v in ids)
-        missing = sorted(present - set(self.label_names))
-        for lid in missing:
+        for lid in sorted(set(self.ids.tolist()) - set(self.label_names)):
             self.label_names[lid] = "background" if lid == 0 else f"label_{lid}"
 
     @property
@@ -202,7 +206,11 @@ def load_label_volume(path):
     names = header.get("label_names", {})
     if not isinstance(names, dict):
         raise CtvFormatError(f"{path}: label_names must be a JSON object")
-    return LabelVolume(voxels, label_names=names)
+    for key, name in names.items():
+        if key not in _LABEL_KEYS or not isinstance(name, str):
+            raise CtvFormatError(f"{path}: label_names must map ids written as \"0\".."
+                                 f"\"255\" to strings, got {key!r}: {name!r}")
+    return LabelVolume(voxels, label_names={int(k): v for k, v in names.items()})
 
 
 def _write(path, voxels, spacing, dtype_name, units, extra=None):

@@ -548,3 +548,33 @@ def test_malformed_dice_csv_rows_are_errors_naming_the_line(tmp_path, capsys, ro
     err = capsys.readouterr().err
     assert err.startswith(f"ctwindow: error: {bad}:{line}: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("names", [
+    {"1": None}, {"1": ["a"]}, {"1": 7}, {"1_0": "x"}, {" 1": "a"}, {"01": "a"}, {"+1": "a"},
+    {"x": "a"}, {"256": "a"}, {"-1": "a"}, {"1": "organ", "2": None},
+], ids=["null", "list", "number", "underscore", "space", "leading-zero", "plus", "word",
+        "256", "negative", "second-entry"])
+def test_malformed_label_names_are_errors_naming_the_file(tmp_path, capsys, names):
+    labels = np.zeros((4, 3, 2), dtype=np.uint8)
+    labels[1, 1, :] = 1
+    path = str(tmp_path / "labels.ctv.json")
+    save_label_volume(LabelVolume(labels, label_names={1: "organ"}), path)
+    with open(path, encoding="utf-8") as fh:
+        header = json.load(fh)
+    header["label_names"] = names
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(header, fh)
+    out = tmp_path / "dice.csv"
+    assert main(["dice", path, path, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ctwindow: error: {path}: label_names ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_label_names_of_every_id_round_trip(tmp_path):
+    labels = np.arange(256, dtype=np.uint8).reshape(8, 8, 4)
+    names = {lid: f"n{lid}" for lid in range(256)}
+    path = str(tmp_path / "labels.ctv.json")
+    save_label_volume(LabelVolume(labels, label_names=names), path)
+    assert load_label_volume(path).label_names == names

@@ -5,9 +5,10 @@ Each shortcut is checked against the plain computation it replaces: the
 bounding-box organ masks against ``oracles.full_volume_phantom``, the slab
 background draw against one ``rng.normal`` draw cast to float32, the
 tiled-pool percentile against ``np.percentile`` on the materialized pool,
-the fit's gather of every labelled voxel against an ``np.isin`` gather
-over the named ids, the sweep's vectorised dice against
-``dice_from_counts``, the uint8 bincount id scan against ``np.unique``,
+the fit's per-label gather of each nonzero id ``LabelVolume`` found
+against an ``np.isin`` gather over the named ids, the sweep's vectorised
+dice against ``dice_from_counts``, the uint8 bincount id scan (and the
+``LabelVolume.ids`` it keeps) against ``np.unique``,
 and the crop-only NumPy resampler against ``oracles.scipy_augment_pair``
 (two full-plane ``scipy.ndimage.affine_transform`` passes, then a
 crop/pad).
@@ -27,7 +28,7 @@ from oracles import full_volume_phantom, scipy_augment_pair
 from ctwindow.augmentation import AugmentConfig, augment_pair
 from ctwindow.metrics import dice_from_counts
 from ctwindow.simulation import (PHANTOM_SLAB, OrganSpec, PhantomConfig, _dice_table,
-                                 _draw_normal, _gather_pooled, _tiled_percentile,
+                                 _draw_normal, _tiled_percentile, _training_subject,
                                  generate_phantom, reference_experiment)
 from ctwindow.volume import LABEL_SCAN_SLAB, CtVolume, LabelVolume, Slice2D
 
@@ -171,29 +172,33 @@ def test_sub_voxel_edge_and_overlapping_organs():
        slice_axis=st.sampled_from([0, 1, 2]),
        order=st.sampled_from(["C", "F"]))
 def test_gather_matches_isin_over_the_named_ids(seed, dims, present, named, slice_axis, order):
-    """Each named id's values and planes are the ones an ``np.isin`` gather over the named ids
-    keeps; the volume may hold ids that are present but not named, and named ids that are absent.
+    """Each named id's values and per-plane counts are the ones an ``np.isin`` gather over the
+    named ids keeps; the volume may hold ids that are present but not named, and named ids that
+    are absent. Every nonzero id present is held, and its values and counts match its own mask.
     """
     rng = np.random.default_rng(seed)
     labels = rng.choice(256, size=present, replace=False)[rng.integers(0, present, dims)]
     labels = np.asarray(labels.astype(np.uint8), order=order)
     voxels = np.asarray(rng.integers(-1000, 1000, dims).astype(np.int16), order=order)
-    gathered = _gather_pooled(CtVolume(voxels), LabelVolume(labels), slice_axis)
-    values, counts, masks = gathered.values, gathered.counts, gathered.masks
+    subject = _training_subject(CtVolume(voxels), LabelVolume(labels), slice_axis)
     planes = np.moveaxis(labels, slice_axis, 0)
     plane_voxels = np.moveaxis(voxels, slice_axis, 0)
-    labelled = planes != 0
-    assert values.dtype == np.float32
-    assert np.array_equal(values, plane_voxels[labelled].astype(np.float32))
-    assert np.array_equal(counts, labelled.sum(axis=(1, 2)))
-    assert list(masks) == [lid for lid in np.unique(planes).tolist() if lid != 0]
+    held = [lid for lid in np.unique(planes).tolist() if lid != 0]
+    assert list(subject.values) == list(subject.plane_counts) == held
+    assert subject.planes == dims[slice_axis]
+    for lid in held:
+        mask = planes == lid
+        assert subject.values[lid].dtype == np.float32
+        assert np.array_equal(subject.values[lid], plane_voxels[mask].astype(np.float32))
+        assert np.array_equal(subject.plane_counts[lid], mask.sum(axis=(1, 2)))
     keep = np.isin(planes, named)
-    plane_of = np.repeat(np.arange(counts.size), counts)
     for lid in named:
-        mask = masks.get(lid, np.zeros(values.size, dtype=bool))
         expected = planes[keep] == lid
-        assert np.array_equal(values[mask], plane_voxels[keep][expected].astype(np.float32))
-        assert np.array_equal(plane_of[mask], np.nonzero(keep)[0][expected])
+        assert np.array_equal(subject.values.get(lid, np.zeros(0, np.float32)),
+                              plane_voxels[keep][expected].astype(np.float32))
+        assert np.array_equal(subject.plane_counts.get(lid, np.zeros(dims[slice_axis], int)),
+                              np.bincount(np.nonzero(keep)[0][expected],
+                                          minlength=dims[slice_axis]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -224,6 +229,7 @@ def label_layouts(labels):
 def assert_scan_matches_unique(voxels):
     ids = np.unique(voxels)
     lab = LabelVolume(voxels, label_names={1: "one"})
+    assert np.array_equal(lab.ids, ids)
     expected = {int(i): ("background" if i == 0 else f"label_{int(i)}") for i in ids}
     expected[1] = "one"
     assert lab.label_names == expected

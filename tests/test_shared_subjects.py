@@ -1,12 +1,15 @@
 """``run_experiment`` prepares each phantom once for every strategy and keeps no phantom.
 
-A training phantom is gathered once (``_gather_pooled``) and a test
-phantom sorted per label once (``_prepare_test``); every strategy's fit and
-sweep read those. These tests check that this gives the rows and bands of
-separate calls on the phantoms themselves, that a prepared subject fits and
-sweeps like its pair, that the direct fallback counts per-label values in
-chunks correctly, that the run's memory peak stays well below the bytes
-of its phantoms, and that the SWN fit holds little more than its pools.
+Each phantom becomes one prepared subject: each label's voxel values,
+gathered once from the ids its ``LabelVolume`` found, in plane order for a
+training phantom (``_training_subject``) and sorted for a test phantom
+(``_test_subject``). Every strategy's fit and sweep read those. These
+tests check that this gives the rows and bands of separate calls on the
+phantoms themselves, that each phantom's labels are scanned for ids once,
+that a prepared subject fits and sweeps like its pair, that the direct
+fallback counts per-label values in chunks correctly, that the run's
+memory peak stays well below the bytes of its phantoms, and that the SWN
+fit holds little more than its pools.
 """
 
 import tracemalloc
@@ -18,9 +21,9 @@ import pytest
 
 from oracles import per_plane_sweep
 
-from ctwindow import _kernels, simulation
-from ctwindow.simulation import (Band, BandSegmenter, StrategySpec, _gather_pooled,
-                                 _prepare_test, _sorted_sweep_applies, derive_seed,
+from ctwindow import _kernels, simulation, volume
+from ctwindow.simulation import (Band, BandSegmenter, StrategySpec, _sorted_sweep_applies,
+                                 _test_subject, _training_subject, derive_seed,
                                  experiment_phantom, fit_band_segmenter, reference_experiment,
                                  run_experiment, run_shift_sweep)
 from ctwindow.volume import CtVolume, LabelVolume
@@ -54,9 +57,19 @@ def test_run_experiment_equals_separate_calls_on_the_phantoms(slice_axis, tie_br
     assert rows == expected
 
 
+def test_run_experiment_scans_each_phantom_for_its_ids_once():
+    """``LabelVolume`` scans a phantom's labels as it is built; no reduction scans them again."""
+    cfg = replace(reference_experiment(), n_train=2, n_test=3, shifts=[-25, 0])
+    assert not hasattr(simulation, "uint8_ids_present")  # so the spy below sees every scan
+    with mock.patch.object(volume, "uint8_ids_present",
+                           side_effect=volume.uint8_ids_present) as scans:
+        run_experiment(cfg)
+    assert scans.call_count == cfg.n_train + cfg.n_test
+
+
 def test_a_prepared_training_subject_fits_like_its_pair():
     vol, lab = experiment_phantom(reference_experiment(), 0, 0)
-    prepared = _gather_pooled(vol, lab, 2)
+    prepared = _training_subject(vol, lab, 2)
     fit = fit_band_segmenter([prepared], "STN", slice_axis=2)
     assert fit.bands == fit_band_segmenter([(vol, lab)], "STN", slice_axis=2).bands
 
@@ -68,7 +81,7 @@ def test_prepared_test_subjects_sweep_like_their_pairs():
     lab = LabelVolume(labels, label_names={0: "background", 1: "a", 3: "c"})
     lab.label_names.pop(7)
     pair = (CtVolume(rng.integers(-300, 300, size=labels.shape).astype(np.int16)), lab)
-    prepared = _prepare_test(*pair)
+    prepared = _test_subject(*pair)
     assert sorted(prepared.values) == [0, 1, 3, 7]
     for lid, values in prepared.values.items():
         assert values.dtype == np.float32 and np.all(values[:-1] <= values[1:])
@@ -139,7 +152,7 @@ def test_run_experiment_keeps_no_phantom():
 
 def test_the_swn_fit_holds_one_pool_per_label():
     cfg = replace(reference_experiment(), phantom=fit_heavy_phantom())
-    train = [_gather_pooled(*experiment_phantom(cfg, 0, i), cfg.slice_axis)
+    train = [_training_subject(*experiment_phantom(cfg, 0, i), cfg.slice_axis)
              for i in range(cfg.n_train)]
     swn = SwnParams(50.0, 50.0, seed=derive_seed(cfg.seed, 2, 2))
 
@@ -149,7 +162,7 @@ def test_the_swn_fit_holds_one_pool_per_label():
                                   tie_break=cfg.fit.tie_break)
 
     expected = fit().bands  # a first fit, so that first-call imports do not count
-    pooled_bytes = 4 * cfg.fit.epochs * sum(s.values.size for s in train)
+    pooled_bytes = 4 * cfg.fit.epochs * sum(v.size for s in train for v in s.values.values())
     tracemalloc.start()
     try:
         assert fit().bands == expected
