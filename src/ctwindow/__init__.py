@@ -25,7 +25,6 @@ from .volume import (CtVolume, CtvFormatError, LabelVolume, Slice2D,
                      stack_slices)
 from .windowing import (STRATEGIES, SwnParams, WindowSampler, WindowSpec,
                         W_MIN, apply_window, normalize_for_testing,
-                        normalize_for_training, normalize_wir, preset,
-                        strategy_window)
+                        normalize_for_training, preset, strategy_window)
 
 __version__ = "0.1.0"

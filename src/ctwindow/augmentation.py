@@ -261,4 +261,4 @@ def augment_pair(img, lab, cfg, rng):
     starts = _crop_starts(img.dims, cfg.crop_size, origin_fracs)
     out_img, out_lab = _moved_crop(img.values, lab, angle, shift, starts, cfg.crop_size,
                                    np.float32(cfg.pad_value_image), cfg.pad_value_label)
-    return Slice2D(out_img, axis=img.axis, index=img.index), out_lab
+    return Slice2D(out_img), out_lab

@@ -29,6 +29,9 @@ from .windowing import STRATEGIES, SwnParams, WindowSampler, strategy_window
 from .windowing import apply_window, normalize_for_testing, normalize_for_training  # noqa: F401
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)  # the sweep adds shifts and bands in float32
+
+
 class ConfigError(ValueError):
     pass
 
@@ -84,16 +87,19 @@ def parse_strategy(obj, context="strategy"):
     _check_keys(obj, context, required=("strategy",), optional=("x", "y", "seed"))
     if obj["strategy"] not in STRATEGIES:
         raise ConfigError(f"{context}: unknown strategy {obj['strategy']!r}")
+    if obj["strategy"] != "SWN":  # the sigmas and the seed are SWN's alone
+        _check_keys(obj, context, required=("strategy",))
+        return StrategySpec(obj["strategy"])
     seed = obj.get("seed")
-    return StrategySpec(obj["strategy"], x=_number(obj.get("x", 0.0), f"{context}.x"),
-                        y=_number(obj.get("y", 0.0), f"{context}.y"),
+    return StrategySpec("SWN", x=_number(obj.get("x", 0.0), f"{context}.x", lo=0),
+                        y=_number(obj.get("y", 0.0), f"{context}.y", lo=0),
                         seed=None if seed is None else _number(seed, f"{context}.seed",
                                                                whole=True, lo=0))
 
 
 def _integral(value, context):
-    """An integral number as int; 12.0 is accepted, 12.5 is an error, not 12."""
-    if not _number(value, context).is_integer():
+    """An integral number float32 can hold, as int; 12.0 is accepted, 12.5 is an error, not 12."""
+    if not _number(value, context, lo=-_FLOAT32_MAX, hi=_FLOAT32_MAX).is_integer():
         raise ConfigError(f"{context}: shifts must be whole HU, got {value!r}")
     return int(value)
 
@@ -112,7 +118,7 @@ def parse_shifts(obj, context="shifts"):
 
 def parse_phantom(obj, context="phantom"):
     _check_keys(obj, context, required=("dims", "organs"),
-                optional=("spacing_mm", "background_hu", "background_noise_std", "seed"))
+                optional=("spacing_mm", "background_hu", "background_noise_std"))
     organs = []
     for i, org in enumerate(_objects(obj["organs"], f"{context}.organs")):
         octx = f"{context}.organs[{i}]"
@@ -131,8 +137,7 @@ def parse_phantom(obj, context="phantom"):
                          background_noise_std=_number(obj.get("background_noise_std", 0.0),
                                                       f"{context}.background_noise_std", lo=0),
                          spacing=_numbers(obj.get("spacing_mm", [1.0, 1.0, 1.0]),
-                                          f"{context}.spacing_mm"),
-                         seed=_number(obj.get("seed", 0), f"{context}.seed", whole=True, lo=0))
+                                          f"{context}.spacing_mm"))
 
 
 def parse_fit(obj, context="fit"):
@@ -153,7 +158,7 @@ def parse_fit(obj, context="fit"):
                                     whole=True, lo=1),
                      percentiles=percentiles,
                      band_epsilon=_number(obj.get("band_epsilon", defaults.band_epsilon),
-                                          f"{context}.band_epsilon", lo=0),
+                                          f"{context}.band_epsilon", lo=0, hi=_FLOAT32_MAX),
                      tie_break=tie_break)
 
 
@@ -226,8 +231,8 @@ def experiment_to_config(exp):
             ],
         },
         "strategies": [
-            {k: v for k, v in asdict(s).items() if not (k == "seed" and v is None)}
-            for s in exp.strategies
+            {k: v for k, v in asdict(s).items() if v is not None} if s.strategy == "SWN"
+            else {"strategy": s.strategy} for s in exp.strategies
         ],
         "fit": {"epochs": exp.fit.epochs, "percentiles": list(exp.fit.percentiles),
                 "band_epsilon": exp.fit.band_epsilon, "tie_break": exp.fit.tie_break},

@@ -98,6 +98,8 @@ class PhantomConfig:
         if any(d <= 0 or not d.is_integer() for d in dims):
             raise ValueError(f"dims must be 3 positive integers, got {self.dims}")
         self.dims = tuple(int(d) for d in dims)
+        if any(s <= 0 for s in _three_numbers(self.spacing, "spacing")):
+            raise ValueError(f"spacing must be 3 positive numbers, got {self.spacing}")
         ids = [o.label_id for o in self.organs]
         if len(set(ids)) != len(ids) or any(not 0 < i <= 255 for i in ids):
             raise ValueError(f"organ label ids must be unique and in 1..255, got {ids}")

@@ -2,7 +2,7 @@
 
 Wilcoxon signed-rank conventions: zero differences are dropped; |d| ranks
 use mid-rank ties; the statistic is the positive-rank sum W+. For
-``n_effective`` up to the exact cutoff (default 20) the two-sided p-value
+``n_effective`` up to ``EXACT_CUTOFF`` (20) the two-sided p-value
 is exact, computed from the full distribution of W+ over all 2^n sign
 assignments of the observed ranks; beyond that a normal approximation with
 continuity and tie-variance corrections is used.
@@ -85,7 +85,7 @@ def _average_ranks(x):
     return ranks, sizes
 
 
-def wilcoxon_signed_rank(a, b, exact_cutoff=EXACT_CUTOFF):
+def wilcoxon_signed_rank(a, b):
     """Two-sided paired Wilcoxon signed-rank test of a vs b."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -103,7 +103,7 @@ def wilcoxon_signed_rank(a, b, exact_cutoff=EXACT_CUTOFF):
     ranks, tie_counts = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
-    if n <= exact_cutoff:
+    if n <= EXACT_CUTOFF:
         dist = _exact_positive_rank_distribution(ranks)
         total = float(2 ** n)
         w2 = int(np.rint(2.0 * w_plus))

@@ -30,14 +30,13 @@ class CtvFormatError(ValueError):
 
 @dataclass
 class CtVolume:
-    """3D signed-intensity grid in Hounsfield units.
+    """3D signed-intensity grid, always in Hounsfield units (a CTV header's ``units`` "HU").
 
     ``voxels`` is indexed ``[x, y, z]`` and must be int16 or float32.
     """
 
     voxels: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0)
-    units: str = "HU"
 
     def __post_init__(self):
         self.voxels = np.asarray(self.voxels)
@@ -48,8 +47,6 @@ class CtVolume:
         self.spacing = tuple(float(s) for s in self.spacing)
         if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
             raise ValueError(f"spacing components must be positive, got {self.spacing}")
-        if self.units != "HU":
-            raise ValueError(f"CtVolume units are fixed to 'HU', got {self.units!r}")
 
     @property
     def dims(self):
@@ -66,9 +63,11 @@ class LabelVolume:
     their scan only marks which of the 256 values occur: one
     ``np.bincount`` per slab of LABEL_SCAN_SLAB voxels, which reads the
     volume once where ``np.unique`` would sort a copy of it. Other dtypes
-    keep ``np.unique`` and its range checks. ``ids`` keeps the scan's
-    result, the ascending ids present as an intp array, so that readers of
-    the volume need not scan it again.
+    are checked to hold only whole numbers in 0..255 (their min, their max
+    and, for floats, whether each value is whole), then cast to uint8 and
+    scanned the same way. ``ids`` keeps the scan's result, the ascending
+    ids present as an intp array, so that readers of the volume need not
+    scan it again.
     """
 
     voxels: np.ndarray
@@ -79,16 +78,14 @@ class LabelVolume:
         voxels = np.asarray(self.voxels)
         if voxels.ndim != 3:
             raise ValueError(f"expected a 3D array, got ndim={voxels.ndim}")
-        if voxels.dtype == _LABEL_DTYPE:
-            ids = uint8_ids_present(voxels)
-        else:
-            # before the uint8 cast, which would wrap 256 to 0
-            ids = np.unique(voxels.ravel(order="K"))
-            if ids.size and (ids[0] < 0 or ids[-1] > 255 or np.any(ids != np.round(ids))):
-                raise ValueError(f"label ids must be integers in 0..255, "
-                                 f"got {ids[0]}..{ids[-1]}")
+        if voxels.dtype != _LABEL_DTYPE and voxels.size:
+            # before the uint8 cast, which would wrap 256 to 0; NaN fails both bounds
+            lo, hi = voxels.min(), voxels.max()
+            if not (lo >= 0 and hi <= 255
+                    and (voxels.dtype.kind != "f" or np.all(np.floor(voxels) == voxels))):
+                raise ValueError(f"label ids must be integers in 0..255, got {lo}..{hi}")
         self.voxels = voxels.astype(np.uint8, copy=False)
-        self.ids = ids.astype(np.intp, copy=False)
+        self.ids = uint8_ids_present(self.voxels)
         self.label_names = {int(k): str(v) for k, v in self.label_names.items()}
         if any(not 0 <= k <= 255 for k in self.label_names):
             raise ValueError(f"label ids must be integers in 0..255, "
@@ -116,11 +113,9 @@ def uint8_ids_present(voxels):
 
 @dataclass
 class Slice2D:
-    """A float 2D view of one volume plane."""
+    """One volume plane as a float32 2D array."""
 
     values: np.ndarray
-    axis: int = 2
-    index: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
@@ -262,7 +257,7 @@ def extract_slice(volume, axis, index):
         raise IndexError(f"slice index {index} out of range for axis {axis} with extent {n}")
     # a view; np.take would copy an F-ordered volume whole for every plane
     plane = np.moveaxis(volume.voxels, axis, 0)[index]
-    return Slice2D(np.ascontiguousarray(plane, dtype=np.float32), axis=axis, index=index)
+    return Slice2D(np.ascontiguousarray(plane, dtype=np.float32))
 
 
 def stack_slices(planes, axis):

@@ -144,7 +144,6 @@ class WindowSampler:
     """
 
     def __init__(self, params):
-        self.params = params
         self._rng = np.random.default_rng(params.seed)
         self._sigma_level = float(params.sigma_level)
         self._sigma_width = float(params.sigma_width)
@@ -180,12 +179,7 @@ def apply_window(s, window):
     exactly 0 and values at or above the band ceiling to exactly 255.
     """
     out = _kernels.window_normalize(s.values, window.lower, window.upper)
-    return Slice2D(out, axis=s.axis, index=s.index)
-
-
-def normalize_wir(s):
-    """Whole-intensity-range normalization; clamps outside [-1000, 1000]."""
-    return apply_window(s, preset("whole_range"))
+    return Slice2D(out)
 
 
 def strategy_window(strategy, mode):

@@ -307,4 +307,4 @@ def scipy_augment_pair(img, lab, cfg, rng):
                                   cval=cfg.pad_value_label)
     out_img = _crop_or_pad(moved_img, cfg.crop_size, origin_fracs, cfg.pad_value_image)
     out_lab = _crop_or_pad(moved_lab, cfg.crop_size, origin_fracs, cfg.pad_value_label)
-    return Slice2D(out_img, axis=img.axis, index=img.index), out_lab.astype(np.uint8)
+    return Slice2D(out_img), out_lab.astype(np.uint8)

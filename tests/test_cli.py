@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -12,7 +13,7 @@ import ctwindow
 from ctwindow import simulation
 from ctwindow.cli import experiment_to_config, main, parse_experiment, parse_shifts
 from ctwindow.metrics import read_dice_csv
-from ctwindow.simulation import reference_experiment, run_experiment
+from ctwindow.simulation import StrategySpec, reference_experiment, run_experiment
 from ctwindow.volume import (CtVolume, LabelVolume, load_label_volume, load_volume,
                              save_label_volume, save_volume)
 
@@ -307,6 +308,19 @@ def test_sweep_default_config_round_trips(capsys):
     assert len(exp.shifts) == 25
 
 
+def test_default_config_gives_sigmas_and_seeds_only_to_swn(capsys):
+    assert main(["sweep", "--default-config"]) == 0
+    cfg = json.loads(capsys.readouterr().out)
+    assert cfg["strategies"] == [{"strategy": "STN"}, {"strategy": "WIR"},
+                                 {"strategy": "SWN", "x": 50, "y": 50}]
+    assert "seed" not in cfg["phantom"]
+    assert parse_experiment(cfg) == reference_experiment()
+    seeded = replace(reference_experiment(), strategies=[StrategySpec("SWN", 1.5, 0, seed=9)])
+    assert experiment_to_config(seeded)["strategies"] == [
+        {"strategy": "SWN", "x": 1.5, "y": 0, "seed": 9}]
+    assert parse_experiment(experiment_to_config(seeded)) == seeded
+
+
 def test_parse_shifts_grid_matches_sweep_convention():
     shifts = parse_shifts({"start": -300, "stop": 300, "step": 25})
     assert len(shifts) == 25
@@ -396,7 +410,6 @@ SCALAR_FIELDS = {
     "config.slice_axis": ("slice_axis",),
     "fit.epochs": ("fit", "epochs"),
     "fit.band_epsilon": ("fit", "band_epsilon"),
-    "phantom.seed": ("phantom", "seed"),
     "phantom.background_hu": ("phantom", "background_hu"),
     "phantom.background_noise_std": ("phantom", "background_noise_std"),
     "phantom.organs[0].label_id": ("phantom", "organs", 0, "label_id"),
@@ -417,6 +430,15 @@ def test_wrong_type_scalar_sweep_fields_are_config_errors(tmp_path, capsys, fiel
     assert err.startswith(f"ctwindow: error: {field}: expected a ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", [[1], "7", True, {"a": 1}, 0],
+                         ids=["list", "str", "bool", "object", "zero"])
+def test_phantom_seed_is_an_unknown_key(tmp_path, capsys, value):
+    """Every phantom's seed derives from the experiment seed; a phantom.seed would change nothing."""
+    cfg = edited_config(tmp_path, set_field(("phantom", "seed"), value))
+    assert main(["sweep", cfg, "-o", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "ctwindow: error: phantom: unknown keys ['seed']\n"
+
+
 @pytest.mark.parametrize("epochs", [0, -3, 2.5])
 def test_epochs_below_one_or_fractional_are_config_errors(tmp_path, capsys, epochs):
     cfg = edited_config(tmp_path, set_field(("fit", "epochs"), epochs))
@@ -431,8 +453,14 @@ def test_epochs_below_one_or_fractional_are_config_errors(tmp_path, capsys, epoc
     ("percentiles", [1, 100.5]), ("percentiles", [1, 1e300]),
 ])
 def test_bad_fit_fields_are_rejected_before_any_phantom(tmp_path, capsys, field, value):
+    assert_rejected_before_any_phantom(tmp_path, capsys, set_field(("fit", field), value),
+                                       f"fit.{field}: ")
+
+
+def assert_rejected_before_any_phantom(tmp_path, capsys, edit, message):
+    """The bundled config, edited, fails with one error line before any phantom is generated."""
     cfg = experiment_to_config(reference_experiment())
-    cfg["fit"][field] = value
+    edit(cfg)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     with mock.patch.object(simulation, "generate_phantom",
@@ -440,7 +468,43 @@ def test_bad_fit_fields_are_rejected_before_any_phantom(tmp_path, capsys, field,
         assert main(["sweep", str(path), "-o", str(tmp_path / "x.csv")]) == 1
     assert spy.call_count == 0
     err = capsys.readouterr().err
-    assert err.startswith(f"ctwindow: error: fit.{field}: ") and err.count("\n") == 1
+    assert err.startswith(f"ctwindow: error: {message}") and err.count("\n") == 1
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("strategies", 2, "x"), -1, "strategies[2].x: expected a finite number >= 0, got -1"),
+    (("strategies", 2, "y"), -0.5, "strategies[2].y: expected a finite number >= 0"),
+    (("strategies", 0, "x"), 0.0, "strategies[0]: unknown keys ['x']"),
+    (("strategies", 1, "y"), 50, "strategies[1]: unknown keys ['y']"),
+    (("strategies", 1, "seed"), 3, "strategies[1]: unknown keys ['seed']"),
+    (("phantom", "seed"), 1, "phantom: unknown keys ['seed']"),
+    (("shifts",), [0, 1e39], "shifts: expected a finite number in "),
+    (("shifts",), [-3.4028236e38], "shifts: expected a finite number in "),
+    (("shifts",), {"start": -1e39, "stop": 0, "step": 1}, "shifts: expected a finite number in "),
+    (("shifts",), {"start": 0, "stop": 10 ** 39, "step": 10 ** 38},
+     "shifts: expected a finite number in "),
+    (("fit", "band_epsilon"), 1e308, "fit.band_epsilon: expected a finite number in 0.."),
+    (("fit", "band_epsilon"), 3.4028236e38, "fit.band_epsilon: expected a finite number in 0.."),
+    (("phantom", "spacing_mm"), [0, 1, 1], "spacing must be 3 positive numbers"),
+    (("phantom", "spacing_mm"), [1, -2, 1], "spacing must be 3 positive numbers"),
+], ids=["swn-x-negative", "swn-y-negative", "stn-x", "wir-y", "wir-seed", "phantom-seed",
+        "shift-list", "shift-list-just-beyond", "shift-start", "shift-stop", "band-epsilon",
+        "band-epsilon-just-beyond", "spacing-zero", "spacing-negative"])
+def test_bad_config_fields_are_rejected_before_any_phantom(tmp_path, capsys, path, value,
+                                                           message):
+    assert_rejected_before_any_phantom(tmp_path, capsys, set_field(path, value), message)
+
+
+def test_float32_max_is_a_valid_shift_and_band_epsilon(tmp_path, capsys):
+    assert parse_shifts([-FLOAT32_MAX, FLOAT32_MAX]) == [-int(FLOAT32_MAX), int(FLOAT32_MAX)]
+    cfg = edited_config(tmp_path, set_field(("fit", "band_epsilon"), FLOAT32_MAX))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", cfg, "-o", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("field,value", [

@@ -158,10 +158,11 @@ organ = json_object({
     "mean_hu": (st.sampled_from([40, 300, -100]), junk()),
     "noise_std": ok(10),
 })
-strategy = json_object({
-    "strategy": (st.sampled_from(["STN", "WIR", "SWN"]), junk()),
-    "x": ok(30), "y": ok(30), "seed": ok(4),
-})
+# only SWN takes sigmas and a seed
+strategy = st.one_of(
+    json_object({"strategy": (st.sampled_from(["STN", "WIR"]), junk())}),
+    json_object({"strategy": ok("SWN"), "x": ok(30), "y": ok(30), "seed": ok(4)}),
+)
 shift_range = json_object({"start": ok(-20, small_number), "stop": ok(40, small_number),
                            "step": ok(20, small_number)})
 sweep_config = json_object({
@@ -175,7 +176,6 @@ sweep_config = json_object({
         "background_hu": ok(-1000),
         "background_noise_std": ok(10),
         "spacing_mm": ok([1, 1, 1]),
-        "seed": ok(0),
     }), junk()),
     "strategies": (st.lists(strategy, min_size=1, max_size=3), junk(small_number)),
     "shifts": (st.one_of(st.lists(any_number, min_size=1, max_size=4), shift_range), junk()),

@@ -236,6 +236,15 @@ def test_phantom_rejects_label_ids_outside_uint8():
                       organs=[OrganSpec(256, "a", (8, 8, 3), (2, 2, 1), 40.0, 0.0)])
 
 
+@pytest.mark.parametrize("spacing,kind", [
+    ((0, 1, 1), "positive"), ((1, -2, 1), "positive"), ((1, 1, float("inf")), "finite"),
+    ((1, float("nan"), 1), "finite"), ((1, 1), "finite"),
+])
+def test_phantom_rejects_spacing_that_is_not_positive_and_finite(spacing, kind):
+    with pytest.raises(ValueError, match=f"^spacing must be 3 {kind} numbers"):
+        PhantomConfig(dims=(20, 20, 6), organs=[], spacing=spacing)
+
+
 def test_subnormal_radius_warns_nothing_and_keeps_its_voxels():
     # 1e-320 overflows that axis' term to inf away from the center: only x = 4 is inside
     cfg = PhantomConfig(dims=(8, 8, 8),

@@ -13,7 +13,7 @@ from ctwindow import windowing
 from ctwindow.volume import Slice2D
 from ctwindow.windowing import (SwnParams, WindowSampler, WindowSpec, W_MIN, _DRAW_BLOCK,
                                 _check_window, apply_window, normalize_for_testing,
-                                normalize_for_training, normalize_wir, preset)
+                                normalize_for_training, preset)
 
 
 def slc(*values):
@@ -90,7 +90,7 @@ def test_apply_window_boundary_cases_exact():
 
 
 def test_normalize_wir_examples():
-    values = out(normalize_wir(slc(0.0, -1000.0, 1000.0, 3000.0)))
+    values = out(normalize_for_testing(slc(0.0, -1000.0, 1000.0, 3000.0), "WIR"))
     assert values[0] == 127.5
     assert values[1] == 0.0
     assert values[2] == 255.0
