@@ -9,8 +9,8 @@ pure Python and installs without a compiler.
 
 from ._kernels import BACKEND  # always "numpy"; perfbench/child.py reads it
 from .augmentation import AugmentConfig, augment_pair
-from .metrics import (DiceRecord, SummaryStats, dice, dice_from_counts,
-                      multi_label_dice, read_dice_csv, summarize, write_dice_csv)
+from .metrics import (DiceRecord, SummaryStats, dice, dice_table, multi_label_dice,
+                      read_dice_csv, summarize, write_dice_csv)
 from .simulation import (Band, BandSegmenter, ExperimentConfig, FitParams,
                          OrganSpec, PhantomConfig, StrategySpec,
                          SweepResult, SweepRow, derive_seed, fit_band_segmenter,

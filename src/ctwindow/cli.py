@@ -30,6 +30,7 @@ from .windowing import apply_window, normalize_for_testing, normalize_for_traini
 
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)  # the sweep adds shifts and bands in float32
+MAX_SHIFTS = 1 << 16  # shifts per sweep: the whole-HU values of the int16 range
 
 
 class ConfigError(ValueError):
@@ -108,12 +109,19 @@ def parse_shifts(obj, context="shifts"):
     if isinstance(obj, list):
         if not obj:
             raise ConfigError(f"{context}: shift list must be nonempty")
+        _check_shift_count(len(obj), context)
         return [_integral(s, context) for s in obj]
     _check_keys(obj, context, required=("start", "stop", "step"))
     start, stop, step = (_integral(obj[k], context) for k in ("start", "stop", "step"))
     if step <= 0 or stop < start:
         raise ConfigError(f"{context}: need step > 0 and stop >= start")
+    _check_shift_count((stop - start) // step + 1, context)
     return list(range(start, stop + 1, step))
+
+
+def _check_shift_count(count, context):
+    if count > MAX_SHIFTS:
+        raise ConfigError(f"{context}: at most {MAX_SHIFTS} shifts, got {count}")
 
 
 def parse_phantom(obj, context="phantom"):

@@ -42,12 +42,8 @@ def dice(a, b):
     b = np.asarray(b, dtype=bool)
     if a.shape != b.shape:
         raise ValueError(f"mask dims mismatch: {a.shape} vs {b.shape}")
-    size_a = int(np.count_nonzero(a))
-    size_b = int(np.count_nonzero(b))
-    if size_a + size_b == 0:
-        return 1.0
-    overlap = int(np.count_nonzero(a & b))
-    return 2.0 * overlap / (size_a + size_b)
+    counts = [np.count_nonzero(a), np.count_nonzero(b), np.count_nonzero(a & b)]
+    return float(dice_table(np.array(counts)))
 
 
 def multi_label_dice(pred, truth, labels, subject_id=""):
@@ -58,7 +54,7 @@ def multi_label_dice(pred, truth, labels, subject_id=""):
     """
     if pred.dims != truth.dims:
         raise ValueError(f"volume dims mismatch: {pred.dims} vs {truth.dims}")
-    counts = _kernels.label_overlap_counts(pred.voxels, truth.voxels)
+    table = dice_table(_kernels.label_overlap_counts(pred.voxels, truth.voxels))
     records = []
     for label_id in labels:
         label_id = int(label_id)
@@ -68,14 +64,19 @@ def multi_label_dice(pred, truth, labels, subject_id=""):
         if name is None:
             warnings.warn(f"label {label_id} absent from both label-name maps")
             name = f"label_{label_id}"
-        records.append(DiceRecord(subject_id, label_id, name, dice_from_counts(counts, label_id)))
+        records.append(DiceRecord(subject_id, label_id, name, float(table[label_id])))
     return records
 
 
-def dice_from_counts(counts, label_id):
-    """Dice of one label from ``label_overlap_counts`` output."""
-    denom = counts[0, label_id] + counts[1, label_id]
-    return 1.0 if denom == 0 else float(2.0 * counts[2, label_id] / denom)
+def dice_table(counts):
+    """float64 dice from predicted, truth and overlap counts stacked on axis 0.
+
+    Counts are (3, 256) per id, (3, shifts, 256) in the sweep, or (3,) for one
+    mask pair. A cell is 1.0 where the denominator is 0, else
+    ``2.0 * overlap / (predicted + truth)``.
+    """
+    den = counts[0] + counts[1]
+    return np.divide(2.0 * counts[2], den, out=np.ones(den.shape), where=den != 0)
 
 
 def summarize(scores):

@@ -12,16 +12,15 @@ shift's dice counts off the sorted values (see ``run_shift_sweep``),
 because normalization is monotone and the classifier is piecewise
 constant in normalized intensity.
 
-The fit and the sweep read a (CtVolume, LabelVolume) pair as one
-prepared subject (``_prepare``): each label's voxel values as float32, in
-plane order along the slice axis, with that label's voxel count per
-plane. The ids are the ones ``LabelVolume`` found when it was built, so
-no reduction scans the labels again: a training subject holds the
-nonzero ids, a test subject every id, its values sorted. Neither
-reduction depends on the strategy, so ``run_experiment`` reduces each
-phantom once, as soon as it is generated, drops the phantom, and passes
-the subjects to every strategy's fit and sweep. The fit pools them in
-one loop; the sweep counts them in one loop over subjects.
+The fit reads a (CtVolume, LabelVolume) pair as a training subject: each
+nonzero id's float32 values in plane order along the slice axis, with its
+voxel count per plane. The sweep reads a test subject: every id's float32
+values, sorted. The ids are the ones ``LabelVolume`` found when it was
+built. Neither reduction depends on the strategy, so ``run_experiment``
+reduces each phantom once, as soon as it is generated, drops the phantom,
+and passes the subjects to every strategy's fit and sweep. The fit pools
+them in one loop; the sweep counts them in one loop over subjects, and
+``metrics.dice_table`` turns each subject's counts into dice.
 
 All randomness derives from explicit seeds. ``run_experiment`` derives
 per-subject and per-strategy streams from the experiment seed with spawn
@@ -37,6 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
+from .metrics import dice_table
 from .volume import CtVolume, LabelVolume
 from .windowing import SwnParams, WindowSampler, strategy_window
 
@@ -238,11 +238,11 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     ``2 * band_epsilon`` when it degenerates. The labels are the nonzero
     named ids of all subjects.
 
-    ``training`` holds (CtVolume, LabelVolume) pairs, prepared on entry,
-    or subjects ``run_experiment`` prepared once for every strategy; either
+    ``training`` holds (CtVolume, LabelVolume) pairs, reduced on entry,
+    or subjects ``run_experiment`` reduced once for every strategy; either
     way each nonzero id's voxel values are gathered once as float32, plane
-    by plane along the slice axis (``_prepare``). Windowing is exact on
-    them: the kernel windows each value on its own, and ``np.percentile``
+    by plane along the slice axis (``_training_subject``). Windowing is exact
+    on them: the kernel windows each value on its own, and ``np.percentile``
     depends only on the multiset of pooled values. One loop pools, and
     windows each label's values of each subject straight into that label's
     pool. STN and WIR make one pass, since every epoch would add the same
@@ -356,49 +356,46 @@ def _tiled_percentile(values, percentiles, copies):
 
 @dataclass
 class _Subject:
-    """A (CtVolume, LabelVolume) pair as the fit and the sweep read it (see ``_prepare``)."""
+    """A (CtVolume, LabelVolume) pair as the fit (``_training_subject``) or the sweep reads it."""
 
     label_names: dict
     values: dict  # label id -> its voxel values as float32, in plane order or sorted
-    plane_counts: dict  # label id -> its voxel count in each plane
-    planes: int
+    plane_counts: dict = None  # training only: label id -> its voxel count in each plane
+    planes: int = 0  # training only
 
 
-def _prepare(vol, lab, ids, slice_axis):
-    """The float32 values of each id of ``ids``, in plane order along ``slice_axis``.
+def _check_dims(vol, lab):
+    if vol.dims != lab.dims:
+        raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
+
+
+def _training_subject(vol, lab, slice_axis):
+    """The float32 values of each nonzero id, in plane order along ``slice_axis``.
 
     Also counts each id's voxels in every plane, so that per-plane bounds
     repeated by these counts lie over the id's values. The labels are
     copied into plane order once, so each id's mask is laid out plane by
     plane and its per-plane counts are row sums.
     """
-    if vol.dims != lab.dims:
-        raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
+    _check_dims(vol, lab)
     labels = np.ascontiguousarray(np.moveaxis(lab.voxels, slice_axis, 0))
     voxels = np.moveaxis(vol.voxels, slice_axis, 0)
     values, plane_counts = {}, {}
-    for lid in ids.tolist():
+    for lid in lab.ids[lab.ids != 0].tolist():
         mask = labels == lid
         values[lid] = voxels[mask].astype(np.float32, copy=False)
         plane_counts[lid] = mask.reshape(len(mask), -1).sum(axis=1)
     return _Subject(lab.label_names, values, plane_counts, labels.shape[0])
 
 
-def _training_subject(vol, lab, slice_axis):
-    """A training pair as the fit reads it: its nonzero ids' values in plane order."""
-    return _prepare(vol, lab, lab.ids[lab.ids != 0], slice_axis)
-
-
 def _test_subject(vol, lab):
-    """A test pair as the sweep reads it: every id's values, each sorted in place.
-
-    Sorted values keep no plane order, so the planes lie along axis 0, where
-    the gather reads a C-ordered volume in memory order.
-    """
-    subject = _prepare(vol, lab, lab.ids, 0)
-    for values in subject.values.values():
-        values.sort()
-    return subject
+    """A test pair as the sweep reads it: every id's float32 values, each sorted in place."""
+    _check_dims(vol, lab)
+    values = {}
+    for lid in lab.ids.tolist():
+        values[lid] = vol.voxels[lab.voxels == lid].astype(np.float32, copy=False)
+        values[lid].sort()
+    return _Subject(lab.label_names, values)
 
 
 @dataclass
@@ -430,14 +427,14 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     """Mean dice per (shift, label) of a segmenter on shifted test volumes.
 
     ``test`` holds (CtVolume, LabelVolume) pairs or subjects that
-    ``run_experiment`` prepared once for every strategy (``_test_subject``):
+    ``run_experiment`` reduced once for every strategy (``_test_subject``):
     the label names, and the values of each id present sorted as float32.
-    One loop takes the subjects in turn, preparing a pair when its turn
-    comes, so one pair's sorted values are held at a time. It
-    counts each subject's predicted, truth and overlap voxels per (shift,
-    id), off the per-label values since dice counts do not depend on where
-    a voxel is, and turns them into dice for all 256 ids; the nonzero named
-    ids of all subjects are selected at the end.
+    One loop takes the subjects in turn, reducing a pair when its turn
+    comes, so one pair's sorted values are held at a time. It counts each
+    subject's predicted, truth and overlap voxels per (shift, id) at the
+    float32 shifts, off the per-label values since dice counts do not
+    depend on where a voxel is, and ``metrics.dice_table`` turns them into
+    dice for all 256 ids; the nonzero named ids are selected at the end.
 
     The counts are exact. The test-time map
     ``n(x) = window_normalize(f32(x) + f32(shift))`` is monotone
@@ -465,8 +462,9 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     if not np.all(np.abs(np.asarray(shifts, dtype=np.float64)) <= np.finfo(np.float32).max):
         raise ValueError(f"shifts must be finite in float32, got {shifts}")
     window = strategy_window(strategy, "test")
+    shift32 = np.array([np.float32(s) for s in shifts], dtype=np.float32)
     counts_of = (_sorted_counts if _sorted_sweep_applies(seg) else _direct_counts)(
-        seg, window, shifts)
+        seg, window, shift32)
 
     label_names = {}
     tables = []
@@ -476,7 +474,7 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
         for lid, name in subject.label_names.items():
             if lid != 0:
                 label_names.setdefault(lid, name)
-        tables.append(_dice_table(counts_of(subject)))
+        tables.append(dice_table(counts_of(subject)))
 
     label_ids = sorted(label_names)
     rows = []
@@ -566,30 +564,20 @@ def _run_starts(seg, window, shift32):
     return np.hstack([-np.inf * edge, starts, np.nan * edge])
 
 
-def _dice_table(counts):
-    """Dice per (shift, id) for all 256 ids, from counts of shape (3, shifts, 256).
-
-    Each cell takes ``dice_from_counts``'s float64 steps: 1.0 where the
-    denominator is 0, else ``2.0 * overlap / (predicted + truth)``.
-    """
-    den = counts[0] + counts[1]
-    return np.divide(2.0 * counts[2], den, out=np.ones(den.shape), where=den != 0)
-
-
-def _sorted_counts(seg, window, shifts):
-    """The counts of a prepared test subject, read off its sorted values.
+def _sorted_counts(seg, window, shift32):
+    """The counts of a test subject, read off its sorted values.
 
     Returns a function of the subject; its counts have shape (3, shifts,
     256): predicted, truth and overlap voxels per (shift, id).
     """
-    shift32 = np.array([np.float32(s) for s in shifts], dtype=np.float32)[:, None]
+    shift32 = shift32[:, None]
     starts = _run_starts(seg, window, shift32)
     run_labels = seg.predict(_kernels.window_normalize(starts + shift32,
                                                        window.lower, window.upper))
-    rows = np.arange(len(shifts))[:, None]
+    rows = np.arange(len(shift32))[:, None]
 
     def counts_of(subject):
-        counts = np.zeros((3, len(shifts), 256), dtype=np.int64)
+        counts = np.zeros((3, len(shift32), 256), dtype=np.int64)
         for lid, values in subject.values.items():
             counts[1, :, lid] = values.size
             ends = np.searchsorted(values, starts.ravel()).reshape(starts.shape)
@@ -601,19 +589,18 @@ def _sorted_counts(seg, window, shifts):
     return counts_of
 
 
-def _direct_counts(seg, window, shifts):
+def _direct_counts(seg, window, shift32):
     """The counts of ``_sorted_counts``, from classifying every value at every shift.
 
     Each label's values go through in chunks of at most SLAB_VOXELS.
     """
     def counts_of(subject):
-        counts = np.zeros((3, len(shifts), 256), dtype=np.int64)
-        for i, shift in enumerate(shifts):
-            shift32 = np.float32(shift)
+        counts = np.zeros((3, len(shift32), 256), dtype=np.int64)
+        for i, shift in enumerate(shift32):
             for lid, values in subject.values.items():
                 counts[1, i, lid] = values.size
                 for start in range(0, values.size, SLAB_VOXELS):
-                    hu = values[start:start + SLAB_VOXELS] + shift32
+                    hu = values[start:start + SLAB_VOXELS] + shift
                     pred = seg.predict(_kernels.window_normalize(hu, window.lower, window.upper))
                     counts[0, i] += np.bincount(pred, minlength=256)
                     counts[2, i, lid] += np.count_nonzero(pred == lid)
@@ -676,12 +663,12 @@ def run_experiment(cfg):
     Returns the concatenated sweep rows (strategy blocks in config order)
     and the fitted segmenters keyed by strategy label.
 
-    Each phantom is reduced to a prepared subject as soon as it is
-    generated and then dropped, so the run holds each training phantom's
-    per-label values in plane order along ``cfg.slice_axis``, each test
-    phantom's sorted per-label values and one phantom in flight. Every
-    strategy's fit and sweep reuse these, and give the rows and bands of
-    calls on the phantoms themselves. Each phantom has its own seed
+    Each phantom is reduced to a subject as soon as it is generated and
+    then dropped, so the run holds each training phantom's per-label values
+    in plane order along ``cfg.slice_axis`` with their per-plane counts,
+    each test phantom's sorted per-label values and one phantom in flight.
+    Every strategy's fit and sweep reuse these, and give the rows and bands
+    of calls on the phantoms themselves. Each phantom has its own seed
     (``experiment_phantom``), so the order they are generated in changes
     no byte.
     """

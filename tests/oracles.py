@@ -97,6 +97,12 @@ def triple_loop_dice(pred, truth, labels):
     return out
 
 
+def dice_from_counts(counts, label_id):
+    """Dice of one label from (predicted, truth, overlap) counts of shape (3, 256), one scalar."""
+    denom = counts[0, label_id] + counts[1, label_id]
+    return 1.0 if denom == 0 else float(2.0 * counts[2, label_id] / denom)
+
+
 def window_pseudocode(image, level, width):
     """The windowing recipe evaluated directly: threshold masks then rescale."""
     image = np.asarray(image, dtype=np.float32).copy()

@@ -11,7 +11,8 @@ import pytest
 
 import ctwindow
 from ctwindow import simulation
-from ctwindow.cli import experiment_to_config, main, parse_experiment, parse_shifts
+from ctwindow.cli import (MAX_SHIFTS, ConfigError, experiment_to_config, main, parse_experiment,
+                          parse_shifts)
 from ctwindow.metrics import read_dice_csv
 from ctwindow.simulation import StrategySpec, reference_experiment, run_experiment
 from ctwindow.volume import (CtVolume, LabelVolume, load_label_volume, load_volume,
@@ -333,6 +334,16 @@ def test_parse_shifts_grid_matches_sweep_convention():
         parse_shifts([])
 
 
+def test_parse_shifts_caps_the_count_before_building_the_grid():
+    assert MAX_SHIFTS == 65536
+    assert len(parse_shifts({"start": -32768, "stop": 32767, "step": 1})) == MAX_SHIFTS
+    assert len(parse_shifts([0] * MAX_SHIFTS)) == MAX_SHIFTS
+    for too_many in ({"start": -32768, "stop": 32768, "step": 1},
+                     {"start": 0, "stop": 2 * MAX_SHIFTS, "step": 2}, [0] * (MAX_SHIFTS + 1)):
+        with pytest.raises(ConfigError, match="^shifts: at most 65536 shifts, got 65537$"):
+            parse_shifts(too_many)
+
+
 @pytest.mark.parametrize("bad", [[0, 12.5], [-0.7], {"start": 0, "stop": 50, "step": 12.5}])
 def test_fractional_shifts_are_an_error_not_truncated(tmp_path, capsys, bad):
     with pytest.raises(ValueError, match="whole HU"):
@@ -486,13 +497,14 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
     (("shifts",), {"start": -1e39, "stop": 0, "step": 1}, "shifts: expected a finite number in "),
     (("shifts",), {"start": 0, "stop": 10 ** 39, "step": 10 ** 38},
      "shifts: expected a finite number in "),
+    (("shifts",), {"start": -3e38, "stop": 3e38, "step": 1}, "shifts: at most 65536 shifts, got "),
     (("fit", "band_epsilon"), 1e308, "fit.band_epsilon: expected a finite number in 0.."),
     (("fit", "band_epsilon"), 3.4028236e38, "fit.band_epsilon: expected a finite number in 0.."),
     (("phantom", "spacing_mm"), [0, 1, 1], "spacing must be 3 positive numbers"),
     (("phantom", "spacing_mm"), [1, -2, 1], "spacing must be 3 positive numbers"),
 ], ids=["swn-x-negative", "swn-y-negative", "stn-x", "wir-y", "wir-seed", "phantom-seed",
-        "shift-list", "shift-list-just-beyond", "shift-start", "shift-stop", "band-epsilon",
-        "band-epsilon-just-beyond", "spacing-zero", "spacing-negative"])
+        "shift-list", "shift-list-just-beyond", "shift-start", "shift-stop", "shift-count",
+        "band-epsilon", "band-epsilon-just-beyond", "spacing-zero", "spacing-negative"])
 def test_bad_config_fields_are_rejected_before_any_phantom(tmp_path, capsys, path, value,
                                                            message):
     assert_rejected_before_any_phantom(tmp_path, capsys, set_field(path, value), message)

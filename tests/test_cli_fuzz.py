@@ -9,6 +9,8 @@ an exception escaping ``main`` is a traceback and fails the test.
 Fields that set how much work a run does (phantom dims, subject counts,
 epochs, shift ranges, crop sizes) draw their numbers from small ranges, so
 that every run stays small: a valid but huge config is not malformed input.
+A shift range may also draw huge magnitudes, since a grid over the shift cap
+fails before it is built.
 """
 
 import contextlib
@@ -163,8 +165,11 @@ strategy = st.one_of(
     json_object({"strategy": (st.sampled_from(["STN", "WIR"]), junk())}),
     json_object({"strategy": ok("SWN"), "x": ok(30), "y": ok(30), "seed": ok(4)}),
 )
-shift_range = json_object({"start": ok(-20, small_number), "stop": ok(40, small_number),
-                           "step": ok(20, small_number)})
+# magnitudes up to 3e38: a grid of more than MAX_SHIFTS shifts is rejected before it is
+# built, and every other grid these draw is a few dozen shifts at most
+range_number = st.one_of(small_number, st.sampled_from([3e38, -3e38, 1e38, 1e9, -1e9]))
+shift_range = json_object({"start": ok(-20, range_number), "stop": ok(40, range_number),
+                           "step": ok(20, range_number)})
 sweep_config = json_object({
     "seed": ok(3),
     "n_train": ok(2, small_number),

@@ -6,29 +6,33 @@ bounding-box organ masks against ``oracles.full_volume_phantom``, the slab
 background draw against one ``rng.normal`` draw cast to float32, the
 tiled-pool percentile against ``np.percentile`` on the materialized pool,
 the fit's per-label gather of each nonzero id ``LabelVolume`` found
-against an ``np.isin`` gather over the named ids, the sweep's vectorised
-dice against ``dice_from_counts``, the uint8 bincount id scan (and the
-``LabelVolume.ids`` it keeps) against ``np.unique``,
-and the crop-only NumPy resampler against ``oracles.scipy_augment_pair``
-(two full-plane ``scipy.ndimage.affine_transform`` passes, then a
-crop/pad).
+against an ``np.isin`` gather over the named ids, the sweep's sorted test
+gather against ``np.sort`` of each id's masked values, the vectorised
+``metrics.dice_table`` against the scalar ``oracles.dice_from_counts``, the
+uint8 bincount id scan (and the ``LabelVolume.ids`` it keeps) against
+``np.unique``, and the crop-only NumPy resampler against
+``oracles.scipy_augment_pair`` (two full-plane
+``scipy.ndimage.affine_transform`` passes, then a crop/pad), with chunks
+of a few pixels so that every crop spans several.
 """
 
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import full_volume_phantom, scipy_augment_pair
+from oracles import dice_from_counts, full_volume_phantom, scipy_augment_pair
 
+from ctwindow import augmentation
 from ctwindow.augmentation import AugmentConfig, augment_pair
-from ctwindow.metrics import dice_from_counts
-from ctwindow.simulation import (PHANTOM_SLAB, OrganSpec, PhantomConfig, _dice_table,
-                                 _draw_normal, _tiled_percentile, _training_subject,
+from ctwindow.metrics import dice_table
+from ctwindow.simulation import (PHANTOM_SLAB, OrganSpec, PhantomConfig, _draw_normal,
+                                 _test_subject, _tiled_percentile, _training_subject,
                                  generate_phantom, reference_experiment)
 from ctwindow.volume import LABEL_SCAN_SLAB, CtVolume, LabelVolume, Slice2D
 
@@ -202,19 +206,57 @@ def test_gather_matches_isin_over_the_named_ids(seed, dims, present, named, slic
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), shifts=st.integers(1, 6), zeros=st.floats(0.0, 1.0))
+@given(seed=st.integers(0, 2 ** 32 - 1), shifts=st.one_of(st.none(), st.integers(1, 6)),
+       zeros=st.floats(0.0, 1.0))
 def test_dice_table_is_dice_from_counts_bit_for_bit(seed, shifts, zeros):
-    """Random int64 counts, some with a zero denominator, give the same float64 dice, all ids."""
+    """Random int64 counts of shape (3, 256), as ``multi_label_dice`` has them, or (3, shifts,
+    256), as the sweep has them, some with a zero denominator, give the same float64 dice for
+    all ids as the scalar oracle.
+    """
     rng = np.random.default_rng(seed)
-    counts = rng.integers(0, 2 ** 40, size=(3, shifts, 256))
-    empty = rng.random((shifts, 256)) < zeros
+    rows = () if shifts is None else (shifts,)
+    counts = rng.integers(0, 2 ** 40, size=(3, *rows, 256))
+    empty = rng.random((*rows, 256)) < zeros
     counts[0][empty] = counts[1][empty] = 0
     counts[2] = np.minimum(counts[2], np.minimum(counts[0], counts[1]))
-    table = _dice_table(counts)
-    expected = [[dice_from_counts(counts[:, i], lid) for lid in range(256)]
-                for i in range(shifts)]
-    assert table.dtype == np.float64 and table.shape == (shifts, 256)
-    assert table.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+    table = dice_table(counts)
+    per_row = counts.reshape(3, -1, 256)
+    expected = [[dice_from_counts(per_row[:, i], lid) for lid in range(256)]
+                for i in range(per_row.shape[1])]
+    assert table.dtype == np.float64 and table.shape == (*rows, 256)
+    assert table.reshape(-1, 256).view(np.uint64).tolist() == \
+        np.array(expected).view(np.uint64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dims=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+       present=st.integers(1, 256),
+       orders=st.tuples(st.sampled_from(["C", "F"]), st.sampled_from(["C", "F"])),
+       dtype=st.sampled_from([np.int16, np.float32]))
+def test_test_subject_is_each_ids_values_sorted(seed, dims, present, orders, dtype):
+    """Every id present, background included, holds ``np.sort`` of its masked float32 values,
+    for C, F and mixed layouts of the volume and its labels; a float32 volume may hold NaN and
+    ±inf voxels. A test subject holds no per-plane counts.
+    """
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(256, size=present, replace=False)[rng.integers(0, present, dims)]
+    labels = np.asarray(labels.astype(np.uint8), order=orders[0])
+    if dtype is np.int16:
+        voxels = rng.integers(-32768, 32768, dims).astype(np.int16)
+    else:
+        voxels = rng.normal(0.0, 300.0, dims).astype(np.float32)
+        special = rng.random(dims) < 0.2
+        voxels[special] = rng.choice(np.array([np.nan, np.inf, -np.inf, -0.0], np.float32),
+                                     size=int(special.sum()))
+    voxels = np.asarray(voxels, order=orders[1])
+    subject = _test_subject(CtVolume(voxels), LabelVolume(labels))
+    assert subject.plane_counts is None and subject.planes == 0
+    assert list(subject.values) == np.unique(labels).tolist()
+    for lid, values in subject.values.items():
+        expected = np.sort(voxels[labels == lid].astype(np.float32))
+        assert values.dtype == np.float32
+        assert values.view(np.uint32).tolist() == expected.view(np.uint32).tolist()
 
 
 def label_layouts(labels):
@@ -294,12 +336,13 @@ def augment_cases(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(case=augment_cases())
-def test_augment_pair_matches_the_scipy_pipeline_bit_for_bit(case):
+@given(case=augment_cases(), chunk=st.integers(1, 64))
+def test_augment_pair_matches_the_scipy_pipeline_bit_for_bit(case, chunk):
+    """``chunk`` crop pixels per step make one-row chunks and partial last chunks."""
     img, labels, cfg, seed = case
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(2):  # the second call starts where the first left the generator
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), mock.patch.object(augmentation, "CHUNK_PIXELS", chunk):
             warnings.simplefilter("error")
             got_img, got_lab = augment_pair(img, labels, cfg, rng)
         want_img, want_lab = scipy_augment_pair(img, labels, cfg, oracle_rng)

@@ -1,15 +1,15 @@
 """``run_experiment`` prepares each phantom once for every strategy and keeps no phantom.
 
 Each phantom becomes one prepared subject: each label's voxel values,
-gathered once from the ids its ``LabelVolume`` found, in plane order for a
-training phantom (``_training_subject``) and sorted for a test phantom
-(``_test_subject``). Every strategy's fit and sweep read those. These
-tests check that this gives the rows and bands of separate calls on the
-phantoms themselves, that each phantom's labels are scanned for ids once,
-that a prepared subject fits and sweeps like its pair, that the direct
-fallback counts per-label values in chunks correctly, that the run's
-memory peak stays well below the bytes of its phantoms, and that the SWN
-fit holds little more than its pools.
+gathered once from the ids its ``LabelVolume`` found, in plane order with
+per-plane counts for a training phantom (``_training_subject``) and sorted
+for a test phantom (``_test_subject``). Every strategy's fit and sweep read
+those. These tests check that this gives the rows and bands of separate
+calls on the phantoms themselves, that each phantom's labels are scanned
+for ids once, that a prepared subject fits and sweeps like its pair, that
+the direct fallback counts per-label values in chunks correctly, that the
+run's memory peak stays well below the bytes of its phantoms, and that the
+SWN fit holds little more than its pools.
 """
 
 import tracemalloc
