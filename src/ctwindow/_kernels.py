@@ -15,7 +15,10 @@ _backend = sys.modules[__name__]  # perfbench/child.py times the kernels through
 
 _F255 = np.float32(255.0)
 _F0 = np.float32(0.0)
-_PAIR_SLAB = 1 << 16
+_PAIR_SLAB = 1 << 16  # voxels per joint histogram; bounds the intp copy np.bincount makes
+# A slab in which fewer than 1/RUN_SPARSITY of the values start a run of equal
+# values is read run by run; a denser one is histogrammed voxel by voxel.
+RUN_SPARSITY = 8
 
 
 def window_normalize(values, lo, hi):
@@ -30,6 +33,11 @@ def window_normalize(values, lo, hi):
     inputs are pinned to exactly 0 / 255; the scaled expression can
     otherwise round 1 ulp short of 255. The result keeps the values'
     memory layout, so an F-ordered volume stays F-ordered.
+
+    The result is the only full-size float array a call makes: values of
+    another dtype are converted to float32 once, the pins are taken from
+    that copy as two boolean masks, and the copy is windowed in place.
+    Besides the input, a call holds 6 bytes per voxel at its peak.
     """
     values = np.asarray(values)
     lo = np.asarray(lo, dtype=np.float32)
@@ -42,13 +50,18 @@ def window_normalize(values, lo, hi):
         raise ValueError(f"bounds of shapes {lo.shape} and {hi.shape} do not broadcast "
                          f"to the values' shape {values.shape}")
     src = values.astype(np.float32, copy=False)
-    out = np.clip(src, lo, hi)
+    # the pins compare the float32 values: NumPy 1.24 would compare a uint8
+    # input with 0-d float32 bounds in float16
+    at_lo = src <= lo
+    at_hi = src >= hi
+    # a converted copy is windowed in place; a float32 input is never written to
+    out = np.clip(src, lo, hi, out=None if src is values else src)
     out -= lo
     out *= _F255
     out /= hi - lo
     np.clip(out, _F0, _F255, out=out)
-    out[src <= lo] = _F0
-    out[src >= hi] = _F255
+    np.copyto(out, _F0, where=at_lo)
+    np.copyto(out, _F255, where=at_hi)
     return out
 
 
@@ -85,9 +98,14 @@ def classify_bands(values, lo, hi, center, labels, tie_break="lowest_id"):
 def label_overlap_counts(a, b):
     """Counts per uint8 label id: (|a==k|, |b==k|, |a==k & b==k|), shape (3, 256).
 
-    One joint histogram of the (a, b) pairs per slab; the three rows are its
-    row sums, column sums and diagonal. Slabs bound the intp copy that
-    ``np.bincount`` makes of its input.
+    One joint count of the ``(a << 8) | b`` pairs per slab of _PAIR_SLAB
+    voxels; the three rows are its row sums, column sums and diagonal. Label
+    volumes are piecewise constant, and ``np.bincount`` stalls on one counter
+    over a long run of one pair, so a slab with few runs (see ``run_starts``)
+    adds each run's length to its pair instead; any other slab is
+    histogrammed, and slabs bound the intp copy that ``np.bincount`` makes of
+    its input. Either way each voxel is counted once, so the counts do not
+    depend on which slabs take which side.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -105,6 +123,24 @@ def label_overlap_counts(a, b):
         pairs = a[start:start + _PAIR_SLAB].astype(np.uint16)
         pairs <<= 8
         pairs |= b[start:start + _PAIR_SLAB]
-        joint += np.bincount(pairs, minlength=1 << 16)
+        heads = run_starts(pairs)
+        if heads is None:
+            joint += np.bincount(pairs, minlength=1 << 16)
+        else:
+            np.add.at(joint, pairs[heads], np.diff(heads, append=pairs.size))
     joint = joint.reshape(256, 256)
     return np.stack([joint.sum(axis=1), joint.sum(axis=0), joint.diagonal()])
+
+
+def run_starts(flat):
+    """Ascending start index of each run of equal values in a nonempty 1-D array.
+
+    None when 1/RUN_SPARSITY or more of the values start a run: then one
+    histogram of the values costs less than reading them run by run.
+    """
+    change = flat[1:] != flat[:-1]
+    if (np.count_nonzero(change) + 1) * RUN_SPARSITY >= flat.size:
+        return None
+    heads = np.flatnonzero(change)
+    heads += 1
+    return np.concatenate(([0], heads))

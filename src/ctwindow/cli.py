@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -22,10 +23,11 @@ from .simulation import (TIE_BREAKS, ExperimentConfig, FitParams, OrganSpec, Pha
                          run_experiment, write_sweep_csv)
 from .stats import compare_methods, write_comparison_csv, write_comparison_metadata
 from .volume import (CtVolume, LabelVolume, extract_slice, is_number_list, load_label_volume,
-                     load_volume, save_label_volume, save_volume, stack_slices)
+                     load_volume, save_label_volume, save_volume)
 from .windowing import STRATEGIES, SwnParams, WindowSampler, strategy_window
 
 # Not called here; kept because perfbench's tracer wraps these names on this module.
+from .volume import stack_slices  # noqa: F401
 from .windowing import apply_window, normalize_for_testing, normalize_for_training  # noqa: F401
 
 
@@ -258,6 +260,8 @@ def _shifts_to_config(shifts):
 
 
 def cmd_window(args):
+    if args.seed < 0:  # NumPy's own message would not name the option
+        raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
     volume = load_volume(args.input)
     axis = args.slice_axis
     window = strategy_window(args.strategy, args.mode)
@@ -285,12 +289,28 @@ def cmd_window(args):
     return 0
 
 
+def parse_labels(text):
+    """``--labels``: comma-separated whole numbers in 0..255, each at most once.
+
+    A duplicate would write two rows for one label, which ``compare`` refuses.
+    """
+    labels = []
+    for field in text.split(","):
+        # at most 3 digits after leading zeros, so int() never meets a huge number
+        if not re.fullmatch(r"\s*0*[0-9]{1,3}\s*", field) or int(field) > 255:
+            raise ConfigError(f"--labels: expected whole numbers in 0..255, got {field!r}")
+        label = int(field)
+        if label in labels:
+            raise ConfigError(f"--labels: label {label} is given more than once")
+        labels.append(label)
+    return labels
+
+
 def cmd_dice(args):
+    labels = None if args.labels is None else parse_labels(args.labels)
     pred = load_label_volume(args.pred)
     truth = load_label_volume(args.truth)
-    if args.labels:
-        labels = [int(x) for x in args.labels.split(",")]
-    else:
+    if labels is None:
         labels = sorted(lid for lid in truth.label_names if lid != 0)
     subject = args.subject
     if subject is None:
@@ -351,17 +371,22 @@ def cmd_augment(args):
         raise ConfigError(f"image/label dims mismatch: {volume.dims} vs {labels.dims}")
     axis = args.slice_axis
     rng = np.random.default_rng(cfg.seed)
-    img_planes, lab_planes = [], []
+    # each plane goes straight into its output volume, laid out as stack_slices
+    # lays it: F-ordered, so saving writes the x-fastest raw file without a copy
+    shape = list(cfg.crop_size)
+    shape.insert(axis, volume.dims[axis])
+    out_img = np.empty(shape, dtype=np.float32, order="F")
+    out_lab = np.empty(shape, dtype=np.uint8, order="F")
+    img_planes = np.moveaxis(out_img, axis, 0)
+    lab_planes = np.moveaxis(out_lab, axis, 0)
     for index in range(volume.dims[axis]):
         s = extract_slice(volume, axis, index)
         plane = np.moveaxis(labels.voxels, axis, 0)[index]
-        out_img, out_lab = augment_pair(s, plane, cfg, rng)
-        img_planes.append(out_img.values)
-        lab_planes.append(out_lab)
-    save_volume(CtVolume(stack_slices(img_planes, axis), spacing=volume.spacing),
-                args.out_image)
-    save_label_volume(LabelVolume(stack_slices(lab_planes, axis),
-                                  label_names=labels.label_names),
+        aug_img, aug_lab = augment_pair(s, plane, cfg, rng)
+        img_planes[index] = aug_img.values
+        lab_planes[index] = aug_lab
+    save_volume(CtVolume(out_img, spacing=volume.spacing), args.out_image)
+    save_label_volume(LabelVolume(out_lab, label_names=labels.label_names),
                       args.out_labels, spacing=volume.spacing)
     return 0
 
@@ -388,7 +413,8 @@ def build_parser():
     p.add_argument("pred")
     p.add_argument("truth")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--labels", help="comma-separated label ids (default: all in truth)")
+    p.add_argument("--labels", help="comma-separated label ids in 0..255, each at most once "
+                                    "(default: all in truth)")
     p.add_argument("--subject", help="subject id for the CSV (default: truth file stem)")
     p.set_defaults(func=cmd_dice)
 

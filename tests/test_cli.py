@@ -114,6 +114,56 @@ def test_dice_command(tmp_path):
     assert 0.9 < records[0].dice < 1.0
 
 
+@pytest.fixture
+def label_paths(tmp_path):
+    arr = np.zeros((6, 6, 2), dtype=np.uint8)
+    arr[1:4, 1:4, :] = 1
+    arr[4:, 4:, :] = 2
+    path = str(tmp_path / "truth.ctv.json")
+    save_label_volume(LabelVolume(arr, label_names={1: "organ", 2: "bone"}), path)
+    return path
+
+
+@pytest.mark.parametrize("labels,expected", [
+    ("2", [2]), ("2,1", [2, 1]), (" 1, 2", [1, 2]), ("0,255", [0, 255]), ("001", [1]),
+])
+def test_dice_labels_are_written_in_the_given_order(tmp_path, label_paths, labels, expected):
+    out = str(tmp_path / "dice.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 255 has no name in either volume
+        assert main(["dice", label_paths, label_paths, "-o", out, "--labels", labels]) == 0
+    assert [r.label_id for r in read_dice_csv(out)] == expected
+
+
+@pytest.mark.parametrize("labels,message", [
+    ("1,1,2", "label 1 is given more than once"),
+    ("1,001", "label 1 is given more than once"),
+    ("1,x", "got 'x'"), ("1.0", "got '1.0'"), ("300", "got '300'"), ("-1", "got '-1'"),
+    ("+1", "got '+1'"), ("1,,2", "got ''"), ("", "got ''"), ("1,2,", "got ''"),
+    ("9" * 5000, "expected whole numbers in 0..255"),
+], ids=["duplicate", "duplicate-zeros", "word", "fraction", "256-up", "negative", "plus",
+        "empty-field", "empty", "trailing-comma", "huge"])
+def test_bad_dice_labels_are_one_error_line_naming_the_option(tmp_path, label_paths, capsys,
+                                                             labels, message):
+    out = tmp_path / "dice.csv"
+    assert main(["dice", label_paths, label_paths, "-o", str(out), f"--labels={labels}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ctwindow: error: --labels: ") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["STN", "SWN"])
+def test_window_negative_seed_is_an_error_naming_the_option(tmp_path, image_path, capsys,
+                                                            strategy):
+    out = tmp_path / "out.ctv.json"
+    assert main(["window", image_path, str(out), "--strategy", strategy, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ctwindow: error: --seed: expected an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_compare_command_writes_csv_and_sidecar(tmp_path):
     rng = np.random.default_rng(1)
     base = rng.uniform(0.7, 0.9, 20)
