@@ -262,6 +262,8 @@ def _shifts_to_config(shifts):
 def cmd_window(args):
     if args.seed < 0:  # NumPy's own message would not name the option
         raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
+    for option, sigma in (("--x", args.x), ("--y", args.y)):
+        _number(sigma, option, lo=0)
     volume = load_volume(args.input)
     axis = args.slice_axis
     window = strategy_window(args.strategy, args.mode)
@@ -363,6 +365,9 @@ def cmd_phantom(args):
 
 
 def cmd_augment(args):
+    if os.path.realpath(args.out_image) == os.path.realpath(args.out_labels):
+        # the labels would be written over the image's header and raw file
+        raise ConfigError(f"--out-labels: names the same file as --out-image: {args.out_labels}")
     raw = _load_json(args.config)
     cfg = parse_augment(raw.get("augment", raw) if isinstance(raw, dict) else raw)
     volume = load_volume(args.image)

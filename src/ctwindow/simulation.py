@@ -243,18 +243,17 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     way each nonzero id's voxel values are gathered once as float32, plane
     by plane along the slice axis (``_training_subject``). Windowing is exact
     on them: the kernel windows each value on its own, and ``np.percentile``
-    depends only on the multiset of pooled values. One loop pools, and
-    windows each label's values of each subject straight into that label's
-    pool. STN and WIR make one pass, since every epoch would add the same
-    values again, and ``_tiled_percentile`` reads ``np.percentile``'s
-    result on the ``epochs``-fold pool off that one copy. SWN makes
-    ``epochs`` passes and draws one window per plane in the order epoch,
-    volume, plane, planes without a pooled voxel included, so its random
-    stream is the one a per-plane fit draws; it windows each label's values
-    with the float32 bounds of each value's own plane, repeated by the
-    label's per-plane counts, as a call per plane would. Each label's pool
-    is allocated once, at passes times its voxel count over all subjects,
-    and dropped as soon as its band is taken.
+    depends only on the multiset of pooled values. STN and WIR make one pass,
+    since every epoch would add the same values again, and
+    ``_tiled_percentile`` reads ``np.percentile``'s result on the
+    ``epochs``-fold pool off that one copy. SWN makes ``epochs`` passes. It
+    first draws every window, one per plane in the order epoch, volume, plane,
+    planes without a pooled voxel included, so its random stream is the one a
+    per-plane fit draws. Then one loop over the labels does the pooling: each
+    label's values over all volumes are windowed in one call per pass, with
+    the float32 bounds of each value's own plane repeated by the label's
+    per-plane counts, as a call per plane would. A label's pool is dropped as
+    soon as its band is taken, before the next label's is allocated.
     """
     if not training:
         raise ValueError("training set must be nonempty")
@@ -276,33 +275,29 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     if not label_ids:
         raise ValueError("training labels contain no nonzero ids")
 
-    passes = 1 if window is not None else epochs
-    pools, filled = {}, dict.fromkeys(label_ids, 0)
     for lid in label_ids:
-        size = passes * sum(s.values[lid].size for s in subjects if lid in s.values)
-        if not size:
+        if not any(lid in s.values for s in subjects):
             raise ValueError(f"label {lid} has no voxels in any training volume")
-        pools[lid] = np.empty(size, dtype=np.float32)
-    for _ in range(passes):
-        for subject in subjects:
-            if window is None:
-                drawn = [sampler.sample() for _ in range(subject.planes)]
-                ends = np.array([(w.lower, w.upper) for w in drawn], dtype=np.float32).T
-            for lid, values in subject.values.items():
-                if lid not in pools:
-                    continue
-                if window is None:
-                    lower, upper = (np.repeat(e, subject.plane_counts[lid]) for e in ends)
-                else:
-                    lower, upper = window.lower, window.upper
-                pools[lid][filled[lid]:filled[lid] + values.size] = \
-                    _kernels.window_normalize(values, lower, upper)
-                filled[lid] += values.size
 
+    passes = 1 if window is not None else epochs
+    if window is None:  # ends[p] holds the (lower, upper) of every plane of pass p
+        drawn = [sampler.sample() for _ in range(passes) for s in subjects
+                 for _ in range(s.planes)]
+        ends = np.array([(w.lower, w.upper) for w in drawn],
+                        dtype=np.float32).reshape(passes, -1, 2).transpose(0, 2, 1)
     bands = []
     for lid in label_ids:
-        lo, hi = _tiled_percentile(pools.pop(lid), [lo_pct, hi_pct],
-                                   epochs if window is not None else 1)
+        values = np.concatenate([s.values[lid] for s in subjects if lid in s.values])
+        counts = np.concatenate([s.plane_counts[lid] if lid in s.values
+                                 else np.zeros(s.planes, dtype=np.intp) for s in subjects])
+        n = values.size
+        pool = np.empty(passes * n, dtype=np.float32)
+        for p in range(passes):
+            bounds = ((window.lower, window.upper) if window is not None
+                      else (np.repeat(e, counts) for e in ends[p]))
+            pool[p * n:(p + 1) * n] = _kernels.window_normalize(values, *bounds)
+        lo, hi = _tiled_percentile(pool, [lo_pct, hi_pct], epochs if window is not None else 1)
+        del pool  # so that the next label's pool is not allocated while this one is held
         if hi - lo < 2.0 * band_epsilon:
             mid = 0.5 * (lo + hi)
             lo, hi = mid - band_epsilon, mid + band_epsilon

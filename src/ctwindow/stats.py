@@ -14,6 +14,7 @@ in other calls still count toward the family).
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -85,6 +86,70 @@ def _average_ranks(x):
     return ranks, sizes
 
 
+# Cephes ndtr.c, the standard normal CDF behind scipy.special.ndtr and so
+# scipy.stats.norm.sf(|z|) = ndtr(-|z|): erfc(x) = exp(-x^2) P(x)/Q(x) for
+# 1 <= x < 8 and R(x)/S(x) from 8 on, erf(x) = x T(x^2)/U(x^2) below 1. Q, S and
+# U have a leading 1 that is not stored. math.erfc differs from Cephes' erfc in
+# the last bits, so the p-values would too.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+_SQRT1_2 = 0.7071067811865476
+
+
+def _polevl(x, coefs, monic=False):
+    """Horner's rule in Cephes' order; ``monic`` adds p1evl's unstored leading 1."""
+    ans = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x):
+    """Cephes erf for |x| < 1, the only range ``_ndtr`` reaches.
+
+    Cephes takes -erf(-x) for x < 0, which rounds to the same float.
+    """
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+
+
+def _erfc(x):
+    """Cephes erfc for x > 0, the only range ``_ndtr`` reaches."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:  # exp(z) underflows
+        return 0.0
+    if x < 8.0:
+        p, q = _polevl(x, _ERFC_P), _polevl(x, _ERFC_Q, monic=True)
+    else:
+        p, q = _polevl(x, _ERFC_R), _polevl(x, _ERFC_S, monic=True)
+    return math.exp(z) * p / q
+
+
+def _ndtr(a):
+    """Standard normal CDF of a float, bit for bit ``scipy.special.ndtr``."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
 def wilcoxon_signed_rank(a, b):
     """Two-sided paired Wilcoxon signed-rank test of a vs b."""
     a = np.asarray(a, dtype=np.float64)
@@ -117,10 +182,7 @@ def wilcoxon_signed_rank(a, b):
     dev = w_plus - mean
     dev -= 0.5 * np.sign(dev)  # continuity correction
     z = dev / np.sqrt(var)
-    # imported here so that importing ctwindow loads no SciPy; ndtr(-|z|) is
-    # what scipy.stats.norm.sf(|z|) evaluates (math.erfc differs in the last bits)
-    from scipy.special import ndtr
-    p = min(1.0, 2.0 * float(ndtr(-abs(z))))
+    p = min(1.0, 2.0 * _ndtr(-abs(float(z))))
     return WilcoxonResult(n, w_plus, p, "normal_approx")
 
 

@@ -202,16 +202,25 @@ def test_compare_alpha_outside_the_open_unit_interval_is_an_error(tmp_path, caps
 
 
 @pytest.mark.parametrize("flag,value", [("--x", "nan"), ("--y", "nan"), ("--x", "inf"),
-                                        ("--y", "-inf")])
+                                        ("--y", "-inf"), ("--x", "-5"), ("--y", "-1e-300")])
 def test_window_swn_non_finite_sigma_is_an_error(tmp_path, image_path, capsys, flag, value):
     out = tmp_path / "out.ctv.json"
     code = main(["window", image_path, str(out), "--strategy", "SWN", "--mode", "train",
                  f"{flag}={value}"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("ctwindow: error: sigma_level and sigma_width must be finite")
+    assert captured.err == (f"ctwindow: error: {flag}: expected a finite number >= 0, "
+                            f"got {float(value)!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["STN", "SWN"])
+def test_window_bad_sigma_is_rejected_before_the_volume_is_loaded(tmp_path, capsys, strategy):
+    code = main(["window", str(tmp_path / "missing.ctv.json"), str(tmp_path / "out.ctv.json"),
+                 "--strategy", strategy, "--x", "nan"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "ctwindow: error: --x: expected a finite number >= 0, got nan\n"
 
 
 def test_window_swn_width_float32_cannot_represent_is_an_error(tmp_path, image_path, capsys):
@@ -330,6 +339,23 @@ def test_augment_command_identity(tmp_path, image_path):
     augmented = load_volume(out_img)
     assert np.array_equal(augmented.voxels, original.voxels.astype(np.float32))
     assert np.array_equal(load_label_volume(out_lab).voxels, labels.voxels)
+
+
+@pytest.mark.parametrize("spelling", ["out.ctv.json", "sub/../out.ctv.json"])
+def test_augment_outputs_naming_one_file_are_an_error(tmp_path, capsys, image_path, spelling):
+    # the labels would overwrite the image's header and raw file, and the run would exit 0
+    save_label_volume(LabelVolume(np.zeros((8, 8, 4), dtype=np.uint8)),
+                      str(tmp_path / "lab.ctv.json"))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "aug.json").write_text(json.dumps({"crop_size": [8, 8]}))
+    before = sorted(os.listdir(tmp_path))
+    assert main(["augment", image_path, str(tmp_path / "lab.ctv.json"), str(tmp_path / "aug.json"),
+                 "--out-image", str(tmp_path / "out.ctv.json"),
+                 "--out-labels", str(tmp_path / spelling)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ctwindow: error: --out-labels: ")
+    assert sorted(os.listdir(tmp_path)) == before
+    assert os.listdir(tmp_path / "sub") == []
 
 
 def test_sweep_command_runs_and_is_byte_deterministic(tmp_path):

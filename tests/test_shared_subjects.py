@@ -9,7 +9,8 @@ calls on the phantoms themselves, that each phantom's labels are scanned
 for ids once, that a prepared subject fits and sweeps like its pair, that
 the direct fallback counts per-label values in chunks correctly, that the
 run's memory peak stays well below the bytes of its phantoms, and that the
-SWN fit holds little more than its pools.
+fit windows each label once per pass and holds little more than one label's
+pool at a time.
 """
 
 import tracemalloc
@@ -27,7 +28,7 @@ from ctwindow.simulation import (Band, BandSegmenter, StrategySpec, _sorted_swee
                                  experiment_phantom, fit_band_segmenter, reference_experiment,
                                  run_experiment, run_shift_sweep)
 from ctwindow.volume import CtVolume, LabelVolume
-from ctwindow.windowing import SwnParams
+from ctwindow.windowing import SwnParams, WindowSampler
 
 
 def phantoms(cfg, kind, count):
@@ -162,12 +163,42 @@ def test_the_swn_fit_holds_one_pool_per_label():
                                   tie_break=cfg.fit.tie_break)
 
     expected = fit().bands  # a first fit, so that first-call imports do not count
-    pooled_bytes = 4 * cfg.fit.epochs * sum(v.size for s in train for v in s.values.values())
+    largest_pool = 4 * cfg.fit.epochs * max(
+        sum(s.values[lid].size for s in train if lid in s.values) for lid in (1, 2, 3))
     tracemalloc.start()
     try:
         assert fit().bands == expected
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # every label's float32 pool of all epochs' windowed values is held until its band is taken
-    assert peak < 2 * pooled_bytes, (peak, pooled_bytes)
+    # a label's float32 pool of all epochs' windowed values is dropped before the next
+    # label's is allocated; one pass's kernel temporaries come on top of the largest
+    assert peak < 1.75 * largest_pool, (peak, largest_pool)
+
+
+@pytest.mark.parametrize("strategy", ["STN", "WIR", "SWN"])
+def test_the_fit_windows_each_label_once_per_pass(strategy):
+    cfg = reference_experiment()
+    train = [_training_subject(*experiment_phantom(cfg, 0, i), cfg.slice_axis)
+             for i in range(cfg.n_train)]
+    swn = SwnParams(50.0, 50.0, seed=3) if strategy == "SWN" else None
+    with mock.patch.object(_kernels, "window_normalize",
+                           side_effect=_kernels.window_normalize) as windowed:
+        fit_band_segmenter(train, strategy, swn=swn, epochs=cfg.fit.epochs)
+    passes = cfg.fit.epochs if strategy == "SWN" else 1
+    sizes = [sum(s.values[lid].size for s in train if lid in s.values) for lid in (1, 2, 3)]
+    assert [call.args[0].size for call in windowed.call_args_list] == \
+        [size for size in sizes for _ in range(passes)]
+
+
+def test_a_label_without_voxels_fails_before_any_window_is_drawn():
+    vol, lab = experiment_phantom(reference_experiment(), 0, 0)
+    labels = np.where(lab.voxels == 2, 0, lab.voxels).astype(np.uint8)
+    pair = (vol, LabelVolume(labels, label_names=lab.label_names))
+    assert 2 in pair[1].label_names and 2 not in pair[1].ids
+    # at this sigma the fourth draw fails, so drawing before the check would raise that error
+    with mock.patch.object(WindowSampler, "sample", autospec=True,
+                           side_effect=WindowSampler.sample) as draws, \
+            pytest.raises(ValueError, match="^label 2 has no voxels in any training volume$"):
+        fit_band_segmenter([pair], "SWN", swn=SwnParams(1e36, 1e36, seed=0), epochs=2)
+    assert draws.call_count == 0

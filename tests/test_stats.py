@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from oracles import brute_force_wilcoxon_p, scipy_normal_approx_p, stepup_fdr
 
 from ctwindow.metrics import DiceRecord
 from ctwindow.stats import (SYMBOL_HIGHER, SYMBOL_LOWER, SYMBOL_NOT_SIGNIFICANT,
-                            SYMBOL_REFERENCE, ZeroDifferencesError, _average_ranks,
+                            SYMBOL_REFERENCE, ZeroDifferencesError, _average_ranks, _ndtr,
                             compare_methods, fdr_bh, wilcoxon_signed_rank,
                             write_comparison_csv)
 
@@ -106,6 +107,17 @@ def test_normal_approximation_p_equals_scipy_stats_bit_for_bit(nonzero, zeros):
     res = wilcoxon_signed_rank(d, np.zeros_like(d))
     assert res.method == "normal_approx" and res.n_effective == len(nonzero)
     assert res.p_two_sided == scipy_normal_approx_p(d)
+
+
+def test_ndtr_equals_scipy_special_ndtr_bit_for_bit():
+    """The Wilcoxon tail takes ``_ndtr(-|z|)``, so the arguments are z <= 0, edges included."""
+    rng = np.random.default_rng(0)
+    edges = [-0.0, 0.0, -1e-300, -5e-324, -37.5, -38.5, -39.0, -1e10, -np.inf]
+    z = -np.abs(np.concatenate([rng.normal(0.0, 3.0, 30_000), rng.uniform(0.0, 40.0, 30_000),
+                                rng.standard_cauchy(20_000), np.linspace(-40.0, 0.0, 20_001)]))
+    z = np.concatenate([z, edges])
+    got = np.array([_ndtr(float(v)) for v in z])
+    assert got.tobytes() == scipy.special.ndtr(z).tobytes()
 
 
 def test_wilcoxon_rejects_nan_differences():
