@@ -15,7 +15,9 @@ _backend = sys.modules[__name__]  # perfbench/child.py times the kernels through
 
 _F255 = np.float32(255.0)
 _F0 = np.float32(0.0)
-_PAIR_SLAB = 1 << 16  # voxels per joint histogram; bounds the intp copy np.bincount makes
+# Values per slab of every label count, of the sweep's direct fallback and of the
+# phantom's background draw; it bounds the intp copy np.bincount makes of a slab.
+SLAB = 1 << 16
 # A slab in which fewer than 1/RUN_SPARSITY of the values start a run of equal
 # values is read run by run; a denser one is histogrammed voxel by voxel.
 RUN_SPARSITY = 8
@@ -80,11 +82,9 @@ def classify_bands(values, lo, hi, center, labels, tie_break="lowest_id"):
     labels = np.asarray(labels, dtype=np.uint8)
     out = np.zeros_like(src, dtype=np.uint8)
     if tie_break == "lowest_id":
-        assigned = np.zeros_like(src, dtype=bool)
-        for j in range(labels.shape[0]):
-            hit = ~assigned & (src >= lo[j]) & (src <= hi[j])
-            out[hit] = labels[j]
-            assigned |= hit
+        # the first band is written last, so it wins wherever bands overlap
+        for j in reversed(range(labels.shape[0])):
+            out[(src >= lo[j]) & (src <= hi[j])] = labels[j]
     else:
         best = np.full_like(src, np.inf)
         for j in range(labels.shape[0]):
@@ -98,14 +98,9 @@ def classify_bands(values, lo, hi, center, labels, tie_break="lowest_id"):
 def label_overlap_counts(a, b):
     """Counts per uint8 label id: (|a==k|, |b==k|, |a==k & b==k|), shape (3, 256).
 
-    One joint count of the ``(a << 8) | b`` pairs per slab of _PAIR_SLAB
-    voxels; the three rows are its row sums, column sums and diagonal. Label
-    volumes are piecewise constant, and ``np.bincount`` stalls on one counter
-    over a long run of one pair, so a slab with few runs (see ``run_starts``)
-    adds each run's length to its pair instead; any other slab is
-    histogrammed, and slabs bound the intp copy that ``np.bincount`` makes of
-    its input. Either way each voxel is counted once, so the counts do not
-    depend on which slabs take which side.
+    One joint count of the ``(a << 8) | b`` pairs per slab of SLAB voxels
+    (see ``_add_counts``); the three rows are its row sums, column sums and
+    diagonal.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -119,17 +114,44 @@ def label_overlap_counts(a, b):
     a = np.asarray(a, dtype=np.uint8, order=order).ravel(order)
     b = np.asarray(b, dtype=np.uint8, order=order).ravel(order)
     joint = np.zeros(1 << 16, dtype=np.int64)
-    for start in range(0, a.size, _PAIR_SLAB):
-        pairs = a[start:start + _PAIR_SLAB].astype(np.uint16)
+    for start in range(0, a.size, SLAB):
+        pairs = a[start:start + SLAB].astype(np.uint16)
         pairs <<= 8
-        pairs |= b[start:start + _PAIR_SLAB]
-        heads = run_starts(pairs)
-        if heads is None:
-            joint += np.bincount(pairs, minlength=1 << 16)
-        else:
-            np.add.at(joint, pairs[heads], np.diff(heads, append=pairs.size))
+        pairs |= b[start:start + SLAB]
+        _add_counts(joint, pairs)
     joint = joint.reshape(256, 256)
     return np.stack([joint.sum(axis=1), joint.sum(axis=0), joint.diagonal()])
+
+
+def label_counts(labels):
+    """int64 voxel count of each uint8 id, shape (256,).
+
+    The array is read once in memory order (a C-order ravel would copy a
+    loaded, F-ordered volume whole), in slabs of SLAB voxels (see
+    ``_add_counts``).
+    """
+    flat = np.asarray(labels).ravel(order="K")
+    counts = np.zeros(256, dtype=np.int64)
+    for start in range(0, flat.size, SLAB):
+        _add_counts(counts, flat[start:start + SLAB])
+    return counts
+
+
+def _add_counts(counts, slab):
+    """Add to ``counts`` how often each value occurs in a nonempty 1-D slab.
+
+    Label volumes are piecewise constant, and ``np.bincount`` stalls on one
+    counter over a long run of one value, so a slab with few runs (see
+    ``run_starts``) adds each run's length to its value; any other slab is
+    histogrammed. Either way each value is counted once, so the counts do
+    not depend on how an array is cut into slabs or which side each takes.
+    """
+    heads = run_starts(slab)
+    if heads is None:
+        counts += np.bincount(slab, minlength=counts.size)
+    else:
+        # each run's length; np.diff(heads, append=...) costs five times more per slab
+        np.add.at(counts, slab[heads], np.concatenate((heads[1:], [slab.size])) - heads)
 
 
 def run_starts(flat):

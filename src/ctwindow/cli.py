@@ -135,8 +135,11 @@ def parse_phantom(obj, context="phantom"):
         _check_keys(org, octx,
                     required=("label_id", "label_name", "center", "radii", "mean_hu"),
                     optional=("noise_std",))
+        name = org["label_name"]
+        if not isinstance(name, str):  # str() would write rows named None or ['x', 1]
+            raise ConfigError(f"{octx}.label_name: expected a string, got {name!r}")
         organs.append(OrganSpec(_number(org["label_id"], f"{octx}.label_id", whole=True),
-                                str(org["label_name"]),
+                                name,
                                 _numbers(org["center"], f"{octx}.center"),
                                 _numbers(org["radii"], f"{octx}.radii"),
                                 _number(org["mean_hu"], f"{octx}.mean_hu"),

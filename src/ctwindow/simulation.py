@@ -49,9 +49,6 @@ SWEEP_CSV_COLUMNS = ("shift_hu", "strategy", "label_id", "label_name", "mean_dic
 
 TIE_BREAKS = ("lowest_id", "nearest_center")
 
-SLAB_VOXELS = 1 << 17  # values per chunk of the direct sweep; bounds its scratch memory
-PHANTOM_SLAB = 1 << 16  # float64 draws per slab of a phantom's background
-
 
 def derive_seed(base_seed, *key):
     """Stable 64-bit sub-seed for a (base seed, key path) pair."""
@@ -167,13 +164,13 @@ def _draw_normal(rng, mean, std, out):
 
     ``Generator.normal`` computes ``mean + std * z`` in float64 for the
     stream's next standard normal z, one draw after another. This draws the
-    same z into a float64 slab of at most PHANTOM_SLAB values at a time,
+    same z into a float64 slab of at most ``_kernels.SLAB`` values at a time,
     multiplies and adds in place, and casts the slab into ``out``, so no
     float64 array of the whole volume is ever held.
     """
     rng.normal(mean, std, size=0)  # its argument checks and errors, with no draw
-    slab = np.empty(min(out.size, PHANTOM_SLAB))
-    for start in range(0, out.size, PHANTOM_SLAB):
+    slab = np.empty(min(out.size, _kernels.SLAB))
+    for start in range(0, out.size, _kernels.SLAB):
         part = slab[:out.size - start]
         rng.standard_normal(out=part)
         part *= std
@@ -447,11 +444,11 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     a run of their own. ``_sorted_counts`` then counts each label's sorted
     values in each run with ``np.searchsorted``. Where the tests are not
     proven monotone, ``_direct_counts`` classifies every value at every
-    shift instead, in chunks of at most SLAB_VOXELS.
+    shift instead, in chunks of at most ``_kernels.SLAB``.
     """
     if not test:
         raise ValueError("test set must be nonempty")
-    if not shifts:
+    if len(shifts) == 0:
         raise ValueError("shifts grid must be nonempty")
     # the sweep adds shifts as float32; NaN fails the comparison too
     if not np.all(np.abs(np.asarray(shifts, dtype=np.float64)) <= np.finfo(np.float32).max):
@@ -587,18 +584,19 @@ def _sorted_counts(seg, window, shift32):
 def _direct_counts(seg, window, shift32):
     """The counts of ``_sorted_counts``, from classifying every value at every shift.
 
-    Each label's values go through in chunks of at most SLAB_VOXELS.
+    Each label's values go through in chunks of at most ``_kernels.SLAB``.
     """
     def counts_of(subject):
         counts = np.zeros((3, len(shift32), 256), dtype=np.int64)
         for i, shift in enumerate(shift32):
             for lid, values in subject.values.items():
                 counts[1, i, lid] = values.size
-                for start in range(0, values.size, SLAB_VOXELS):
-                    hu = values[start:start + SLAB_VOXELS] + shift
+                for start in range(0, values.size, _kernels.SLAB):
+                    hu = values[start:start + _kernels.SLAB] + shift
                     pred = seg.predict(_kernels.window_normalize(hu, window.lower, window.upper))
-                    counts[0, i] += np.bincount(pred, minlength=256)
-                    counts[2, i, lid] += np.count_nonzero(pred == lid)
+                    predicted = _kernels.label_counts(pred)
+                    counts[0, i] += predicted
+                    counts[2, i, lid] += predicted[lid]  # every value here has truth lid
         return counts
 
     return counts_of

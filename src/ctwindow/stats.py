@@ -190,7 +190,7 @@ def fdr_bh(p_values, m):
     """Benjamini-Hochberg step-up adjusted p-values with family size m."""
     p = np.asarray(p_values, dtype=np.float64)
     # p = 0 is valid: the normal approximation underflows to it at large n
-    if p.size and (np.any(p < 0.0) or np.any(p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both
         raise ValueError("p-values must lie in [0, 1]")
     if m < p.size:
         raise ValueError(f"comparison count m={m} smaller than the {p.size} p-values given")

@@ -17,15 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import run_starts
+from ._kernels import label_counts
 
 _IMAGE_DTYPES = {"int16": np.dtype("<i2"), "float32": np.dtype("<f4")}
 _LABEL_DTYPE = np.dtype("u1")
 # the label_names keys save_label_volume writes, and the only ones load_label_volume reads
 _LABEL_KEYS = frozenset(str(i) for i in range(256))
-# voxels per slab of the uint8 id scan, which is read run by run or histogrammed
-# (see _kernels.run_starts); it bounds the intp copy of a slab's np.bincount
-LABEL_SCAN_SLAB = 1 << 16
 
 
 class CtvFormatError(ValueError):
@@ -61,16 +58,15 @@ class CtVolume:
 class LabelVolume:
     """Integer label grid aligned to a CtVolume; id 0 is background.
 
-    The ids present are scanned in memory order (a C-order ravel would copy
-    a loaded, F-ordered volume whole). uint8 voxels, which every loader and
-    the phantom generator produce, cannot hold an id outside 0..255, so
-    their scan only marks which of the 256 values occur (see
-    ``uint8_ids_present``), reading the volume once where ``np.unique``
-    would sort a copy of it. Other dtypes are checked to hold only whole
-    numbers in 0..255 (their min, their max and, for floats, whether each
-    value is whole), then cast to uint8 and scanned the same way. ``ids``
-    keeps the scan's result, the ascending ids present as an intp array, so
-    that readers of the volume need not scan it again.
+    The ids present are those with a nonzero count in
+    ``_kernels.label_counts``, which reads the volume once in memory order
+    where ``np.unique`` would sort a copy of it. uint8 voxels, which every
+    loader and the phantom generator produce, are counted as they are.
+    Other dtypes are checked to hold only whole numbers in 0..255 (their
+    min, their max and, for floats, whether each value is whole), then
+    cast to uint8 and counted the same way. ``ids`` keeps the scan's
+    result, the ascending ids present as an intp array, so that readers of
+    the volume need not scan it again.
     """
 
     voxels: np.ndarray
@@ -88,7 +84,7 @@ class LabelVolume:
                     and (voxels.dtype.kind != "f" or np.all(np.floor(voxels) == voxels))):
                 raise ValueError(f"label ids must be integers in 0..255, got {lo}..{hi}")
         self.voxels = voxels.astype(np.uint8, copy=False)
-        self.ids = uint8_ids_present(self.voxels)
+        self.ids = np.flatnonzero(label_counts(self.voxels))
         self.label_names = {int(k): str(v) for k, v in self.label_names.items()}
         if any(not 0 <= k <= 255 for k in self.label_names):
             raise ValueError(f"label ids must be integers in 0..255, "
@@ -99,27 +95,6 @@ class LabelVolume:
     @property
     def dims(self):
         return self.voxels.shape
-
-
-def uint8_ids_present(voxels):
-    """Ascending ids that occur in a uint8 array, read once in memory order.
-
-    The array is read in slabs of LABEL_SCAN_SLAB voxels. Label volumes are
-    piecewise constant, and ``np.bincount`` stalls on one counter over a
-    long run of one id, so a slab with few runs (see
-    ``_kernels.run_starts``) marks the id of each run; any other slab is
-    histogrammed, and the slab bounds the intp copy ``np.bincount`` makes.
-    """
-    flat = np.asarray(voxels).ravel(order="K")
-    seen = np.zeros(256, dtype=bool)
-    for start in range(0, flat.size, LABEL_SCAN_SLAB):
-        slab = flat[start:start + LABEL_SCAN_SLAB]
-        heads = run_starts(slab)
-        if heads is None:
-            seen |= np.bincount(slab, minlength=256) > 0
-        else:
-            seen[slab[heads]] = True
-    return np.flatnonzero(seen)
 
 
 @dataclass

@@ -268,6 +268,19 @@ def test_sweep_swn_level_float32_rounds_visibly_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", [None, ["x", 1], 7])
+def test_sweep_non_string_label_name_is_an_error(tmp_path, capsys, name):
+    cfg = json.loads(open(small_config(tmp_path)).read())
+    cfg["phantom"]["organs"][0]["label_name"] = name
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == ("ctwindow: error: phantom.organs[0].label_name: "
+                                       f"expected a string, got {name!r}\n")
+    assert not out.exists()
+
+
 def run_cli(argv, code=None):
     """``ctwindow`` in a child process (``code`` instead of ``-m ctwindow.cli`` if given)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ctwindow.__file__)))

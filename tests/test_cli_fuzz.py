@@ -154,7 +154,10 @@ def test_fuzzed_ctv_headers(image, labels, strategy, axis):
 small_triple = st.lists(small_number, min_size=3, max_size=3)
 organ = json_object({
     "label_id": (st.sampled_from([1, 2]), junk()),
-    "label_name": ok("organ"),
+    # any string names an organ; anything else in its place is an error, never str()'d
+    "label_name": (st.one_of(st.just("organ"), text),
+                   st.one_of(json_values().filter(lambda v: not isinstance(v, str)),
+                             st.just(MISSING))),
     "center": ok([4, 4, 2]),
     "radii": (st.sampled_from([[3, 3, 2], [2, 2, 1]]), st.one_of(small_triple, junk())),
     "mean_hu": (st.sampled_from([40, 300, -100]), junk()),

@@ -8,9 +8,10 @@ tiled-pool percentile against ``np.percentile`` on the materialized pool,
 the fit's per-label gather of each nonzero id ``LabelVolume`` found
 against an ``np.isin`` gather over the named ids, the sweep's sorted test
 gather against ``np.sort`` of each id's masked values, the vectorised
-``metrics.dice_table`` against the scalar ``oracles.dice_from_counts``, the
-uint8 bincount id scan (and the ``LabelVolume.ids`` it keeps) against
-``np.unique``, and the crop-only NumPy resampler against
+``metrics.dice_table`` against the scalar ``oracles.dice_from_counts``,
+``LabelVolume.ids`` of uint8, integer and float label arrays against
+``np.unique`` (``tests/test_volume_passes.py`` checks the label counts
+behind it slab by slab), and the crop-only NumPy resampler against
 ``oracles.scipy_augment_pair`` (two full-plane
 ``scipy.ndimage.affine_transform`` passes, then a crop/pad), with chunks
 of a few pixels so that every crop spans several.
@@ -31,10 +32,11 @@ from oracles import dice_from_counts, full_volume_phantom, scipy_augment_pair
 from ctwindow import augmentation
 from ctwindow.augmentation import AugmentConfig, augment_pair
 from ctwindow.metrics import dice_table
-from ctwindow.simulation import (PHANTOM_SLAB, OrganSpec, PhantomConfig, _draw_normal,
+from ctwindow._kernels import SLAB
+from ctwindow.simulation import (OrganSpec, PhantomConfig, _draw_normal,
                                  _test_subject, _tiled_percentile, _training_subject,
                                  generate_phantom, reference_experiment)
-from ctwindow.volume import LABEL_SCAN_SLAB, CtVolume, LabelVolume, Slice2D
+from ctwindow.volume import CtVolume, LabelVolume, Slice2D
 
 PERCENTILES = st.one_of(st.just(0.0), st.just(100.0), st.floats(0.0, 100.0))
 
@@ -71,7 +73,7 @@ def test_tiled_percentile_on_a_fit_sized_pool(copies):
 
 
 @pytest.mark.parametrize("mean, std", [(-1000.0, 15.0), (0.0, 0.0), (3.0, 1e30), (-0.0, 2.5)])
-@pytest.mark.parametrize("size", [1, PHANTOM_SLAB - 1, PHANTOM_SLAB + 1, 3 * PHANTOM_SLAB + 4321])
+@pytest.mark.parametrize("size", [1, SLAB - 1, SLAB + 1, 3 * SLAB + 4321])
 def test_slab_background_draw_is_one_normal_draw_cast_to_float32(mean, std, size):
     expected_rng, rng = np.random.default_rng(size), np.random.default_rng(size)
     expected = expected_rng.normal(mean, std, size).astype(np.float32)
@@ -287,21 +289,6 @@ def test_label_scan_matches_unique(seed, dims, count, dtype):
     labels = rng.choice(256, size=count, replace=False)[rng.integers(0, count, dims)]
     for voxels in label_layouts(labels.astype(dtype)):
         assert_scan_matches_unique(voxels)
-
-
-@pytest.mark.parametrize("layout", range(3))
-def test_label_scan_sees_every_slab_end(layout):
-    """A distinct id at the last voxel of every slab in memory order, and of the volume."""
-    labels = np.zeros((64, 64, 3 * LABEL_SCAN_SLAB // 4096 + 1), dtype=np.uint8)
-    voxels = list(label_layouts(labels))[layout]
-    flat = voxels.ravel(order="K")
-    ends = list(range(LABEL_SCAN_SLAB - 1, flat.size, LABEL_SCAN_SLAB)) + [flat.size - 1]
-    for lid, at in enumerate(ends, start=1):
-        flat[at] = lid
-    if not voxels.flags.forc:  # ravel copied; write the ids back in memory order
-        voxels[...] = flat.reshape(voxels.shape, order="F" if layout == 1 else "C")
-    assert len(ends) == 4
-    assert_scan_matches_unique(voxels)
 
 
 # NaNs of both signs, a quiet NaN with a payload and a signaling one, as float32 bit patterns

@@ -119,6 +119,22 @@ def test_classify_bands_is_bit_identical_to_the_scalar_loop(mode):
     assert np.array_equal(out, scalar_classify_bands(src, lo, hi, center, labels, mode))
 
 
+@pytest.mark.parametrize("mode", [0, 1])
+def test_classify_bands_on_random_band_sets_is_the_scalar_loop(mode):
+    """0 to 5 bands, overlapping or empty, unsorted ids, and NaN, ±inf and ±0.0 values."""
+    rng = np.random.default_rng(mode)
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0], np.float32)
+    for _ in range(300):
+        n = int(rng.integers(0, 6))
+        lo = rng.uniform(-20, 260, n).astype(np.float32)
+        hi = (lo + rng.uniform(-5, 120, n)).astype(np.float32)
+        center = (lo + hi) / 2
+        labels = rng.choice(np.arange(1, 256), n, replace=False).astype(np.uint8)
+        src = np.concatenate([rng.uniform(-30, 300, 100).astype(np.float32), specials, lo, hi])
+        out = kernels.classify_bands(src, lo, hi, center, labels, TIE_BREAKS[mode])
+        assert np.array_equal(out, scalar_classify_bands(src, lo, hi, center, labels, mode))
+
+
 def test_label_overlap_counts_is_identical_to_the_scalar_loop():
     rng = np.random.default_rng(5)
     a = rng.integers(0, 256, 20000).astype(np.uint8)

@@ -64,8 +64,8 @@ shapes = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple)
 @given(shape=shapes, seed=st.integers(0, 2 ** 32 - 1),
        dtype=st.sampled_from([np.int16, np.float32]),
        layouts=st.tuples(*[st.sampled_from(LAYOUTS)] * 3),
-       pair_slab=st.sampled_from([1, 5, 1 << 16]))
-def test_kernel_results_do_not_depend_on_layout(shape, seed, dtype, layouts, pair_slab):
+       slab=st.sampled_from([1, 5, 1 << 16]))
+def test_kernel_results_do_not_depend_on_layout(shape, seed, dtype, layouts, slab):
     rng = np.random.default_rng(seed)
     values = rng.integers(-400, 400, size=shape).astype(dtype)
     a = rng.integers(0, 4, size=shape).astype(np.uint8)
@@ -83,7 +83,7 @@ def test_kernel_results_do_not_depend_on_layout(shape, seed, dtype, layouts, pai
     got = kernels.classify_bands(laid_out(expected, layouts[2]), *BANDS)
     assert same_bytes(got, classes)
 
-    with mock.patch.object(kernels, "_PAIR_SLAB", pair_slab):
+    with mock.patch.object(kernels, "SLAB", slab):
         got = kernels.label_overlap_counts(laid_out(a, layouts[1]), laid_out(b, layouts[2]))
     assert np.array_equal(got, counts)
 

@@ -61,9 +61,8 @@ def test_run_experiment_equals_separate_calls_on_the_phantoms(slice_axis, tie_br
 def test_run_experiment_scans_each_phantom_for_its_ids_once():
     """``LabelVolume`` scans a phantom's labels as it is built; no reduction scans them again."""
     cfg = replace(reference_experiment(), n_train=2, n_test=3, shifts=[-25, 0])
-    assert not hasattr(simulation, "uint8_ids_present")  # so the spy below sees every scan
-    with mock.patch.object(volume, "uint8_ids_present",
-                           side_effect=volume.uint8_ids_present) as scans:
+    assert not hasattr(simulation, "label_counts")  # so the spy below sees every scan
+    with mock.patch.object(volume, "label_counts", side_effect=volume.label_counts) as scans:
         run_experiment(cfg)
     assert scans.call_count == cfg.n_train + cfg.n_test
 
@@ -112,7 +111,7 @@ def test_direct_fallback_counts_labels_across_several_chunks():
     # label 1 holds about 126 values per subject: eight chunks, the last one partial
     sizes = [np.count_nonzero(lab.voxels == lid) for _, lab in test for lid in range(4)]
     assert max(sizes) > 4 * chunk and any(size % chunk for size in sizes)
-    with mock.patch.object(simulation, "SLAB_VOXELS", chunk), \
+    with mock.patch.object(_kernels, "SLAB", chunk), \
             mock.patch.object(_kernels, "window_normalize",
                               side_effect=_kernels.window_normalize) as windowed:
         rows = run_shift_sweep(seg, test, "STN", shifts).rows

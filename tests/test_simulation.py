@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from ctwindow.simulation import (Band, BandSegmenter, ExperimentConfig, FitParam
                                  OrganSpec, PhantomConfig, StrategySpec, derive_seed,
                                  fit_band_segmenter, generate_phantom,
                                  reference_experiment, run_experiment,
-                                 run_shift_sweep, worker_count)
+                                 run_shift_sweep, worker_count, write_sweep_csv)
 from ctwindow.volume import Slice2D, extract_slice
 from ctwindow.windowing import SwnParams, normalize_for_testing
 
@@ -158,6 +159,21 @@ def test_sweep_requires_shifts():
     for shifts in ([0, float("nan")], [-float("inf")], [int(1e300)], [4e38]):
         with pytest.raises(ValueError, match="finite"):
             run_shift_sweep(seg, [pair], "STN", shifts)
+
+
+def test_a_numpy_shift_grid_sweeps_like_its_list(tmp_path):
+    exp = ExperimentConfig(phantom=single_organ_config(noise=10.0),
+                           strategies=[StrategySpec("STN"), StrategySpec("SWN", 50, 50)],
+                           shifts=[-50, 0, 50], n_train=1, n_test=2,
+                           fit=FitParams(epochs=2), seed=4)
+    paths = []
+    for shifts in ([-50, 0, 50], np.arange(-50, 51, 50)):
+        rows, _ = run_experiment(replace(exp, shifts=shifts))
+        paths.append(tmp_path / f"sweep{len(paths)}.csv")
+        write_sweep_csv(rows, str(paths[-1]))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    with pytest.raises(ValueError, match="nonempty"):
+        run_experiment(replace(exp, shifts=np.array([], dtype=np.int64)))
 
 
 def test_worker_count_env(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import per_plane_sweep
 
-from ctwindow import _kernels, simulation
+from ctwindow import _kernels
 from ctwindow.simulation import (Band, BandSegmenter, _sorted_sweep_applies,
                                  experiment_phantom, reference_experiment, run_experiment,
                                  run_shift_sweep)
@@ -112,7 +112,7 @@ def test_close_centers_fall_back_and_still_match():
     rng = np.random.default_rng(4)
     test = [subject(rng, (5, 4, 3), np.float32, "C", True) for _ in range(2)]
     shifts = [-300, -12.5, 0, 40, 7000]
-    with mock.patch.object(simulation, "SLAB_VOXELS", 13):  # chunks of 13 values
+    with mock.patch.object(_kernels, "SLAB", 13):  # chunks of 13 values
         assert run_shift_sweep(close, test, "STN", shifts).rows == \
             per_plane_sweep(close, test, "STN", shifts, 2)
 

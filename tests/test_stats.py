@@ -170,6 +170,13 @@ def test_fdr_validation():
         fdr_bh([1.1], m=3)
 
 
+@pytest.mark.parametrize("p", [[0.01, float("nan")], [float("nan")], [0.5, float("inf")]])
+def test_fdr_rejects_a_p_value_outside_the_unit_interval(p):
+    # a NaN used to pass the range check and turn every adjusted value into NaN
+    with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+        fdr_bh(p, m=len(p))
+
+
 def test_fdr_accepts_p_underflowed_to_zero():
     # a constant difference over 2500 pairs puts z near 43; its tail underflows
     res = wilcoxon_signed_rank(np.full(2500, 0.51), np.full(2500, 0.5))

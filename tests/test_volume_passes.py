@@ -1,10 +1,10 @@
 """The whole-volume passes of the CLI: label scans by runs, the window kernel's
 one float32 result, and ``augment`` writing into its output volumes.
 
-The uint8 id scan and the overlap counts read a slab with few runs run by
-run and histogram any other; both are checked against ``np.unique`` and the
-scalar oracle on piecewise-constant, i.i.d. and mixed label volumes, with
-runs across slab ends and in C, F and strided layouts. The window kernel is
+The label counts and the overlap counts read a slab with few runs run by
+run and histogram any other; they are checked against ``np.bincount`` and
+the scalar oracle on piecewise-constant, i.i.d. and mixed label volumes,
+with runs across slab ends and in C, F and strided layouts. The window kernel is
 checked to take the pins and every step from the float32 copy of its input,
 and both passes against a bound on what they hold at their peak.
 """
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import ctwindow._kernels as kernels
-import ctwindow.volume as volume
 from ctwindow.augmentation import CHUNK_PIXELS
 from ctwindow.cli import main
 from ctwindow.volume import CtVolume, LabelVolume, save_label_volume, save_volume
@@ -63,6 +62,21 @@ def layouts(labels):
             "strided": padded[::2, ::2, ::2]}
 
 
+def straddling_runs(rng, slab):
+    """Runs of random ids whose lengths straddle slab ends; a run ends on the last value."""
+    lengths = rng.integers(1, 2 * slab, 12)
+    return np.repeat(rng.integers(0, 256, lengths.size).astype(np.uint8), lengths)
+
+
+def mark_slab_ends(labels, slab):
+    """Id 9 at the last voxel of every slab in memory order, then id 11 at the last voxel."""
+    flat = labels.ravel(order="K")  # a copy for a strided view, which is C-ordered here
+    flat[slab - 1::slab] = 9
+    flat[-1] = 11
+    if not np.shares_memory(flat, labels):
+        labels[...] = flat.reshape(labels.shape)
+
+
 @pytest.fixture
 def sides():
     """Counts of the slabs read by runs and of the slabs histogrammed, during one test."""
@@ -74,25 +88,30 @@ def sides():
         counts["histogram" if heads is None else "runs"] += 1
         return heads
 
-    with mock.patch.object(kernels, "run_starts", counted), \
-            mock.patch.object(volume, "run_starts", counted):
+    with mock.patch.object(kernels, "run_starts", counted):
         yield counts
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("slab", [5, 97, 1000, 1 << 16])
 def test_id_scan_matches_unique(kind, slab, sides):
+    """``label_counts`` equals ``np.bincount``, and ``LabelVolume.ids`` ``np.unique``."""
     rng = np.random.default_rng([slab, len(kind)])
     labels = KINDS[kind](rng, [0, 3, 7, 200, 255], volume_shape(slab))
-    labels.flat[-1] = 9  # an id only in the last voxel, at the end of the last slab
-    with mock.patch.object(volume, "LABEL_SCAN_SLAB", slab):
-        for arr in layouts(labels).values():
-            assert np.array_equal(volume.uint8_ids_present(arr), np.unique(labels))
-            assert np.array_equal(LabelVolume(arr).ids, np.unique(labels))
-    # both sides of the rule run, except where the volume or the slab rules one out:
-    # a slab of 5 voxels holds at least one run, which is not fewer than 5 / 8
-    assert (sides["runs"] > 0) == (kind != "iid" and slab > 5)
-    assert sides["histogram"] > 0 or kind == "piecewise"
+    with mock.patch.object(kernels, "SLAB", slab):
+        for layout, arr in layouts(labels).items():
+            mark_slab_ends(arr, slab)
+            expected = np.bincount(arr.ravel(), minlength=256)
+            assert expected[9] >= 2 and expected[11] == 1
+            got = kernels.label_counts(arr)
+            assert got.dtype == np.int64 and np.array_equal(got, expected), layout
+            assert np.array_equal(LabelVolume(arr).ids, np.unique(arr)), layout
+        # both sides of the rule run, except where the volume or the slab rules one out:
+        # a slab of 5 voxels holds at least one run, which is not fewer than 5 / 8
+        assert (sides["runs"] > 0) == (kind != "iid" and slab > 5)
+        assert sides["histogram"] > 0 or kind == "piecewise"
+        runs = straddling_runs(rng, slab)
+        assert np.array_equal(kernels.label_counts(runs), np.bincount(runs, minlength=256))
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -104,7 +123,7 @@ def test_overlap_counts_match_the_scalar_loop(kind, slab, sides):
     b = np.roll(a, 3, axis=1)
     b.flat[rng.integers(0, b.size, 50)] = 2
     expected = scalar_label_overlap_counts(a.ravel(), b.ravel())
-    with mock.patch.object(kernels, "_PAIR_SLAB", slab):
+    with mock.patch.object(kernels, "SLAB", slab):
         for la, arr_a in layouts(a).items():
             for lb, arr_b in layouts(b).items():
                 got = kernels.label_overlap_counts(arr_a, arr_b)
@@ -122,11 +141,9 @@ def test_runs_across_slab_ends_count_once(slab):
     b = np.repeat(rng.integers(0, 256, lengths.size).astype(np.uint8), np.roll(lengths, 1))
     n = min(a.size, b.size)
     a, b = a[:n], b[:n]
-    with mock.patch.object(kernels, "_PAIR_SLAB", slab), \
-            mock.patch.object(volume, "LABEL_SCAN_SLAB", slab):
+    with mock.patch.object(kernels, "SLAB", slab):
         assert np.array_equal(kernels.label_overlap_counts(a, b),
                               scalar_label_overlap_counts(a, b))
-        assert np.array_equal(volume.uint8_ids_present(a), np.unique(a))
 
 
 def test_run_starts_takes_runs_only_when_they_are_few():
@@ -232,7 +249,7 @@ def test_augment_holds_its_inputs_outputs_and_one_plane(tmp_path):
     crop_pixels = crop[0] * crop[1]
     out_voxels = crop_pixels * dims[2]
     bound = (3 * in_voxels + 5 * out_voxels  # the loaded int16 image and uint8 labels, the outputs
-             + 8 * volume.LABEL_SCAN_SLAB  # the intp copy of one histogrammed label slab
+             + 8 * kernels.SLAB  # the intp copy of one histogrammed label slab
              # one plane's scratch: its float32 copy, its float64 mirror, its
              # outputs and the resampler's chunk buffers
              + 12 * plane + 5 * crop_pixels + 96 * min(CHUNK_PIXELS, crop_pixels)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import per_plane_fit_bands, per_plane_sweep, per_slice_swn_window
 
-from ctwindow import simulation
+from ctwindow import _kernels
 from ctwindow.cli import main
 from ctwindow.simulation import fit_band_segmenter, run_shift_sweep
 from ctwindow.volume import CtVolume, LabelVolume, load_volume, save_volume
@@ -104,7 +104,7 @@ def test_sweep_and_fit_match_per_plane_oracles(seed, dims, dtype, order, slice_a
     swn = SwnParams(*sigmas, seed=seed) if strategy == "SWN" else None
     # direct-sweep chunks of slab_rows rows' worth of values plus part of a row
     slab = slab_rows * dims[1] * dims[2] + int(rng.integers(0, dims[1] * dims[2]))
-    with mock.patch.object(simulation, "SLAB_VOXELS", slab):
+    with mock.patch.object(_kernels, "SLAB", slab):
         draws = assert_matches_oracles(train, test, strategy, swn, shifts, slice_axis,
                                        tie_break, epochs=epochs)
     # one draw per plane, epoch and subject, planes without a pooled voxel included
@@ -113,10 +113,10 @@ def test_sweep_and_fit_match_per_plane_oracles(seed, dims, dtype, order, slice_a
 
 @pytest.mark.parametrize("strategy", ["STN", "SWN"])
 def test_sweep_matches_oracle_across_real_slabs(strategy):
-    # 37 rows of 60 x 61 voxels, more than SLAB_VOXELS; 35 rows fit in SLAB_VOXELS
+    # 37 rows of 60 x 61 voxels, more than _kernels.SLAB; 17 rows fit in _kernels.SLAB
     dims = (37, 60, 61)
-    assert dims[0] % (simulation.SLAB_VOXELS // (dims[1] * dims[2])) != 0
-    assert np.prod(dims) > simulation.SLAB_VOXELS
+    assert dims[0] % (_kernels.SLAB // (dims[1] * dims[2])) != 0
+    assert np.prod(dims) > _kernels.SLAB
     rng = np.random.default_rng(17)
     train = [subject(rng, dims, np.int16, "F", 20.0)]
     test = [subject(rng, dims, np.int16, "F", 20.0)]
