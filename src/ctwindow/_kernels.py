@@ -15,8 +15,8 @@ _backend = sys.modules[__name__]  # perfbench/child.py times the kernels through
 
 _F255 = np.float32(255.0)
 _F0 = np.float32(0.0)
-# Values per slab of every label count, of the sweep's direct fallback and of the
-# phantom's background draw; it bounds the intp copy np.bincount makes of a slab.
+# Values per slab of every label count and of the phantom's background draw; it
+# bounds the intp copy np.bincount makes of a slab.
 SLAB = 1 << 16
 # A slab in which fewer than 1/RUN_SPARSITY of the values start a run of equal
 # values is read run by run; a denser one is histogrammed voxel by voxel.
@@ -72,8 +72,12 @@ def classify_bands(values, lo, hi, center, labels, tie_break="lowest_id"):
 
     ``tie_break="lowest_id"``: the first containing band in the given order
     wins (bands are passed sorted by ascending label id).
-    ``"nearest_center"``: the containing band with the nearest center wins;
-    equal distances fall back to the first (lowest id).
+    ``"nearest_center"``: scanning the containing bands in the given order,
+    band j takes a value from the band b holding it only where the value
+    lies strictly on j's side of ``m = 0.5 * (f64(c_b) + f64(c_j))``: below
+    m if c_j < c_b, above m if c_j > c_b. Equal centers and a value at m
+    stay with b. Every comparison is exact, and m is the exact midpoint
+    unless one center is below about 2**-29 of the other.
     """
     if tie_break not in ("lowest_id", "nearest_center"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
@@ -86,12 +90,14 @@ def classify_bands(values, lo, hi, center, labels, tie_break="lowest_id"):
         for j in reversed(range(labels.shape[0])):
             out[(src >= lo[j]) & (src <= hi[j])] = labels[j]
     else:
-        best = np.full_like(src, np.inf)
-        for j in range(labels.shape[0]):
-            dist = np.abs(src - center[j])
-            hit = (src >= lo[j]) & (src <= hi[j]) & (dist < best)
+        # float64 center of each value's band, NaN before any; an array, so NumPy < 2 keeps m f64
+        best = np.full(src.shape, np.nan)
+        for j, c in enumerate(center.astype(np.float64)):
+            mid = 0.5 * (best + c)
+            hit = (src >= lo[j]) & (src <= hi[j]) & (
+                np.isnan(best) | ((c < best) & (src < mid)) | ((c > best) & (src > mid)))
             out[hit] = labels[j]
-            best[hit] = dist[hit]
+            best[hit] = c
     return out
 
 

@@ -185,8 +185,8 @@ class Band:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"band for label {self.label_id} needs lo < hi, "
+        if not (np.all(np.isfinite((self.lo, self.hi))) and self.lo < self.hi):
+            raise ValueError(f"band for label {self.label_id} needs finite lo < hi, "
                              f"got [{self.lo}, {self.hi}]")
 
     @property
@@ -199,7 +199,8 @@ class BandSegmenter:
 
     A voxel inside several bands goes to the lowest label id
     (``tie_break="lowest_id"``) or to the containing band whose center is
-    nearest (``tie_break="nearest_center"``, ties again to the lowest id).
+    nearest by exact float64 midpoint tests (``tie_break="nearest_center"``,
+    ties again to the lowest id; see ``_kernels.classify_bands``).
     """
 
     def __init__(self, bands, strategy, tie_break="lowest_id"):
@@ -434,17 +435,15 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     monotonically, and clip, subtract, multiply and divide by positives and
     the 0/255 pins are all monotone. ``classify_bands`` looks at n only
     through tests that switch at most once as n grows: ``n >= lo_j`` and
-    ``n > hi_j`` for every band, and in ``nearest_center`` mode
-    ``|n - c_k| < |n - c_j|`` for every pair j < k of band centers (see
-    ``_sorted_sweep_applies``). So at one shift the prediction is constant
-    on each run of voxel values between the points where a test switches.
+    ``n > hi_j`` for every band, and in ``nearest_center`` mode one float64
+    midpoint test per pair of bands (see ``_band_tests``). So at one shift
+    the prediction is constant on each run of voxel values between the
+    points where a test switches.
     ``_run_starts`` bisects float32 order keys for those points, probing
     with the real ``window_normalize`` and the kernels' comparisons, and
     labels each run with ``seg.predict`` on its first value; NaN voxels are
     a run of their own. ``_sorted_counts`` then counts each label's sorted
-    values in each run with ``np.searchsorted``. Where the tests are not
-    proven monotone, ``_direct_counts`` classifies every value at every
-    shift instead, in chunks of at most ``_kernels.SLAB``.
+    values in each run with ``np.searchsorted``.
     """
     if not test:
         raise ValueError("test set must be nonempty")
@@ -455,8 +454,7 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
         raise ValueError(f"shifts must be finite in float32, got {shifts}")
     window = strategy_window(strategy, "test")
     shift32 = np.array([np.float32(s) for s in shifts], dtype=np.float32)
-    counts_of = (_sorted_counts if _sorted_sweep_applies(seg) else _direct_counts)(
-        seg, window, shift32)
+    counts_of = _sorted_counts(seg, window, shift32)
 
     label_names = {}
     tables = []
@@ -478,28 +476,6 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     return SweepResult(rows)
 
 
-def _sorted_sweep_applies(seg):
-    """Whether every test ``classify_bands`` makes switches at most once as n grows.
-
-    The band tests always do. In ``nearest_center`` mode, take centers
-    c_j < c_k: for n below c_j, ``|n - c_k| < |n - c_j|`` is false; between
-    the centers one side shrinks and the other grows, so it switches once;
-    above c_k it holds as long as float32 rounding cannot make
-    ``n - c_k`` and ``n - c_j`` equal, which ``c_k - c_j`` greater than the
-    float32 spacing at the largest ``|n - c|`` for n in [0, 255] rules out.
-    With centers in [0, 255], as every fitted segmenter has, that spacing is
-    at most 2**-16. Equal centers are fine (the lower id always wins); a
-    non-finite center is not covered.
-    """
-    if seg.tie_break != "nearest_center":
-        return True
-    centers = seg._center.astype(np.float64)
-    reach = np.max(np.maximum(np.abs(centers), np.abs(255.0 - centers)), initial=0.0)
-    spacing = np.spacing(np.float32(reach))
-    gaps = np.abs(centers[:, None] - centers[None, :])
-    return bool(np.all((gaps == 0) | (gaps > spacing)))
-
-
 _NEG_INF_KEY = 0x007FFFFF  # order key of float32 -inf
 _POS_INF_KEY = 0xFF800000  # order key of float32 +inf
 
@@ -515,16 +491,20 @@ def _band_tests(seg):
 
     ``tests(n)`` takes n of shape (..., count) and applies test t to
     ``n[..., t]``: ``n >= lo_j``, then ``n > hi_j``, then in
-    ``nearest_center`` mode ``|n - c_k| < |n - c_j|`` for each pair j < k.
+    ``nearest_center`` mode, for each pair j < k, the kernel's test of band
+    k against band j at their float64 midpoint: ``n > m_jk`` if c_k > c_j,
+    else ``n < m_jk``.
     """
     n_bands = len(seg.bands)
     j, k = np.triu_indices(n_bands if seg.tie_break == "nearest_center" else 0, 1)
+    center = seg._center.astype(np.float64)
+    mid = 0.5 * (center[j] + center[k])
+    up = center[k] > center[j]
 
     def tests(n):
-        pair = n[..., 2 * n_bands:]
+        pair = n[..., 2 * n_bands:]  # float32, so it meets the float64 midpoints exactly
         return np.concatenate([n[..., :n_bands] >= seg._lo, n[..., n_bands:2 * n_bands] > seg._hi,
-                               np.abs(pair - seg._center[k]) < np.abs(pair - seg._center[j])],
-                              axis=-1)
+                               np.where(up, pair > mid, pair < mid)], axis=-1)
 
     return tests, 2 * n_bands + len(j)
 
@@ -576,27 +556,6 @@ def _sorted_counts(seg, window, shift32):
             in_run = np.diff(ends, axis=1, append=values.size)
             np.add.at(counts[0], (rows, run_labels), in_run)
             counts[2, :, lid] = np.where(run_labels == lid, in_run, 0).sum(axis=1)
-        return counts
-
-    return counts_of
-
-
-def _direct_counts(seg, window, shift32):
-    """The counts of ``_sorted_counts``, from classifying every value at every shift.
-
-    Each label's values go through in chunks of at most ``_kernels.SLAB``.
-    """
-    def counts_of(subject):
-        counts = np.zeros((3, len(shift32), 256), dtype=np.int64)
-        for i, shift in enumerate(shift32):
-            for lid, values in subject.values.items():
-                counts[1, i, lid] = values.size
-                for start in range(0, values.size, _kernels.SLAB):
-                    hu = values[start:start + _kernels.SLAB] + shift
-                    pred = seg.predict(_kernels.window_normalize(hu, window.lower, window.upper))
-                    predicted = _kernels.label_counts(pred)
-                    counts[0, i] += predicted
-                    counts[2, i, lid] += predicted[lid]  # every value here has truth lid
         return counts
 
     return counts_of

@@ -234,21 +234,24 @@ def scalar_classify_bands(src, lo, hi, center, label, mode):
     """Band labels one float32 value at a time.
 
     mode 0: the first band in the given order that contains the value.
-    mode 1: the containing band with the strictly nearest center, so an
+    mode 1: scanning the containing bands in order, a band takes the value
+    from the one holding it only where the value lies strictly on its side
+    of the midpoint of their centers, in Python floats (float64), so an
     equidistant later band never displaces an earlier one.
     """
     lo, hi, center = (np.asarray(x, dtype=np.float32) for x in (lo, hi, center))
     out = np.zeros(len(src), dtype=np.uint8)
     for i, v in enumerate(np.asarray(src, dtype=np.float32)):
-        best = np.float32(np.inf)
+        best = None  # the center of the band holding v
         for j in range(len(label)):
             if lo[j] <= v <= hi[j]:
                 if mode == 0:
                     out[i] = label[j]
                     break
-                d = abs(v - center[j])
-                if d < best:
-                    best = d
+                c, x = float(center[j]), float(v)
+                if best is None or (c < best and x < 0.5 * (best + c)) or \
+                        (c > best and x > 0.5 * (best + c)):
+                    best = c
                     out[i] = label[j]
     return out
 

@@ -157,6 +157,22 @@ def test_classify_semantics(backend):
     assert nearest.tolist() == [0, 1, 2, 1, 0]
 
 
+@pytest.mark.parametrize("center,src,expected", [
+    # float32 distances to centers 0 and 2**-30 round equal from n = 1 up; the midpoint
+    # 2**-31 does not
+    ((0.0, 2.0 ** -30), (0.0, 2.0 ** -32, 1.0, 255.0), [1, 1, 2, 2]),
+    # the midpoint 1 + 2**-24 rounds to 1.0 in float32, so only a float64 one puts 1.0 below it
+    ((1.0 + 2.0 ** -23, 1.0), (1.0,), [2]),
+], ids=["float32-distance-tie", "float64-midpoint"])
+def test_nearest_center_is_decided_at_the_float64_midpoint(center, src, expected):
+    lo, hi = np.float32([0.0, 0.0]), np.float32([255.0, 255.0])
+    center, src = np.float32(center), np.float32(src)
+    labels = np.array([1, 2], np.uint8)
+    assert kernels.classify_bands(src, lo, hi, center, labels, "nearest_center").tolist() \
+        == expected
+    assert scalar_classify_bands(src, lo, hi, center, labels, 1).tolist() == expected
+
+
 @NUMPY
 def test_label_overlap_counts_against_bincount(backend):
     rng = np.random.default_rng(3)

@@ -7,8 +7,7 @@ for a test phantom (``_test_subject``). Every strategy's fit and sweep read
 those. These tests check that this gives the rows and bands of separate
 calls on the phantoms themselves, that each phantom's labels are scanned
 for ids once, that a prepared subject fits and sweeps like its pair, that
-the direct fallback counts per-label values in chunks correctly, that the
-run's memory peak stays well below the bytes of its phantoms, and that the
+labels counted across several slabs sweep like the oracle, that the run's memory peak stays well below the bytes of its phantoms, and that the
 fit windows each label once per pass and holds little more than one label's
 pool at a time.
 """
@@ -23,10 +22,10 @@ import pytest
 from oracles import per_plane_sweep
 
 from ctwindow import _kernels, simulation, volume
-from ctwindow.simulation import (Band, BandSegmenter, StrategySpec, _sorted_sweep_applies,
-                                 _test_subject, _training_subject, derive_seed,
-                                 experiment_phantom, fit_band_segmenter, reference_experiment,
-                                 run_experiment, run_shift_sweep)
+from ctwindow.simulation import (Band, BandSegmenter, StrategySpec, _test_subject,
+                                 _training_subject, derive_seed, experiment_phantom,
+                                 fit_band_segmenter, reference_experiment, run_experiment,
+                                 run_shift_sweep)
 from ctwindow.volume import CtVolume, LabelVolume
 from ctwindow.windowing import SwnParams, WindowSampler
 
@@ -94,33 +93,33 @@ def test_prepared_test_subjects_sweep_like_their_pairs():
 
 
 def test_direct_fallback_counts_labels_across_several_chunks():
-    nudge = 2.0 ** -16
-    bands = [Band(1, 100.0, 140.0), Band(2, 100.0 + nudge, 140.0 + nudge), Band(3, 60.0, 110.0)]
-    seg = BandSegmenter(bands, "STN", tie_break="nearest_center")
-    assert not _sorted_sweep_applies(seg)
-    rng = np.random.default_rng(8)
+    """Four labels, counted across several slabs, sweep like the per-plane oracle.
+
+    The name is kept from the chunked direct count that close band centers
+    once fell back to; they now take the sorted path. With ``_kernels.SLAB``
+    at 16, each 210-voxel phantom's id scan runs in 14 slabs, the last one
+    partial, for two close centers and for equal ones.
+    """
     names = {0: "background", 1: "a", 2: "b", 3: "c"}
-    test = []
-    for _ in range(2):
-        labels = rng.choice(4, size=(7, 6, 5), p=[0.1, 0.6, 0.2, 0.1]).astype(np.uint8)
-        voxels = rng.uniform(-100.0, 200.0, size=labels.shape).astype(np.float32)
-        voxels.flat[::11] = np.nan
-        test.append((CtVolume(voxels), LabelVolume(labels, label_names=names)))
     shifts = [-60, 0, 12.5, 80]
     chunk = 16
-    # label 1 holds about 126 values per subject: eight chunks, the last one partial
-    sizes = [np.count_nonzero(lab.voxels == lid) for _, lab in test for lid in range(4)]
-    assert max(sizes) > 4 * chunk and any(size % chunk for size in sizes)
-    with mock.patch.object(_kernels, "SLAB", chunk), \
-            mock.patch.object(_kernels, "window_normalize",
-                              side_effect=_kernels.window_normalize) as windowed:
-        rows = run_shift_sweep(seg, test, "STN", shifts).rows
-    assert [call.args[0].size for call in windowed.call_args_list] == \
-        [min(chunk, size - start) for _ in shifts for size in sizes[:4]
-         for start in range(0, size, chunk)] + \
-        [min(chunk, size - start) for _ in shifts for size in sizes[4:]
-         for start in range(0, size, chunk)]
-    assert rows == per_plane_sweep(seg, test, "STN", shifts, 2)
+    with mock.patch.object(_kernels, "SLAB", chunk):
+        rng = np.random.default_rng(8)
+        test = []
+        for _ in range(2):
+            labels = rng.choice(4, size=(7, 6, 5), p=[0.1, 0.6, 0.2, 0.1]).astype(np.uint8)
+            voxels = rng.uniform(-100.0, 200.0, size=labels.shape).astype(np.float32)
+            voxels.flat[::11] = np.nan
+            test.append((CtVolume(voxels), LabelVolume(labels, label_names=names)))
+        for _, lab in test:
+            assert lab.voxels.size > 4 * chunk and lab.voxels.size % chunk
+            assert lab.ids.tolist() == np.unique(lab.voxels).tolist() == [0, 1, 2, 3]
+        for nudge in (2.0 ** -16, 0.0):
+            bands = [Band(1, 100.0, 140.0), Band(2, 100.0 + nudge, 140.0 + nudge),
+                     Band(3, 60.0, 110.0)]
+            seg = BandSegmenter(bands, "STN", tie_break="nearest_center")
+            assert run_shift_sweep(seg, test, "STN", shifts).rows == \
+                per_plane_sweep(seg, test, "STN", shifts, 2)
 
 
 def fit_heavy_phantom():

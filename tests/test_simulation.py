@@ -64,6 +64,10 @@ def test_phantom_rejects_overlap_and_out_of_bounds():
 def test_band_validation():
     with pytest.raises(ValueError, match="lo < hi"):
         Band(1, 5.0, 5.0)
+    # an infinite end would give an infinite or NaN center
+    for lo, hi in ((-np.inf, 10.0), (0.0, np.inf), (-np.inf, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="label 3 needs finite lo < hi"):
+            Band(3, lo, hi)
     with pytest.raises(ValueError, match="tie_break"):
         BandSegmenter([Band(1, 0.0, 1.0)], "STN", tie_break="nope")
     with pytest.raises(ValueError, match="unique"):

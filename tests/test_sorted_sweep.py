@@ -4,22 +4,23 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import per_plane_sweep
 
 from ctwindow import _kernels
-from ctwindow.simulation import (Band, BandSegmenter, _sorted_sweep_applies,
-                                 experiment_phantom, reference_experiment, run_experiment,
-                                 run_shift_sweep)
+from ctwindow.simulation import (Band, BandSegmenter, experiment_phantom, reference_experiment,
+                                 run_experiment, run_shift_sweep)
 from ctwindow.volume import CtVolume, LabelVolume
 from ctwindow.windowing import strategy_window
 
 NAMES = {0: "background", 1: "organ_a", 2: "organ_b", 3: "organ_c"}
 SPECIAL = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-45, -1e-45, 1e-40, -3e38, 3e38],
                    dtype=np.float32)
-CLOSE = (2.0 ** -20, 2.0 ** -18, 2.0 ** -17, 2.0 ** -16, 1.5 * 2.0 ** -16)
+CLOSE = (0.0, 2.0 ** -30, 2.0 ** -24, 2.0 ** -20, 2.0 ** -18, 2.0 ** -17, 2.0 ** -16,
+         1.5 * 2.0 ** -16)
 
 
 @st.composite
@@ -103,18 +104,36 @@ def test_sorted_sweep_matches_per_plane_oracle(data, seed, strategy, dims, dtype
 
 
 def test_close_centers_fall_back_and_still_match():
-    nudge = 2.0 ** -16
-    bands = [Band(1, 100.0, 140.0), Band(2, 100.0 + nudge, 140.0 + nudge), Band(3, 60.0, 110.0)]
-    close = BandSegmenter(bands, "STN", tie_break="nearest_center")
-    assert close._center[0] != close._center[1]
-    assert not _sorted_sweep_applies(close)
-    assert _sorted_sweep_applies(BandSegmenter(bands, "STN"))  # lowest_id
-    rng = np.random.default_rng(4)
-    test = [subject(rng, (5, 4, 3), np.float32, "C", True) for _ in range(2)]
+    """Close or equal band centers take the sorted path and match the per-plane oracle.
+
+    The name is kept from when such centers fell back to a direct count. With
+    ``_kernels.SLAB`` at 13, the id scans of the 60-voxel subjects run in
+    slabs of 13 values, the last one partial.
+    """
     shifts = [-300, -12.5, 0, 40, 7000]
-    with mock.patch.object(_kernels, "SLAB", 13):  # chunks of 13 values
-        assert run_shift_sweep(close, test, "STN", shifts).rows == \
-            per_plane_sweep(close, test, "STN", shifts, 2)
+    with mock.patch.object(_kernels, "SLAB", 13):
+        rng = np.random.default_rng(4)
+        test = [subject(rng, (5, 4, 3), np.float32, "C", True) for _ in range(2)]
+        for nudge in (2.0 ** -16, 2.0 ** -24, 2.0 ** -30, 0.0):
+            bands = [Band(1, 100.0, 140.0), Band(2, 100.0 + nudge, 140.0 + nudge),
+                     Band(3, 60.0, 110.0)]
+            close = BandSegmenter(bands, "STN", tie_break="nearest_center")
+            assert run_shift_sweep(close, test, "STN", shifts).rows == \
+                per_plane_sweep(close, test, "STN", shifts, 2)
+
+
+@pytest.mark.parametrize("centers", [(110.0, 94.0), (94.0, 110.0)], ids=["down", "up"])
+def test_a_value_at_the_midpoint_stays_with_the_earlier_band(centers):
+    """0 HU normalizes to exactly 102 under the STN test window, the centers' midpoint."""
+    assert _kernels.window_normalize(np.float32([0.0]), -160.0, 240.0)[0] == 102.0
+    seg = BandSegmenter([Band(i, c - 20.0, c + 20.0) for i, c in enumerate(centers, 1)], "STN",
+                        tie_break="nearest_center")
+    voxels = np.float32([[[-40.0, -1.0, -0.5, 0.0, 0.5, 1.0, 40.0]]])
+    test = [(CtVolume(voxels), LabelVolume(np.uint8([[[1, 2, 1, 2, 1, 2, 1]]]),
+                                           label_names=NAMES))]
+    shifts = [-0.5, 0, 0.5]
+    assert run_shift_sweep(seg, test, "STN", shifts).rows == \
+        per_plane_sweep(seg, test, "STN", shifts, 2)
 
 
 def test_reference_experiment_rows_match_the_oracle():
@@ -124,7 +143,6 @@ def test_reference_experiment_rows_match_the_oracle():
     expected = []
     for spec in cfg.strategies:
         seg = segmenters[spec.label]
-        assert _sorted_sweep_applies(seg)
         expected += [replace(row, strategy=spec.label) for row in
                      per_plane_sweep(seg, test, spec.strategy, cfg.shifts, cfg.slice_axis)]
     assert rows == expected

@@ -102,7 +102,8 @@ def test_sweep_and_fit_match_per_plane_oracles(seed, dims, dtype, order, slice_a
         train[1] = relabel(train[1], rng, 0, 0, True, slice_axis)
         test = [relabel(pair, rng, 0, 0, True, slice_axis) for pair in test]
     swn = SwnParams(*sigmas, seed=seed) if strategy == "SWN" else None
-    # direct-sweep chunks of slab_rows rows' worth of values plus part of a row
+    # label-id scans and overlap counts in slabs of slab_rows rows' worth of values plus part
+    # of a row: the oracle stacks its predictions into a LabelVolume and scores them with dice
     slab = slab_rows * dims[1] * dims[2] + int(rng.integers(0, dims[1] * dims[2]))
     with mock.patch.object(_kernels, "SLAB", slab):
         draws = assert_matches_oracles(train, test, strategy, swn, shifts, slice_axis,
