@@ -28,18 +28,19 @@ def window_normalize(values, lo, hi):
 
     ``lo`` and ``hi`` are scalars, or arrays that broadcast to the values'
     shape without widening it, such as one bound per plane laid along the
-    plane axis; each is rounded to float32 before any arithmetic. Bounds
-    of any other shape are a ValueError. Every value takes the same float32
-    steps with its own bounds, so windowing many planes at once with
-    per-plane bounds gives the bytes of one call per plane. Saturated
-    inputs are pinned to exactly 0 / 255; the scaled expression can
-    otherwise round 1 ulp short of 255. The result keeps the values'
-    memory layout, so an F-ordered volume stays F-ordered.
+    plane axis; each is rounded to float32 before any arithmetic, and each
+    pair must be finite with lo < hi. Bounds of any other shape are a
+    ValueError. Every value takes the same float32 steps with its own
+    bounds, so windowing many planes at once with per-plane bounds gives
+    the bytes of one call per plane. Values >= hi are pinned to exactly
+    255, which the scaled expression can miss by 1 ulp. Values <= lo need
+    no pin: they clip to lo, and lo - lo scales to exactly 0. The result
+    keeps the values' memory layout, so an F-ordered volume stays F-ordered.
 
     The result is the only full-size float array a call makes: values of
-    another dtype are converted to float32 once, the pins are taken from
-    that copy as two boolean masks, and the copy is windowed in place.
-    Besides the input, a call holds 6 bytes per voxel at its peak.
+    another dtype are converted to float32 once, the pin's mask is taken
+    from that copy, and the copy is windowed in place. Besides the input,
+    a call holds 5 bytes per voxel at its peak.
     """
     values = np.asarray(values)
     lo = np.asarray(lo, dtype=np.float32)
@@ -52,17 +53,15 @@ def window_normalize(values, lo, hi):
         raise ValueError(f"bounds of shapes {lo.shape} and {hi.shape} do not broadcast "
                          f"to the values' shape {values.shape}")
     src = values.astype(np.float32, copy=False)
-    # the pins compare the float32 values: NumPy 1.24 would compare a uint8
-    # input with 0-d float32 bounds in float16
-    at_lo = src <= lo
+    # the pin compares float32 values; NumPy 1.24 compares uint8 with 0-d float32 in float16
     at_hi = src >= hi
     # a converted copy is windowed in place; a float32 input is never written to
     out = np.clip(src, lo, hi, out=None if src is values else src)
     out -= lo
+    out += _F0  # clip keeps -0.0 at lo = +0.0, and -0.0 - 0.0 is -0.0; this makes it +0.0
     out *= _F255
     out /= hi - lo
     np.clip(out, _F0, _F255, out=out)
-    np.copyto(out, _F0, where=at_lo)
     np.copyto(out, _F255, where=at_hi)
     return out
 

@@ -33,13 +33,12 @@ a crop/pad, so the bytes are the same as that pipeline's:
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .volume import Slice2D
 
-CHUNK_PIXELS = 1 << 14  # crop pixels per step (at least one row); bounds the float64 scratch
+CHUNK_PIXELS = 1 << 14  # crop pixels per chunk (at least one row); bounds its float64 temporaries
 
 
 @dataclass
@@ -52,9 +51,13 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.crop_size = tuple(int(c) for c in self.crop_size)
-        if len(self.crop_size) != 2 or any(c <= 0 for c in self.crop_size):
-            raise ValueError(f"crop_size must be 2 positive integers, got {self.crop_size}")
+        try:
+            size = tuple(float(c) for c in self.crop_size)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float64
+            size = ()
+        if len(size) != 2 or not all(c > 0 and c.is_integer() for c in size):
+            raise ValueError(f"crop_size must be 2 positive integers, got {self.crop_size!r}")
+        self.crop_size = tuple(int(c) for c in size)
         if self.max_rotation_deg < 0:
             raise ValueError("max_rotation_deg must be >= 0")
         self.max_translation = tuple(float(t) for t in self.max_translation)
@@ -146,52 +149,34 @@ def _outside(c0, c1, shape):
     return ~((c0 >= 0) & (c0 <= shape[0] - 1) & (c1 >= 0) & (c1 <= shape[1] - 1))
 
 
-def _bilinear(s, ext, width, outside, fill, finite):
-    """The bilinear values at ``(s.c0, s.c1)`` in ``s.t``, from the flat mirror-extended plane."""
-    np.floor(s.c0, out=s.f0)
-    np.floor(s.c1, out=s.f1)
-    np.multiply(s.f0, width, out=s.t)
-    s.t += s.f1
-    np.copyto(s.k, s.t, casting="unsafe")
+def _bilinear(ext, width, c0, c1, outside, fill, finite):
+    """The bilinear values at ``(c0, c1)`` from the flat mirror-extended plane ``width`` wide."""
+    f0, f1 = np.floor(c0), np.floor(c1)
+    k = (f0 * width + f1).astype(np.intp)
     if outside is not None:
-        np.copyto(s.k, 0, where=outside)
-    for c, f, w0, w1 in ((s.c0, s.f0, s.w0r, s.w1r), (s.c1, s.f1, s.w0c, s.w1c)):
-        np.subtract(c, f, out=w0)
-        np.subtract(1.0, w0, out=w0)
-        np.subtract(1.0, w0, out=w1)
-    # the indices are in range; mode="wrap" only spares the copy mode="raise" makes for out=
-    np.take(ext, s.k, out=s.t, mode="wrap")
-    s.t *= s.w0r
-    s.t *= s.w0c
-    s.t += 0.0  # the sum starts at 0.0, which turns a leading -0.0 into 0.0
-    for delta, wr, wc in ((1, s.w0r, s.w1c), (width - 1, s.w1r, s.w0c), (1, s.w1r, s.w1c)):
-        s.k += delta
-        np.take(ext, s.k, out=s.term, mode="wrap")
-        s.term *= wr
-        s.term *= wc
-        s.t += s.term
+        k[outside] = 0
+    w0r, w0c = 1.0 - (c0 - f0), 1.0 - (c1 - f1)
+    w1r, w1c = 1.0 - w0r, 1.0 - w0c
+    t = ext[k] * w0r * w0c + 0.0  # the sum starts at 0.0, which turns a leading -0.0 into 0.0
+    t += ext[k + 1] * w0r * w1c
+    t += ext[k + width] * w1r * w0c
+    t += ext[k + width + 1] * w1r * w1c
     if not finite:
-        s.k -= width + 1
-        _set_nan_signs(s.t, ext, s.k, ((s.w0r, s.w1r), (s.w0c, s.w1c)), width)
+        _set_nan_signs(t, ext, k, ((w0r, w1r), (w0c, w1c)), width)
     if outside is not None:
-        np.copyto(s.t, fill, where=outside)
-    return s.t
+        t[outside] = fill
+    return t
 
 
-def _nearest(s, flat, n1, outside, fill):
-    """The nearest values at ``(s.c0, s.c1)`` in ``s.v``, from the flat plane ``n1`` wide."""
-    for c, f in ((s.c0, s.f0), (s.c1, s.f1)):
-        np.add(c, 0.5, out=f)
-        np.floor(f, out=f)
-    s.f0 *= n1
-    s.f0 += s.f1
-    np.copyto(s.k, s.f0, casting="unsafe")
+def _nearest(flat, n1, c0, c1, outside, fill):
+    """The nearest values at ``(c0, c1)`` from the flat plane ``n1`` wide."""
+    k = (np.floor(c0 + 0.5) * n1 + np.floor(c1 + 0.5)).astype(np.intp)
     if outside is not None:
-        np.copyto(s.k, 0, where=outside)
-    np.take(flat, s.k, out=s.v, mode="wrap")
+        k[outside] = 0
+    v = flat[k]
     if outside is not None:
-        np.copyto(s.v, fill, where=outside)
-    return s.v
+        v[outside] = fill
+    return v
 
 
 def _moved_crop(image, labels, angle_deg, shift, starts, size, image_fill, label_fill):
@@ -218,27 +203,21 @@ def _moved_crop(image, labels, angle_deg, shift, starts, size, image_fill, label
     rows = np.arange(lo[0] + starts[0], hi[0] + starts[0], dtype=np.float64)
     cols = np.arange(lo[1] + starts[1], hi[1] + starts[1], dtype=np.float64)
     (row0, col0), (row1, col1) = _source_coordinates(shape, angle_deg, shift, rows, cols)
-    # scratch buffers for one chunk of whole crop rows, reused chunk after chunk
-    step = max(1, CHUNK_PIXELS // cols.size)
-    full = (min(step, rows.size), cols.size)
-    bufs = {name: np.empty(full) for name in ("c0", "c1", "f0", "f1", "w0r", "w1r",
-                                              "w0c", "w1c", "t", "term")}
-    bufs["k"] = np.empty(full, dtype=np.intp)
-    bufs["v"] = np.empty(full, dtype=labels.dtype)
+    kept_img = out_img[lo[0]:hi[0], lo[1]:hi[1]]
+    kept_lab = out_lab[lo[0]:hi[0], lo[1]:hi[1]]
+    step = max(1, CHUNK_PIXELS // cols.size)  # whole crop rows
     flat_lab = np.ascontiguousarray(labels).ravel()
     # inf * 0 and signaling NaNs are part of the arithmetic, not errors
     with np.errstate(invalid="ignore", over="ignore"):
         ext = _mirror_extended(image).ravel()
         finite = bool(np.isfinite(image).all())
         for r in range(0, rows.size, step):
-            m = min(step, rows.size - r)
-            s = SimpleNamespace(**{name: buf[:m] for name, buf in bufs.items()})
-            np.add(row0[r:r + m, None], col0, out=s.c0)
-            np.add(row1[r:r + m, None], col1, out=s.c1)
-            outside = _outside(s.c0, s.c1, shape)
-            dst = (slice(lo[0] + r, lo[0] + r + m), slice(lo[1], hi[1]))
-            out_img[dst] = _bilinear(s, ext, shape[1] + 1, outside, image_fill, finite)
-            out_lab[dst] = _nearest(s, flat_lab, shape[1], outside, label_fill)
+            c0 = row0[r:r + step, None] + col0
+            c1 = row1[r:r + step, None] + col1
+            outside = _outside(c0, c1, shape)
+            kept_img[r:r + step] = _bilinear(ext, shape[1] + 1, c0, c1, outside, image_fill,
+                                             finite)
+            kept_lab[r:r + step] = _nearest(flat_lab, shape[1], c0, c1, outside, label_fill)
     return out_img, out_lab
 
 

@@ -432,8 +432,8 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     The counts are exact. The test-time map
     ``n(x) = window_normalize(f32(x) + f32(shift))`` is monotone
     non-decreasing in a voxel's value x: float32 addition rounds
-    monotonically, and clip, subtract, multiply and divide by positives and
-    the 0/255 pins are all monotone. ``classify_bands`` looks at n only
+    monotonically, and clip, subtract, add +0.0, multiply and divide by
+    positives, and the 255 pin are all monotone. ``classify_bands`` looks at n only
     through tests that switch at most once as n grows: ``n >= lo_j`` and
     ``n > hi_j`` for every band, and in ``nearest_center`` mode one float64
     midpoint test per pair of bands (see ``_band_tests``). So at one shift

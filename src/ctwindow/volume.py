@@ -12,6 +12,7 @@ returns a new object and is safe to call concurrently.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -45,9 +46,9 @@ class CtVolume:
             raise ValueError(f"expected a 3D array, got ndim={self.voxels.ndim}")
         if self.voxels.dtype not in (np.dtype(np.int16), np.dtype(np.float32)):
             raise ValueError(f"element kind must be int16 or float32, got {self.voxels.dtype}")
+        if not _is_spacing(self.spacing):
+            raise ValueError(f"spacing must be 3 finite positive numbers, got {self.spacing!r}")
         self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing components must be positive, got {self.spacing}")
 
     @property
     def dims(self):
@@ -133,8 +134,8 @@ def _read_header(path):
     dims = header["dims"]
     if not is_number_list(dims) or any(not float(d).is_integer() or d <= 0 for d in dims):
         raise CtvFormatError(f"{path}: dims must be 3 positive integers, got {dims}")
-    if not is_number_list(header["spacing_mm"]) or any(not s > 0 for s in header["spacing_mm"]):
-        raise CtvFormatError(f"{path}: spacing_mm must be 3 positive numbers")
+    if not is_number_list(header["spacing_mm"]) or not _is_spacing(header["spacing_mm"]):
+        raise CtvFormatError(f"{path}: spacing_mm must be 3 finite positive numbers")
     raw = header["raw"]
     if (not isinstance(raw, str) or os.path.isabs(raw)
             or os.path.normpath(raw).split(os.sep)[0] in (os.curdir, os.pardir)):
@@ -147,6 +148,14 @@ def is_number_list(value, count=3):
     """Whether a value parsed from JSON is a list of ``count`` numbers."""
     return (isinstance(value, list) and len(value) == count
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value))
+
+
+def _is_spacing(spacing):
+    """Whether ``spacing`` is 3 numbers, each positive and finite as a float."""
+    try:
+        return len(spacing) == 3 and all(0.0 < float(s) < math.inf for s in spacing)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float64
+        return False
 
 
 def _read_raw(path, header, dtype):
@@ -197,6 +206,8 @@ def load_label_volume(path):
 def _write(path, voxels, spacing, dtype_name, units, extra=None):
     if not path.endswith(".ctv.json"):
         raise ValueError(f"CTV header paths must end with '.ctv.json': {path}")
+    if not _is_spacing(spacing):  # a CtVolume's spacing may have been reassigned
+        raise ValueError(f"spacing must be 3 finite positive numbers, got {spacing!r}")
     raw_name = os.path.basename(path)[: -len(".ctv.json")] + ".raw"
     header = {
         "dims": [int(d) for d in voxels.shape],

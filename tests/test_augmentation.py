@@ -95,6 +95,11 @@ def test_dims_mismatch_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         AugmentConfig(crop_size=(0, 5))
+    # a fraction is an error, not truncated; so are NaN and inf, not a conversion failure
+    for size in [(16.5, 8.9), (16, 8.9), (np.nan, 5), (5, np.inf), (10 ** 400, 5), (5,)]:
+        with pytest.raises(ValueError, match="crop_size"):
+            AugmentConfig(crop_size=size)
+    assert AugmentConfig(crop_size=(16.0, np.int64(8))).crop_size == (16, 8)
     with pytest.raises(ValueError):
         AugmentConfig(crop_size=(5, 5), max_rotation_deg=-1.0)
     with pytest.raises(ValueError):

@@ -66,6 +66,22 @@ def test_header_validation_errors(tmp_path):
         load_volume(write_ctv(tmp_path, "d", (2, -2, 2), "int16", raw))
     with pytest.raises(CtvFormatError, match="spacing"):
         load_volume(write_ctv(tmp_path, "s", (2, 2, 2), "int16", raw, spacing=(1, 0, 1)))
+    # json writes and parses Infinity and NaN, and a whole number may be too large for a float
+    for i, spacing in enumerate([(np.inf, 1, 1), (1, np.nan, 1), (1, 1, 10 ** 400)]):
+        with pytest.raises(CtvFormatError, match="spacing"):
+            load_volume(write_ctv(tmp_path, f"s{i}", (2, 2, 2), "int16", raw, spacing=spacing))
+        with pytest.raises(CtvFormatError, match="spacing"):
+            load_label_volume(write_ctv(tmp_path, f"l{i}", (2, 2, 2), "uint8",
+                                        np.zeros(8, np.uint8), units="label", spacing=spacing))
+    labels = LabelVolume(np.zeros((2, 2, 2), np.uint8))
+    image = CtVolume(np.zeros((2, 2, 2), np.int16))
+    for spacing in [(-1, 0, np.nan), (1, 1, np.inf), (1, 1)]:
+        with pytest.raises(ValueError, match="spacing"):
+            save_label_volume(labels, str(tmp_path / "unsaved.ctv.json"), spacing=spacing)
+        image.spacing = spacing
+        with pytest.raises(ValueError, match="spacing"):
+            save_volume(image, str(tmp_path / "unsaved.ctv.json"))
+    assert not (tmp_path / "unsaved.ctv.json").exists()
     with pytest.raises(FileNotFoundError):
         load_volume(str(tmp_path / "missing.ctv.json"))
     path = write_ctv(tmp_path, "noraw", (2, 2, 2), "int16", raw)
@@ -157,8 +173,9 @@ def test_volume_constructor_validation():
         CtVolume(np.zeros((2, 2, 2), dtype=np.float64))
     with pytest.raises(ValueError, match="3D"):
         CtVolume(np.zeros((2, 2), dtype=np.float32))
-    with pytest.raises(ValueError, match="spacing"):
-        CtVolume(np.zeros((2, 2, 2), dtype=np.float32), spacing=(1, 1, -1))
+    for spacing in [(1, 1, -1), (np.nan, 1, 1), (np.inf, 1, 1), (1, 1, 10 ** 400), (1, 1)]:
+        with pytest.raises(ValueError, match="spacing"):
+            CtVolume(np.zeros((2, 2, 2), dtype=np.float32), spacing=spacing)
 
 
 @pytest.mark.parametrize("loader,dtype,units", [(load_volume, "int16", "HU"),
