@@ -1,0 +1,35 @@
+"""The one rule for a number in a config or a header, and its error message."""
+
+import math
+import numbers
+
+FLOAT32_MAX = 3.4028234663852886e38  # float(np.finfo(np.float32).max)
+
+
+def number(value, what, whole=False, lo=None, hi=None, above=None):
+    """``value`` if it is a finite real number in range, as int when ``whole``.
+
+    The range is ``lo <= value <= hi`` and ``value > above``, each bound
+    optional. Anything else (a string, a bool, None, a list, NaN, an infinity,
+    an int too large for a float, a fraction where a whole number is due) is
+    a ValueError ``<what>: expected …, got …``.
+    """
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value) and (not whole or float(value).is_integer())
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not (ok and (lo is None or value >= lo) and (hi is None or value <= hi)
+            and (above is None or value > above)):
+        span = (f" in {lo}..{hi}" if hi is not None else f" >= {lo}" if lo is not None
+                else f" > {above}" if above is not None else "")
+        kind = "a whole number" if whole else "a finite number"
+        raise ValueError(f"{what}: expected {kind}{span}, got {value!r}")
+    return int(value) if whole else value
+
+
+def number_list(value, what, count, **bounds):
+    """A list or tuple of ``count`` numbers, each checked by ``number``, as a tuple."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ValueError(f"{what}: expected a list of {count} numbers, got {value!r}")
+    return tuple(number(v, what, **bounds) for v in value)

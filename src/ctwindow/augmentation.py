@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import FLOAT32_MAX, number, number_list
 from .volume import Slice2D
 
 CHUNK_PIXELS = 1 << 14  # crop pixels per chunk (at least one row); bounds its float64 temporaries
@@ -51,30 +52,19 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            size = tuple(float(c) for c in self.crop_size)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float64
-            size = ()
-        if len(size) != 2 or not all(c > 0 and c.is_integer() for c in size):
-            raise ValueError(f"crop_size must be 2 positive integers, got {self.crop_size!r}")
-        self.crop_size = tuple(int(c) for c in size)
-        if self.max_rotation_deg < 0:
-            raise ValueError("max_rotation_deg must be >= 0")
-        self.max_translation = tuple(float(t) for t in self.max_translation)
-        if len(self.max_translation) != 2 or any(t < 0 for t in self.max_translation):
-            raise ValueError(f"max_translation must be 2 non-negative numbers, "
-                             f"got {self.max_translation}")
+        self.crop_size = number_list(self.crop_size, "crop_size", 2, whole=True, lo=1)
+        number(self.max_rotation_deg, "max_rotation_deg", lo=0)
+        self.max_translation = number_list(self.max_translation, "max_translation", 2, lo=0)
         # augment_pair draws uniformly from [-t, t], which needs a span 2 * t finite in float64
         for name, ranges in (("max_rotation_deg", [self.max_rotation_deg]),
                              ("max_translation", self.max_translation)):
             if not all(math.isfinite(2.0 * t) for t in ranges):
                 raise ValueError(f"{name}: the span 2 * t of each range [-t, t] must be "
                                  f"finite in float64, got {getattr(self, name)!r}")
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(np.float32(self.pad_value_image))
-        if not finite:
-            raise ValueError(f"pad_value_image: expected a value finite in float32, "
-                             f"got {self.pad_value_image!r}")
+        number(self.pad_value_image, "pad_value_image", lo=-FLOAT32_MAX, hi=FLOAT32_MAX)
+        self.pad_value_label = number(self.pad_value_label, "pad_value_label", whole=True,
+                                      lo=0, hi=255)
+        self.seed = number(self.seed, "seed", whole=True, lo=0)
 
 
 def _crop_starts(shape, size, origin_fracs):

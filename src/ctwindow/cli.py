@@ -7,7 +7,6 @@ byte-identical outputs.
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -16,14 +15,15 @@ from dataclasses import asdict
 import numpy as np
 
 from . import _kernels
+from ._checks import FLOAT32_MAX, number
 from .augmentation import AugmentConfig, augment_pair
 from .metrics import multi_label_dice, read_dice_csv, write_dice_csv
-from .simulation import (TIE_BREAKS, ExperimentConfig, FitParams, OrganSpec, PhantomConfig,
-                         StrategySpec, experiment_phantom, reference_experiment,
-                         run_experiment, write_sweep_csv)
+from .simulation import (ExperimentConfig, FitParams, OrganSpec, PhantomConfig, StrategySpec,
+                         experiment_phantom, reference_experiment, run_experiment,
+                         write_sweep_csv)
 from .stats import compare_methods, write_comparison_csv, write_comparison_metadata
-from .volume import (CtVolume, LabelVolume, extract_slice, is_number_list, load_label_volume,
-                     load_volume, save_label_volume, save_volume)
+from .volume import (CtVolume, LabelVolume, extract_slice, load_label_volume, load_volume,
+                     save_label_volume, save_volume)
 from .windowing import STRATEGIES, SwnParams, WindowSampler, strategy_window
 
 # Not called here; kept because perfbench's tracer wraps these names on this module.
@@ -31,7 +31,6 @@ from .volume import stack_slices  # noqa: F401
 from .windowing import apply_window, normalize_for_testing, normalize_for_training  # noqa: F401
 
 
-_FLOAT32_MAX = float(np.finfo(np.float32).max)  # the sweep adds shifts and bands in float32
 MAX_SHIFTS = 1 << 16  # shifts per sweep: the whole-HU values of the int16 range
 
 
@@ -55,54 +54,37 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _number(value, context, whole=False, lo=None, hi=None):
-    """A finite JSON number in [lo, hi] as float, or as int when ``whole``.
-
-    Anything else (a list, a string, a bool, null, NaN, a fraction where a
-    whole number is due) is a ConfigError that names ``context``.
-    """
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        ok = ok and math.isfinite(value) and (not whole or float(value).is_integer())
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not (ok and (lo is None or value >= lo) and (hi is None or value <= hi)):
-        span = f" in {lo}..{hi}" if hi is not None else f" >= {lo}" if lo is not None else ""
-        kind = "a whole number" if whole else "a finite number"
-        raise ConfigError(f"{context}: expected {kind}{span}, got {value!r}")
-    return int(value) if whole else float(value)
-
-
-def _numbers(value, context, count=3):
-    """A JSON list of ``count`` numbers as a tuple; a ConfigError names ``context`` otherwise."""
-    if not is_number_list(value, count):
-        raise ConfigError(f"{context}: expected a list of {count} numbers, got {value!r}")
-    return tuple(value)
-
-
 def _objects(value, context):
     if not isinstance(value, list):
         raise ConfigError(f"{context}: expected a list, got {value!r}")
     return value
 
 
+def _build(cls, obj, context, **parsed):
+    """``cls`` built from the keys of a checked JSON object, some replaced by ``parsed``.
+
+    This is the rule for every parser: it checks the keys, passes on only
+    those present, and puts the JSON path in front of the class's
+    ValueError. The config classes check and default every field, and
+    their messages start with the field name.
+    """
+    try:
+        return cls(**{**obj, **parsed})
+    except ValueError as exc:
+        raise ConfigError(f"{context}.{exc}") from None
+
+
 def parse_strategy(obj, context="strategy"):
     _check_keys(obj, context, required=("strategy",), optional=("x", "y", "seed"))
-    if obj["strategy"] not in STRATEGIES:
-        raise ConfigError(f"{context}: unknown strategy {obj['strategy']!r}")
-    if obj["strategy"] != "SWN":  # the sigmas and the seed are SWN's alone
+    spec = _build(StrategySpec, obj, context)
+    if spec.strategy != "SWN":  # the sigmas and the seed are SWN's alone
         _check_keys(obj, context, required=("strategy",))
-        return StrategySpec(obj["strategy"])
-    seed = obj.get("seed")
-    return StrategySpec("SWN", x=_number(obj.get("x", 0.0), f"{context}.x", lo=0),
-                        y=_number(obj.get("y", 0.0), f"{context}.y", lo=0),
-                        seed=None if seed is None else _number(seed, f"{context}.seed",
-                                                               whole=True, lo=0))
+    return spec
 
 
 def _integral(value, context):
     """An integral number float32 can hold, as int; 12.0 is accepted, 12.5 is an error, not 12."""
-    if not _number(value, context, lo=-_FLOAT32_MAX, hi=_FLOAT32_MAX).is_integer():
+    if not float(number(value, context, lo=-FLOAT32_MAX, hi=FLOAT32_MAX)).is_integer():
         raise ConfigError(f"{context}: shifts must be whole HU, got {value!r}")
     return int(value)
 
@@ -135,44 +117,15 @@ def parse_phantom(obj, context="phantom"):
         _check_keys(org, octx,
                     required=("label_id", "label_name", "center", "radii", "mean_hu"),
                     optional=("noise_std",))
-        name = org["label_name"]
-        if not isinstance(name, str):  # str() would write rows named None or ['x', 1]
-            raise ConfigError(f"{octx}.label_name: expected a string, got {name!r}")
-        organs.append(OrganSpec(_number(org["label_id"], f"{octx}.label_id", whole=True),
-                                name,
-                                _numbers(org["center"], f"{octx}.center"),
-                                _numbers(org["radii"], f"{octx}.radii"),
-                                _number(org["mean_hu"], f"{octx}.mean_hu"),
-                                _number(org.get("noise_std", 0.0), f"{octx}.noise_std", lo=0)))
-    return PhantomConfig(dims=_numbers(obj["dims"], f"{context}.dims"), organs=organs,
-                         background_hu=_number(obj.get("background_hu", -1000.0),
-                                               f"{context}.background_hu"),
-                         background_noise_std=_number(obj.get("background_noise_std", 0.0),
-                                                      f"{context}.background_noise_std", lo=0),
-                         spacing=_numbers(obj.get("spacing_mm", [1.0, 1.0, 1.0]),
-                                          f"{context}.spacing_mm"))
+        organs.append(_build(OrganSpec, org, octx))
+    fields = {("spacing" if k == "spacing_mm" else k): v for k, v in obj.items()}
+    return _build(PhantomConfig, fields, context, organs=organs)
 
 
 def parse_fit(obj, context="fit"):
     _check_keys(obj, context, required=(),
                 optional=("epochs", "percentiles", "band_epsilon", "tie_break"))
-    defaults = FitParams()
-    percentiles = _numbers(obj.get("percentiles", list(defaults.percentiles)),
-                           f"{context}.percentiles", count=2)
-    lo, hi = (_number(p, f"{context}.percentiles", lo=0, hi=100) for p in percentiles)
-    if not lo < hi:
-        raise ConfigError(f"{context}.percentiles: expected 0 <= lo < hi <= 100, "
-                          f"got {list(percentiles)!r}")
-    tie_break = obj.get("tie_break", defaults.tie_break)
-    if tie_break not in TIE_BREAKS:
-        raise ConfigError(f"{context}.tie_break: expected one of {', '.join(TIE_BREAKS)}, "
-                          f"got {tie_break!r}")
-    return FitParams(epochs=_number(obj.get("epochs", defaults.epochs), f"{context}.epochs",
-                                    whole=True, lo=1),
-                     percentiles=percentiles,
-                     band_epsilon=_number(obj.get("band_epsilon", defaults.band_epsilon),
-                                          f"{context}.band_epsilon", lo=0, hi=_FLOAT32_MAX),
-                     tie_break=tie_break)
+    return _build(FitParams, obj, context)
 
 
 def parse_experiment(cfg):
@@ -180,48 +133,18 @@ def parse_experiment(cfg):
                 optional=("n_train", "n_test", "fit", "slice_axis"))
     strategies = [parse_strategy(s, f"strategies[{i}]")
                   for i, s in enumerate(_objects(cfg["strategies"], "config.strategies"))]
-    if not strategies:
-        raise ConfigError("config: strategies must be nonempty")
-    n_train = _number(cfg.get("n_train", 5), "config.n_train", whole=True)
-    n_test = _number(cfg.get("n_test", 5), "config.n_test", whole=True)
-    if n_train <= 0 or n_test <= 0:
-        raise ConfigError(f"config: n_train and n_test must be positive, got {n_train}, {n_test}")
-    return ExperimentConfig(
-        phantom=parse_phantom(cfg["phantom"]),
-        strategies=strategies,
-        shifts=parse_shifts(cfg["shifts"]),
-        n_train=n_train,
-        n_test=n_test,
-        fit=parse_fit(cfg.get("fit", {})),
-        seed=_number(cfg["seed"], "config.seed", whole=True, lo=0),
-        slice_axis=_number(cfg.get("slice_axis", 2), "config.slice_axis", whole=True, lo=0, hi=2),
-    )
+    parsed = dict(phantom=parse_phantom(cfg["phantom"]), strategies=strategies,
+                  shifts=parse_shifts(cfg["shifts"]))
+    if "fit" in cfg:
+        parsed["fit"] = parse_fit(cfg["fit"])
+    return _build(ExperimentConfig, cfg, "config", **parsed)
 
 
 def parse_augment(obj, context="augment"):
     _check_keys(obj, context, required=("crop_size",),
                 optional=("max_rotation_deg", "max_translation",
                           "pad_value_image", "pad_value_label", "seed"))
-    defaults = AugmentConfig(crop_size=(1, 1))
-    crop = f"{context}.crop_size"
-    shift = f"{context}.max_translation"
-    fields = dict(
-        crop_size=tuple(_number(c, crop, whole=True, lo=1)
-                        for c in _numbers(obj["crop_size"], crop, count=2)),
-        max_rotation_deg=_number(obj.get("max_rotation_deg", defaults.max_rotation_deg),
-                                 f"{context}.max_rotation_deg", lo=0),
-        max_translation=tuple(_number(t, shift, lo=0) for t in _numbers(
-            obj.get("max_translation", list(defaults.max_translation)), shift, count=2)),
-        pad_value_image=_number(obj.get("pad_value_image", defaults.pad_value_image),
-                                f"{context}.pad_value_image"),
-        pad_value_label=_number(obj.get("pad_value_label", defaults.pad_value_label),
-                                f"{context}.pad_value_label", whole=True, lo=0, hi=255),
-        seed=_number(obj.get("seed", 0), f"{context}.seed", whole=True, lo=0),
-    )
-    try:
-        return AugmentConfig(**fields)
-    except ValueError as exc:  # AugmentConfig's messages start with the field name
-        raise ConfigError(f"{context}.{exc}") from None
+    return _build(AugmentConfig, obj, context)
 
 
 def experiment_to_config(exp):
@@ -266,7 +189,7 @@ def cmd_window(args):
     if args.seed < 0:  # NumPy's own message would not name the option
         raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
     for option, sigma in (("--x", args.x), ("--y", args.y)):
-        _number(sigma, option, lo=0)
+        number(sigma, option, lo=0)
     volume = load_volume(args.input)
     axis = args.slice_axis
     window = strategy_window(args.strategy, args.mode)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._checks import number
 
 DICE_CSV_COLUMNS = ("subject_id", "label_id", "label_name", "dice")
 
@@ -57,9 +58,7 @@ def multi_label_dice(pred, truth, labels, subject_id=""):
     table = dice_table(_kernels.label_overlap_counts(pred.voxels, truth.voxels))
     records = []
     for label_id in labels:
-        label_id = int(label_id)
-        if not 0 <= label_id <= 255:
-            raise ValueError(f"label ids are uint8, got {label_id}")
+        label_id = number(label_id, "label_id", whole=True, lo=0, hi=255)
         name = truth.label_names.get(label_id) or pred.label_names.get(label_id)
         if name is None:
             warnings.warn(f"label {label_id} absent from both label-name maps")

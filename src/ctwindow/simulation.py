@@ -29,16 +29,16 @@ keys (0, i) for training phantom i, (1, i) for test phantom i
 """
 
 import csv
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels
+from ._checks import FLOAT32_MAX, number, number_list
 from .metrics import dice_table
 from .volume import CtVolume, LabelVolume
-from .windowing import SwnParams, WindowSampler, strategy_window
+from .windowing import STRATEGIES, SwnParams, WindowSampler, strategy_window
 
 # Not called here; kept because perfbench's tracer wraps these names on this module.
 from .metrics import multi_label_dice  # noqa: F401
@@ -71,6 +71,23 @@ def worker_count(n_cells):
     return max(1, min(cap, n_cells))
 
 
+def _one_of(value, what, choices):
+    if value not in choices:
+        raise ValueError(f"{what}: expected one of {', '.join(choices)}, got {value!r}")
+
+
+def _list_of(value, what, cls, nonempty=False):
+    if (not isinstance(value, (list, tuple)) or (nonempty and not value)
+            or not all(isinstance(v, cls) for v in value)):
+        some = "a nonempty list" if nonempty else "a list"
+        raise ValueError(f"{what}: expected {some} of {cls.__name__}, got {value!r}")
+
+
+# The config classes check every field as they are built; each message starts
+# with the field name, so a parser need only put the JSON path in front of it.
+# Lists become tuples of the same numbers, and whole-number fields become ints.
+
+
 @dataclass
 class OrganSpec:
     label_id: int
@@ -78,7 +95,16 @@ class OrganSpec:
     center: tuple
     radii: tuple
     mean_hu: float
-    noise_std: float
+    noise_std: float = 0.0
+
+    def __post_init__(self):
+        self.label_id = number(self.label_id, "label_id", whole=True, lo=1, hi=255)
+        if not isinstance(self.label_name, str):  # str() would write rows named None or ['x', 1]
+            raise ValueError(f"label_name: expected a string, got {self.label_name!r}")
+        self.center = number_list(self.center, "center", 3)
+        self.radii = number_list(self.radii, "radii", 3, above=0)
+        number(self.mean_hu, "mean_hu")
+        number(self.noise_std, "noise_std", lo=0)
 
 
 @dataclass
@@ -91,35 +117,20 @@ class PhantomConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dims = _three_numbers(self.dims, "dims")
-        if any(d <= 0 or not d.is_integer() for d in dims):
-            raise ValueError(f"dims must be 3 positive integers, got {self.dims}")
-        self.dims = tuple(int(d) for d in dims)
-        if any(s <= 0 for s in _three_numbers(self.spacing, "spacing")):
-            raise ValueError(f"spacing must be 3 positive numbers, got {self.spacing}")
+        self.dims = number_list(self.dims, "dims", 3, whole=True, lo=1)
+        _list_of(self.organs, "organs", OrganSpec)
+        number(self.background_hu, "background_hu")
+        number(self.background_noise_std, "background_noise_std", lo=0)
+        self.spacing = number_list(self.spacing, "spacing", 3, above=0)
+        self.seed = number(self.seed, "seed", whole=True, lo=0)
         ids = [o.label_id for o in self.organs]
-        if len(set(ids)) != len(ids) or any(not 0 < i <= 255 for i in ids):
-            raise ValueError(f"organ label ids must be unique and in 1..255, got {ids}")
-        for organ in self.organs:
-            center = np.array(_three_numbers(organ.center, f"organ {organ.label_name!r} center"))
-            radii = np.array(_three_numbers(organ.radii, f"organ {organ.label_name!r} radii"))
-            if np.any(radii <= 0):
-                raise ValueError(f"organ {organ.label_name!r} radii must be positive, "
-                                 f"got {organ.radii}")
-            lo, hi = center - radii, center + radii
-            if np.any(lo < 0) or np.any(hi > np.asarray(self.dims) - 1):
-                raise ValueError(f"organ {organ.label_name!r} ellipsoid extends outside dims")
-
-
-def _three_numbers(value, what):
-    """``value`` as a tuple of 3 finite floats; ValueError naming ``what`` otherwise."""
-    try:
-        numbers = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        numbers = ()
-    if len(numbers) != 3 or not np.all(np.isfinite(numbers)):
-        raise ValueError(f"{what} must be 3 finite numbers, got {value!r}")
-    return numbers
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"organs: label ids must be unique, got {ids}")
+        for i, organ in enumerate(self.organs):
+            if any(float(c) - float(r) < 0 or float(c) + float(r) > d - 1
+                   for c, r, d in zip(organ.center, organ.radii, self.dims)):
+                raise ValueError(f"organs[{i}]: the ellipsoid of {organ.label_name!r} "
+                                 f"extends outside dims {self.dims}")
 
 
 def generate_phantom(cfg):
@@ -185,6 +196,7 @@ class Band:
     hi: float
 
     def __post_init__(self):
+        self.label_id = number(self.label_id, "band label_id", whole=True, lo=1, hi=255)
         if not (np.all(np.isfinite((self.lo, self.hi))) and self.lo < self.hi):
             raise ValueError(f"band for label {self.label_id} needs finite lo < hi, "
                              f"got [{self.lo}, {self.hi}]")
@@ -204,12 +216,11 @@ class BandSegmenter:
     """
 
     def __init__(self, bands, strategy, tie_break="lowest_id"):
-        if tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown tie_break {tie_break!r}")
+        _one_of(tie_break, "tie_break", TIE_BREAKS)
         self.bands = sorted(bands, key=lambda b: b.label_id)
         ids = [b.label_id for b in self.bands]
-        if len(set(ids)) != len(ids) or any(i <= 0 for i in ids):
-            raise ValueError("band label ids must be unique and nonzero")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"band label ids must be unique, got {ids}")
         self.strategy = strategy
         self.tie_break = tie_break
         self._lo = np.array([b.lo for b in self.bands], dtype=np.float32)
@@ -234,7 +245,8 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     label's normalized intensities are pooled over all epochs and volumes;
     the band is the stated percentile range of the pool, widened to
     ``2 * band_epsilon`` when it degenerates. The labels are the nonzero
-    named ids of all subjects.
+    named ids of all subjects. ``epochs``, ``percentiles``, ``band_epsilon``
+    and ``tie_break`` are checked as a ``FitParams``.
 
     ``training`` holds (CtVolume, LabelVolume) pairs, reduced on entry,
     or subjects ``run_experiment`` reduced once for every strategy; either
@@ -257,13 +269,7 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
         raise ValueError("training set must be nonempty")
     if (swn is not None) != (strategy == "SWN"):
         raise ValueError("swn params are required for SWN and disallowed otherwise")
-    if (isinstance(epochs, bool) or not isinstance(epochs, numbers.Real)
-            or not float(epochs).is_integer() or epochs < 1):
-        raise ValueError(f"epochs must be a whole number >= 1, got {epochs!r}")
-    epochs = int(epochs)
-    lo_pct, hi_pct = percentiles
-    if not 0.0 <= lo_pct < hi_pct <= 100.0:
-        raise ValueError(f"percentiles must satisfy 0 <= lo < hi <= 100, got {percentiles}")
+    fit = FitParams(epochs, percentiles, band_epsilon, tie_break)
 
     window = strategy_window(strategy, "train")
     sampler = WindowSampler(swn) if window is None else None
@@ -277,7 +283,7 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
         if not any(lid in s.values for s in subjects):
             raise ValueError(f"label {lid} has no voxels in any training volume")
 
-    passes = 1 if window is not None else epochs
+    passes = 1 if window is not None else fit.epochs
     if window is None:  # ends[p] holds the (lower, upper) of every plane of pass p
         drawn = [sampler.sample() for _ in range(passes) for s in subjects
                  for _ in range(s.planes)]
@@ -294,13 +300,14 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
             bounds = ((window.lower, window.upper) if window is not None
                       else (np.repeat(e, counts) for e in ends[p]))
             pool[p * n:(p + 1) * n] = _kernels.window_normalize(values, *bounds)
-        lo, hi = _tiled_percentile(pool, [lo_pct, hi_pct], epochs if window is not None else 1)
+        lo, hi = _tiled_percentile(pool, list(fit.percentiles),
+                                   fit.epochs if window is not None else 1)
         del pool  # so that the next label's pool is not allocated while this one is held
-        if hi - lo < 2.0 * band_epsilon:
+        if hi - lo < 2.0 * fit.band_epsilon:
             mid = 0.5 * (lo + hi)
-            lo, hi = mid - band_epsilon, mid + band_epsilon
+            lo, hi = mid - fit.band_epsilon, mid + fit.band_epsilon
         bands.append(Band(lid, float(lo), float(hi)))
-    return BandSegmenter(bands, strategy, tie_break=tie_break)
+    return BandSegmenter(bands, strategy, tie_break=fit.tie_break)
 
 
 def _tiled_percentile(values, percentiles, copies):
@@ -436,7 +443,7 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     positives, and the 255 pin are all monotone. ``classify_bands`` looks at n only
     through tests that switch at most once as n grows: ``n >= lo_j`` and
     ``n > hi_j`` for every band, and in ``nearest_center`` mode one float64
-    midpoint test per pair of bands (see ``_band_tests``). So at one shift
+    midpoint test per pair of bands (see ``_thresholds``). So at one shift
     the prediction is constant on each run of voxel values between the
     points where a test switches.
     ``_run_starts`` bisects float32 order keys for those points, probing
@@ -486,27 +493,22 @@ def _key_values(keys):
     return np.where(keys & 0x80000000, keys & 0x7FFFFFFF, ~keys).view(np.float32)
 
 
-def _band_tests(seg):
-    """The tests classify_bands makes on n, and how many there are.
+def _thresholds(seg):
+    """The tests classify_bands makes on n, each as a threshold that n crosses upward.
 
-    ``tests(n)`` takes n of shape (..., count) and applies test t to
-    ``n[..., t]``: ``n >= lo_j``, then ``n > hi_j``, then in
-    ``nearest_center`` mode, for each pair j < k, the kernel's test of band
-    k against band j at their float64 midpoint: ``n > m_jk`` if c_k > c_j,
-    else ``n < m_jk``.
+    Test t holds where ``n > at[t]`` if ``above[t]``, else where
+    ``n >= at[t]``, for float64 ``at``, which a float32 n meets exactly:
+    ``n >= lo_j``, then ``n > hi_j``, then in ``nearest_center`` mode, for
+    each pair j < k, band k's test against band j at their float64 midpoint
+    m_jk: ``n > m_jk`` if c_k > c_j, else ``n >= m_jk``, which switches
+    where the kernel's ``n < m_jk`` does.
     """
     n_bands = len(seg.bands)
     j, k = np.triu_indices(n_bands if seg.tie_break == "nearest_center" else 0, 1)
     center = seg._center.astype(np.float64)
-    mid = 0.5 * (center[j] + center[k])
-    up = center[k] > center[j]
-
-    def tests(n):
-        pair = n[..., 2 * n_bands:]  # float32, so it meets the float64 midpoints exactly
-        return np.concatenate([n[..., :n_bands] >= seg._lo, n[..., n_bands:2 * n_bands] > seg._hi,
-                               np.where(up, pair > mid, pair < mid)], axis=-1)
-
-    return tests, 2 * n_bands + len(j)
+    at = np.concatenate([seg._lo, seg._hi, 0.5 * (center[j] + center[k])])
+    above = np.concatenate([np.repeat([False, True], n_bands), center[k] > center[j]])
+    return at, above
 
 
 def _run_starts(seg, window, shift32):
@@ -516,21 +518,20 @@ def _run_starts(seg, window, shift32):
     smallest value at which each test switches (NaN for a test that never
     does), then NaN, which starts the run of NaN voxels.
     """
-    tests, count = _band_tests(seg)
+    at, above = _thresholds(seg)
 
-    def state(keys):
-        return tests(_kernels.window_normalize(_key_values(keys) + shift32,
-                                               window.lower, window.upper))
+    def holds(keys):
+        n = _kernels.window_normalize(_key_values(keys) + shift32, window.lower, window.upper)
+        return np.where(above, n > at, n >= at)
 
-    lo = np.full((shift32.shape[0], count), _NEG_INF_KEY, dtype=np.int64)
+    lo = np.full((shift32.shape[0], at.size), _NEG_INF_KEY, dtype=np.int64)
     hi = np.full_like(lo, _POS_INF_KEY)
-    first = state(lo)
-    switches = state(hi) != first
-    for _ in range(32):  # keeps state(lo) == first != state(hi); ends with hi - lo == 1
+    switches = holds(hi) & ~holds(lo)
+    for _ in range(32):  # where a test switches, false at lo and true at hi; ends hi - lo == 1
         mid = (lo + hi) // 2
-        same = state(mid) == first
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
+        up = holds(mid)
+        lo = np.where(up, lo, mid)
+        hi = np.where(up, mid, hi)
     starts = np.sort(np.where(switches, _key_values(hi), np.float32(np.nan)), axis=1)
     edge = np.ones((len(starts), 1), dtype=np.float32)
     return np.hstack([-np.inf * edge, starts, np.nan * edge])
@@ -577,6 +578,13 @@ class StrategySpec:
     y: float = 0.0
     seed: int = None  # None: derived from the experiment seed
 
+    def __post_init__(self):
+        _one_of(self.strategy, "strategy", STRATEGIES)
+        number(self.x, "x", lo=0)
+        number(self.y, "y", lo=0)
+        if self.seed is not None:
+            self.seed = number(self.seed, "seed", whole=True, lo=0)
+
     @property
     def label(self):
         if self.strategy == "SWN":
@@ -591,6 +599,14 @@ class FitParams:
     band_epsilon: float = 0.5
     tie_break: str = "lowest_id"
 
+    def __post_init__(self):
+        self.epochs = number(self.epochs, "epochs", whole=True, lo=1)
+        lo, hi = self.percentiles = number_list(self.percentiles, "percentiles", 2, lo=0, hi=100)
+        if not lo < hi:
+            raise ValueError(f"percentiles: expected 0 <= lo < hi <= 100, got {[lo, hi]!r}")
+        number(self.band_epsilon, "band_epsilon", lo=0, hi=FLOAT32_MAX)
+        _one_of(self.tie_break, "tie_break", TIE_BREAKS)
+
 
 @dataclass
 class ExperimentConfig:
@@ -602,6 +618,21 @@ class ExperimentConfig:
     fit: FitParams = field(default_factory=FitParams)
     seed: int = 0
     slice_axis: int = 2
+
+    def __post_init__(self):
+        if not isinstance(self.phantom, PhantomConfig):
+            raise ValueError(f"phantom: expected a PhantomConfig, got {self.phantom!r}")
+        _list_of(self.strategies, "strategies", StrategySpec, nonempty=True)
+        if len(self.shifts) == 0:
+            raise ValueError("shifts: expected a nonempty grid")
+        for shift in self.shifts:  # the sweep adds them as float32, and prints them as given
+            number(shift, "shifts", lo=-FLOAT32_MAX, hi=FLOAT32_MAX)
+        self.n_train = number(self.n_train, "n_train", whole=True, lo=1)
+        self.n_test = number(self.n_test, "n_test", whole=True, lo=1)
+        if not isinstance(self.fit, FitParams):
+            raise ValueError(f"fit: expected a FitParams, got {self.fit!r}")
+        self.seed = number(self.seed, "seed", whole=True, lo=0)
+        self.slice_axis = number(self.slice_axis, "slice_axis", whole=True, lo=0, hi=2)
 
 
 def experiment_phantom(cfg, kind, i):

@@ -12,12 +12,12 @@ returns a new object and is safe to call concurrently.
 """
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import FLOAT32_MAX, number, number_list
 from ._kernels import label_counts
 
 _IMAGE_DTYPES = {"int16": np.dtype("<i2"), "float32": np.dtype("<f4")}
@@ -46,9 +46,7 @@ class CtVolume:
             raise ValueError(f"expected a 3D array, got ndim={self.voxels.ndim}")
         if self.voxels.dtype not in (np.dtype(np.int16), np.dtype(np.float32)):
             raise ValueError(f"element kind must be int16 or float32, got {self.voxels.dtype}")
-        if not _is_spacing(self.spacing):
-            raise ValueError(f"spacing must be 3 finite positive numbers, got {self.spacing!r}")
-        self.spacing = tuple(float(s) for s in self.spacing)
+        self.spacing = tuple(float(s) for s in number_list(self.spacing, "spacing", 3, above=0))
 
     @property
     def dims(self):
@@ -131,31 +129,17 @@ def _read_header(path):
     extra = keys - required - {"label_names"}
     if extra:
         raise CtvFormatError(f"{path}: unknown header keys {sorted(extra)}")
-    dims = header["dims"]
-    if not is_number_list(dims) or any(not float(d).is_integer() or d <= 0 for d in dims):
-        raise CtvFormatError(f"{path}: dims must be 3 positive integers, got {dims}")
-    if not is_number_list(header["spacing_mm"]) or not _is_spacing(header["spacing_mm"]):
-        raise CtvFormatError(f"{path}: spacing_mm must be 3 finite positive numbers")
+    try:
+        number_list(header["dims"], "dims", 3, whole=True, lo=1)
+        number_list(header["spacing_mm"], "spacing_mm", 3, above=0)
+    except ValueError as exc:
+        raise CtvFormatError(f"{path}: {exc}") from None
     raw = header["raw"]
     if (not isinstance(raw, str) or os.path.isabs(raw)
             or os.path.normpath(raw).split(os.sep)[0] in (os.curdir, os.pardir)):
         raise CtvFormatError(f"{path}: raw must name a file inside the header's directory, "
                              f"got {raw!r}")
     return header
-
-
-def is_number_list(value, count=3):
-    """Whether a value parsed from JSON is a list of ``count`` numbers."""
-    return (isinstance(value, list) and len(value) == count
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value))
-
-
-def _is_spacing(spacing):
-    """Whether ``spacing`` is 3 numbers, each positive and finite as a float."""
-    try:
-        return len(spacing) == 3 and all(0.0 < float(s) < math.inf for s in spacing)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float64
-        return False
 
 
 def _read_raw(path, header, dtype):
@@ -206,8 +190,7 @@ def load_label_volume(path):
 def _write(path, voxels, spacing, dtype_name, units, extra=None):
     if not path.endswith(".ctv.json"):
         raise ValueError(f"CTV header paths must end with '.ctv.json': {path}")
-    if not _is_spacing(spacing):  # a CtVolume's spacing may have been reassigned
-        raise ValueError(f"spacing must be 3 finite positive numbers, got {spacing!r}")
+    number_list(spacing, "spacing", 3, above=0)  # a CtVolume's spacing may have been reassigned
     raw_name = os.path.basename(path)[: -len(".ctv.json")] + ".raw"
     header = {
         "dims": [int(d) for d in voxels.shape],
@@ -238,9 +221,8 @@ def save_label_volume(labels, path, spacing=(1.0, 1.0, 1.0)):
 
 
 def shift_intensity(volume, offset):
-    """Add a constant HU offset; output is float32 regardless of input kind."""
-    if not np.isfinite(offset):
-        raise ValueError(f"offset must be finite, got {offset}")
+    """Add a constant HU offset, finite in float32; output is float32 regardless of input kind."""
+    number(offset, "offset", lo=-FLOAT32_MAX, hi=FLOAT32_MAX)
     shifted = np.asarray(volume.voxels, dtype=np.float32) + np.float32(offset)
     return CtVolume(shifted, spacing=volume.spacing)
 

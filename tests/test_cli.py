@@ -14,7 +14,9 @@ from ctwindow import simulation
 from ctwindow.cli import (MAX_SHIFTS, ConfigError, experiment_to_config, main, parse_experiment,
                           parse_shifts)
 from ctwindow.metrics import read_dice_csv
-from ctwindow.simulation import StrategySpec, reference_experiment, run_experiment
+from ctwindow.augmentation import AugmentConfig
+from ctwindow.simulation import (ExperimentConfig, FitParams, OrganSpec, PhantomConfig,
+                                 StrategySpec, reference_experiment, run_experiment)
 from ctwindow.volume import (CtVolume, LabelVolume, load_label_volume, load_volume,
                              save_label_volume, save_volume)
 
@@ -458,13 +460,15 @@ def test_nonpositive_subject_counts_are_config_errors(tmp_path, capsys, key, val
     cfg = small_config(tmp_path, **{key: value})
     assert main(["sweep", cfg, "-o", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("ctwindow: error: config: n_train and n_test must be positive")
+    assert err.startswith(f"ctwindow: error: config.{key}: expected a whole number >= 1, "
+                          f"got {value}")
 
 
 def test_strategy_validation(tmp_path, capsys):
     cfg = small_config(tmp_path, strategies=[{"strategy": "XXX"}])
     assert main(["sweep", cfg, "-o", str(tmp_path / "x.csv")]) == 1
-    assert "unknown strategy" in capsys.readouterr().err
+    assert ("strategies[0].strategy: expected one of STN, WIR, SWN, got 'XXX'"
+            in capsys.readouterr().err)
 
 
 
@@ -478,10 +482,12 @@ def edited_config(tmp_path, edit):
     (lambda c: c["phantom"].update(dims=5), "phantom.dims: expected a list of 3 numbers"),
     (lambda c: c["phantom"]["organs"][0].update(radii="x"),
      "phantom.organs[0].radii: expected a list of 3 numbers"),
-    (lambda c: c["phantom"]["organs"][0].update(radii=[0, 6, 2]), "radii must be positive"),
+    (lambda c: c["phantom"]["organs"][0].update(radii=[0, 6, 2]),
+     "phantom.organs[0].radii: expected a finite number > 0, got 0"),
     (lambda c: c["phantom"]["organs"][0].update(center=[10, 10]),
      "phantom.organs[0].center: expected a list of 3 numbers"),
-    (lambda c: c["phantom"].update(dims=[20.5, 20, 6]), "dims must be 3 positive integers"),
+    (lambda c: c["phantom"].update(dims=[20.5, 20, 6]),
+     "phantom.dims: expected a whole number >= 1, got 20.5"),
     (lambda c: c.update(strategies={"strategy": "STN"}), "config.strategies: expected a list"),
     (lambda c: c.update(fit={"percentiles": 5}), "fit.percentiles: expected a list of 2"),
 ], ids=["dims_int", "radii_str", "radii_zero", "center_short", "dims_fraction",
@@ -589,14 +595,65 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
     (("shifts",), {"start": -3e38, "stop": 3e38, "step": 1}, "shifts: at most 65536 shifts, got "),
     (("fit", "band_epsilon"), 1e308, "fit.band_epsilon: expected a finite number in 0.."),
     (("fit", "band_epsilon"), 3.4028236e38, "fit.band_epsilon: expected a finite number in 0.."),
-    (("phantom", "spacing_mm"), [0, 1, 1], "spacing must be 3 positive numbers"),
-    (("phantom", "spacing_mm"), [1, -2, 1], "spacing must be 3 positive numbers"),
+    (("phantom", "spacing_mm"), [0, 1, 1],
+     "phantom.spacing: expected a finite number > 0, got 0"),
+    (("phantom", "spacing_mm"), [1, -2, 1],
+     "phantom.spacing: expected a finite number > 0, got -2"),
 ], ids=["swn-x-negative", "swn-y-negative", "stn-x", "wir-y", "wir-seed", "phantom-seed",
         "shift-list", "shift-list-just-beyond", "shift-start", "shift-stop", "shift-count",
         "band-epsilon", "band-epsilon-just-beyond", "spacing-zero", "spacing-negative"])
 def test_bad_config_fields_are_rejected_before_any_phantom(tmp_path, capsys, path, value,
                                                            message):
     assert_rejected_before_any_phantom(tmp_path, capsys, set_field(path, value), message)
+
+
+# the JSON path of each config class's object, the class, and valid values of its fields
+CONFIG_CLASSES = {
+    "config": ((), ExperimentConfig, dict(phantom=PhantomConfig(dims=(4, 4, 4), organs=[]),
+                                          strategies=[StrategySpec("STN")], shifts=[0])),
+    "phantom": (("phantom",), PhantomConfig, dict(dims=(20, 20, 6), organs=[])),
+    "phantom.organs[0]": (("phantom", "organs", 0), OrganSpec,
+                          dict(label_id=1, label_name="organ", center=(10, 10, 3),
+                               radii=(5, 6, 2), mean_hu=40)),
+    "strategies[1]": (("strategies", 1), StrategySpec, dict(strategy="SWN")),
+    "fit": (("fit",), FitParams, {}),
+    "augment": (None, AugmentConfig, dict(crop_size=(8, 8))),
+}
+
+
+@pytest.mark.parametrize("context,field,value", [
+    ("phantom.organs[0]", "label_id", 1.5), ("phantom.organs[0]", "label_id", 256),
+    ("phantom.organs[0]", "label_name", None), ("phantom.organs[0]", "radii", [0, 6, 2]),
+    ("phantom.organs[0]", "noise_std", -1),
+    ("phantom", "dims", ["4", "4", "4"]), ("phantom", "spacing", [0, 1, 1]),
+    ("phantom", "background_hu", "x"),
+    ("strategies[1]", "strategy", "XXX"), ("strategies[1]", "x", -1),
+    ("strategies[1]", "seed", 1.5),
+    ("fit", "epochs", -3), ("fit", "percentiles", [50, 50]), ("fit", "tie_break", "bogus"),
+    ("fit", "band_epsilon", 1e39),
+    ("config", "n_test", 0), ("config", "n_train", 2.5), ("config", "seed", -1),
+    ("config", "slice_axis", 3),
+    ("augment", "pad_value_label", 300), ("augment", "pad_value_label", 1.5),
+    ("augment", "crop_size", [8.5, 8]), ("augment", "max_translation", [1, -1]),
+    ("augment", "pad_value_image", 1e39), ("augment", "seed", True),
+])
+def test_config_classes_reject_what_the_parser_rejects(tmp_path, capsys, context, field, value):
+    """The CLI's one error line is the JSON path, then the message the class raises in Python."""
+    path, cls, valid = CONFIG_CLASSES[context]
+    with pytest.raises(ValueError) as raised:
+        cls(**{**valid, field: value})
+    key = "spacing_mm" if field == "spacing" else field
+    if path is None:
+        cfg = tmp_path / "aug.json"
+        cfg.write_text(json.dumps({"crop_size": [8, 8], key: value}))
+        argv = ["augment", str(tmp_path / "img.ctv.json"), str(tmp_path / "lab.ctv.json"),
+                str(cfg), "--out-image", str(tmp_path / "i.ctv.json"),
+                "--out-labels", str(tmp_path / "l.ctv.json")]
+    else:
+        argv = ["sweep", edited_config(tmp_path, set_field(path + (key,), value)),
+                "-o", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"ctwindow: error: {context}.{raised.value}\n"
 
 
 def test_float32_max_is_a_valid_shift_and_band_epsilon(tmp_path, capsys):

@@ -68,6 +68,15 @@ def test_multi_label_dice_unknown_label_warns_but_records():
     assert records[0].label_name == "label_7"
 
 
+@pytest.mark.parametrize("label", [1.5, -1, 256, "1", True, np.nan])
+def test_multi_label_dice_label_ids_are_whole_numbers_in_uint8(label):
+    lab = _label_volume(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="^label_id: expected a whole number in 0..255, got "):
+        multi_label_dice(lab, lab, [label])
+    records = multi_label_dice(lab, lab, [np.uint8(1), 1.0])
+    assert [(type(r.label_id), r.label_id) for r in records] == [(int, 1), (int, 1)]
+
+
 def test_multi_label_dice_dims_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         multi_label_dice(_label_volume(np.zeros((2, 2, 2))),

@@ -68,6 +68,13 @@ def test_band_validation():
     for lo, hi in ((-np.inf, 10.0), (0.0, np.inf), (-np.inf, np.inf), (np.nan, 1.0)):
         with pytest.raises(ValueError, match="label 3 needs finite lo < hi"):
             Band(3, lo, hi)
+    # a label id is a whole number in 1..255: not truncated, and not NumPy's OverflowError
+    for label_id in (1.5, 0, 256, 300, True, "1"):
+        with pytest.raises(ValueError,
+                           match="^band label_id: expected a whole number in 1..255, got "):
+            Band(label_id, 0.0, 10.0)
+    assert type(Band(np.uint8(2), 0.0, 10.0).label_id) is int
+    assert BandSegmenter([Band(2.0, 0.0, 10.0)], "STN").predict([5.0]).tolist() == [2]
     with pytest.raises(ValueError, match="tie_break"):
         BandSegmenter([Band(1, 0.0, 1.0)], "STN", tie_break="nope")
     with pytest.raises(ValueError, match="unique"):
@@ -238,9 +245,9 @@ def test_reference_experiment_shape():
 @pytest.mark.parametrize("epochs", [0, -1, 1.5, True, "2", None])
 def test_fit_rejects_epochs_below_one_or_not_whole(epochs):
     pair = generate_phantom(single_organ_config())
-    with pytest.raises(ValueError, match="epochs must be a whole number >= 1"):
+    with pytest.raises(ValueError, match="epochs: expected a whole number >= 1"):
         fit_band_segmenter([pair], "STN", epochs=epochs)
-    with pytest.raises(ValueError, match="epochs must be a whole number >= 1"):
+    with pytest.raises(ValueError, match="epochs: expected a whole number >= 1"):
         fit_band_segmenter([pair], "SWN", swn=SwnParams(1.0, 1.0, seed=0), epochs=epochs)
 
 
@@ -261,7 +268,9 @@ def test_phantom_rejects_label_ids_outside_uint8():
     ((1, float("nan"), 1), "finite"), ((1, 1), "finite"),
 ])
 def test_phantom_rejects_spacing_that_is_not_positive_and_finite(spacing, kind):
-    with pytest.raises(ValueError, match=f"^spacing must be 3 {kind} numbers"):
+    # a value that is not positive and one that is not finite now break one rule
+    expected = "a finite number > 0" if len(spacing) == 3 else "a list of 3 numbers"
+    with pytest.raises(ValueError, match=f"^spacing: expected {expected}, got "):
         PhantomConfig(dims=(20, 20, 6), organs=[], spacing=spacing)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,14 @@ def test_shift_requires_finite_offset():
     vol = CtVolume(np.zeros((1, 1, 1), dtype=np.float32))
     with pytest.raises(ValueError):
         shift_intensity(vol, float("nan"))
+    # finite in float64 but not in float32, in which the offset is added
+    for offset in (1e39, -3.4028236e38):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^offset: expected a finite number in "):
+                shift_intensity(vol, offset)
+    top = np.finfo(np.float32).max
+    assert shift_intensity(vol, float(top)).voxels.max() == top
 
 
 def test_extract_slice_projects_without_altering_values():
