@@ -23,8 +23,8 @@ from .volume import (CtVolume, CtvFormatError, LabelVolume, Slice2D,
                      extract_slice, load_label_volume, load_volume,
                      save_label_volume, save_volume, shift_intensity,
                      stack_slices)
-from .windowing import (STRATEGIES, SwnParams, WindowSampler, WindowSpec,
-                        W_MIN, apply_window, normalize_for_testing,
-                        normalize_for_training, preset, strategy_window)
+from .windowing import (SOFT_TISSUE, STRATEGIES, WHOLE_RANGE, SwnParams, WindowSampler,
+                        WindowSpec, W_MIN, apply_window, normalize_for_testing,
+                        normalize_for_training, strategy_window)
 
 __version__ = "0.1.0"

@@ -4,6 +4,7 @@ import math
 import numbers
 
 FLOAT32_MAX = 3.4028234663852886e38  # float(np.finfo(np.float32).max)
+MAX_SHIFTS = 1 << 16  # shifts per sweep: the whole-HU values of the int16 range
 
 
 def number(value, what, whole=False, lo=None, hi=None, above=None):
@@ -33,3 +34,18 @@ def number_list(value, what, count, **bounds):
     if not isinstance(value, (list, tuple)) or len(value) != count:
         raise ValueError(f"{what}: expected a list of {count} numbers, got {value!r}")
     return tuple(number(v, what, **bounds) for v in value)
+
+
+def shift_grid(shifts, what="shifts"):
+    """A sweep's shifts as a list: 1..MAX_SHIFTS numbers finite in float32, kept as given.
+
+    A range is counted from its ends (``len()`` overflows past ``sys.maxsize``),
+    so a grid over the cap fails before its list is built.
+    """
+    count = (-((shifts.start - shifts.stop) // shifts.step) if isinstance(shifts, range)
+             else len(shifts))
+    if count <= 0:
+        raise ValueError(f"{what}: expected a nonempty grid")
+    if count > MAX_SHIFTS:
+        raise ValueError(f"{what}: at most {MAX_SHIFTS} shifts, got {count}")
+    return [number(s, what, lo=-FLOAT32_MAX, hi=FLOAT32_MAX) for s in shifts]

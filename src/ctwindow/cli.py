@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import _kernels
-from ._checks import FLOAT32_MAX, number
+from ._checks import FLOAT32_MAX, number, shift_grid
 from .augmentation import AugmentConfig, augment_pair
 from .metrics import multi_label_dice, read_dice_csv, write_dice_csv
 from .simulation import (ExperimentConfig, FitParams, OrganSpec, PhantomConfig, StrategySpec,
@@ -29,9 +29,6 @@ from .windowing import STRATEGIES, SwnParams, WindowSampler, strategy_window
 # Not called here; kept because perfbench's tracer wraps these names on this module.
 from .volume import stack_slices  # noqa: F401
 from .windowing import apply_window, normalize_for_testing, normalize_for_training  # noqa: F401
-
-
-MAX_SHIFTS = 1 << 16  # shifts per sweep: the whole-HU values of the int16 range
 
 
 class ConfigError(ValueError):
@@ -91,21 +88,17 @@ def _integral(value, context):
 
 def parse_shifts(obj, context="shifts"):
     if isinstance(obj, list):
-        if not obj:
-            raise ConfigError(f"{context}: shift list must be nonempty")
-        _check_shift_count(len(obj), context)
-        return [_integral(s, context) for s in obj]
-    _check_keys(obj, context, required=("start", "stop", "step"))
-    start, stop, step = (_integral(obj[k], context) for k in ("start", "stop", "step"))
-    if step <= 0 or stop < start:
-        raise ConfigError(f"{context}: need step > 0 and stop >= start")
-    _check_shift_count((stop - start) // step + 1, context)
-    return list(range(start, stop + 1, step))
-
-
-def _check_shift_count(count, context):
-    if count > MAX_SHIFTS:
-        raise ConfigError(f"{context}: at most {MAX_SHIFTS} shifts, got {count}")
+        shifts = [_integral(s, context) for s in obj]
+    else:
+        _check_keys(obj, context, required=("start", "stop", "step"))
+        start, stop, step = (_integral(obj[k], context) for k in ("start", "stop", "step"))
+        if step <= 0 or stop < start:
+            raise ConfigError(f"{context}: need step > 0 and stop >= start")
+        shifts = range(start, stop + 1, step)
+    try:
+        return shift_grid(shifts, context)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_phantom(obj, context="phantom"):
@@ -186,8 +179,7 @@ def _shifts_to_config(shifts):
 
 
 def cmd_window(args):
-    if args.seed < 0:  # NumPy's own message would not name the option
-        raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
+    number(args.seed, "--seed", whole=True, lo=0)  # NumPy's own message would not name it
     for option, sigma in (("--x", args.x), ("--y", args.y)):
         number(sigma, option, lo=0)
     volume = load_volume(args.input)

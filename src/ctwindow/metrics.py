@@ -25,8 +25,8 @@ class DiceRecord:
     dice: float
 
     def __post_init__(self):
-        if not 0.0 <= self.dice <= 1.0:
-            raise ValueError(f"dice must lie in [0, 1], got {self.dice}")
+        self.label_id = number(self.label_id, "label_id", whole=True, lo=0, hi=255)
+        number(self.dice, "dice", lo=0, hi=1)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from ._checks import FLOAT32_MAX, number, number_list
+from ._checks import FLOAT32_MAX, number, number_list, shift_grid
 from .metrics import dice_table
 from .volume import CtVolume, LabelVolume
 from .windowing import STRATEGIES, SwnParams, WindowSampler, strategy_window
@@ -197,9 +197,13 @@ class Band:
 
     def __post_init__(self):
         self.label_id = number(self.label_id, "band label_id", whole=True, lo=1, hi=255)
-        if not (np.all(np.isfinite((self.lo, self.hi))) and self.lo < self.hi):
+        try:
+            ordered = number(self.lo, "lo") < number(self.hi, "hi")
+        except ValueError:  # a bool, a string or a non-finite end
+            ordered = False
+        if not ordered:
             raise ValueError(f"band for label {self.label_id} needs finite lo < hi, "
-                             f"got [{self.lo}, {self.hi}]")
+                             f"got [{self.lo!r}, {self.hi!r}]")
 
     @property
     def center(self):
@@ -454,11 +458,7 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     """
     if not test:
         raise ValueError("test set must be nonempty")
-    if len(shifts) == 0:
-        raise ValueError("shifts grid must be nonempty")
-    # the sweep adds shifts as float32; NaN fails the comparison too
-    if not np.all(np.abs(np.asarray(shifts, dtype=np.float64)) <= np.finfo(np.float32).max):
-        raise ValueError(f"shifts must be finite in float32, got {shifts}")
+    shifts = shift_grid(shifts)
     window = strategy_window(strategy, "test")
     shift32 = np.array([np.float32(s) for s in shifts], dtype=np.float32)
     counts_of = _sorted_counts(seg, window, shift32)
@@ -623,10 +623,7 @@ class ExperimentConfig:
         if not isinstance(self.phantom, PhantomConfig):
             raise ValueError(f"phantom: expected a PhantomConfig, got {self.phantom!r}")
         _list_of(self.strategies, "strategies", StrategySpec, nonempty=True)
-        if len(self.shifts) == 0:
-            raise ValueError("shifts: expected a nonempty grid")
-        for shift in self.shifts:  # the sweep adds them as float32, and prints them as given
-            number(shift, "shifts", lo=-FLOAT32_MAX, hi=FLOAT32_MAX)
+        shift_grid(self.shifts)
         self.n_train = number(self.n_train, "n_train", whole=True, lo=1)
         self.n_test = number(self.n_test, "n_test", whole=True, lo=1)
         if not isinstance(self.fit, FitParams):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import number
 from .metrics import summarize
 
 EXACT_CUTOFF = 20
@@ -188,6 +189,7 @@ def wilcoxon_signed_rank(a, b):
 
 def fdr_bh(p_values, m):
     """Benjamini-Hochberg step-up adjusted p-values with family size m."""
+    m = number(m, "m", whole=True, lo=0)
     p = np.asarray(p_values, dtype=np.float64)
     # p = 0 is valid: the normal approximation underflows to it at large n
     if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both

@@ -84,10 +84,10 @@ class LabelVolume:
                 raise ValueError(f"label ids must be integers in 0..255, got {lo}..{hi}")
         self.voxels = voxels.astype(np.uint8, copy=False)
         self.ids = np.flatnonzero(label_counts(self.voxels))
-        self.label_names = {int(k): str(v) for k, v in self.label_names.items()}
-        if any(not 0 <= k <= 255 for k in self.label_names):
-            raise ValueError(f"label ids must be integers in 0..255, "
-                             f"got names for {sorted(self.label_names)}")
+        if not all(isinstance(name, str) for name in self.label_names.values()):
+            raise ValueError(f"label_names: expected string names, got {self.label_names!r}")
+        self.label_names = {number(lid, "label_names", whole=True, lo=0, hi=255): name
+                            for lid, name in self.label_names.items()}
         for lid in sorted(set(self.ids.tolist()) - set(self.label_names)):
             self.label_names[lid] = "background" if lid == 0 else f"label_{lid}"
 

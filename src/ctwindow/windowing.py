@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._checks import number
 from .volume import Slice2D
 
 STRATEGIES = ("STN", "WIR", "SWN")
@@ -34,12 +35,6 @@ W_MIN = 1.0  # floor on sampled half-widths; |N(200,y)| can land near zero
 
 SOFT_TISSUE_LEVEL = 40.0
 SOFT_TISSUE_HALF_WIDTH = 200.0
-
-_PRESETS = {
-    "soft_tissue": (SOFT_TISSUE_LEVEL, SOFT_TISSUE_HALF_WIDTH),  # band [-160, 240]
-    "lung": (-400.0, 750.0),                                     # band [-1150, 350]
-    "whole_range": (0.0, 1000.0),                                # band [-1000, 1000]
-}
 
 
 def _float32(x):
@@ -117,6 +112,10 @@ def _check_window(level, half_width):
                          f"{float(np.finfo(np.float32).max)}")
 
 
+SOFT_TISSUE = WindowSpec(SOFT_TISSUE_LEVEL, SOFT_TISSUE_HALF_WIDTH)  # STN: band [-160, 240]
+WHOLE_RANGE = WindowSpec(0.0, 1000.0)                               # WIR: band [-1000, 1000]
+
+
 @dataclass(frozen=True)
 class SwnParams:
     """Stochastic-window coefficients: sigma of the level and width draws."""
@@ -126,9 +125,10 @@ class SwnParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(0.0 <= s < np.inf for s in (self.sigma_level, self.sigma_width)):
-            raise ValueError(f"sigma_level and sigma_width must be finite and >= 0, "
-                             f"got {self.sigma_level} and {self.sigma_width}")
+        number(self.sigma_level, "sigma_level", lo=0)
+        number(self.sigma_width, "sigma_width", lo=0)
+        # stored as int (the class is frozen): NumPy takes no float seed, 2.0 included
+        object.__setattr__(self, "seed", number(self.seed, "seed", whole=True, lo=0))
 
 
 _DRAW_BLOCK = 512  # standard normals per refill; even, so no window's pair straddles two
@@ -162,16 +162,6 @@ class WindowSampler:
         return WindowSpec(level, max(width, W_MIN))
 
 
-def preset(name):
-    """Named window presets: soft_tissue, lung, whole_range."""
-    try:
-        level, half_width = _PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown window preset {name!r}; "
-                         f"expected one of {sorted(_PRESETS)}") from None
-    return WindowSpec(level, half_width)
-
-
 def apply_window(s, window):
     """Clamp a slice to the window band and rescale onto [0, 255] float32.
 
@@ -187,10 +177,10 @@ def strategy_window(strategy, mode):
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "WIR":
-        return preset("whole_range")
+        return WHOLE_RANGE
     if strategy == "SWN" and mode == "train":
         return None
-    return preset("soft_tissue")
+    return SOFT_TISSUE
 
 
 def normalize_for_training(s, strategy, sampler=None):

@@ -60,9 +60,8 @@ def test_criterion_1_windowing_exactness():
     assert worst <= 1, f"max deviation {worst} ulp"
     assert elapsed < 1.0, f"apply_window over 1e5 triples took {elapsed:.3f}s"
 
-    soft = cw.preset("soft_tissue")
-    exact = cw.apply_window(
-        Slice2D(np.array([[-160.0, 240.0, 40.0]], dtype=np.float32)), soft).values.ravel()
+    edges = Slice2D(np.array([[-160.0, 240.0, 40.0]], dtype=np.float32))
+    exact = cw.apply_window(edges, cw.SOFT_TISSUE).values.ravel()
     assert exact[0] == 0.0 and exact[1] == 255.0 and exact[2] == 127.5
 
 

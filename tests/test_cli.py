@@ -11,8 +11,8 @@ import pytest
 
 import ctwindow
 from ctwindow import simulation
-from ctwindow.cli import (MAX_SHIFTS, ConfigError, experiment_to_config, main, parse_experiment,
-                          parse_shifts)
+from ctwindow._checks import MAX_SHIFTS
+from ctwindow.cli import ConfigError, experiment_to_config, main, parse_experiment, parse_shifts
 from ctwindow.metrics import read_dice_csv
 from ctwindow.augmentation import AugmentConfig
 from ctwindow.simulation import (ExperimentConfig, FitParams, OrganSpec, PhantomConfig,
@@ -162,7 +162,7 @@ def test_window_negative_seed_is_an_error_naming_the_option(tmp_path, image_path
     assert main(["window", image_path, str(out), "--strategy", strategy, "--seed", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "ctwindow: error: --seed: expected an integer >= 0, got -1\n"
+    assert captured.err == "ctwindow: error: --seed: expected a whole number >= 0, got -1\n"
     assert not out.exists()
 
 
@@ -758,8 +758,9 @@ def test_augment_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys
     ("", 3, "expected 4 fields, got 0"),
     ("s01,1,liver,0.5,extra", 3, "expected 4 fields, got 5"),
     ("s01,one,liver,0.5", 3, "invalid literal for int()"),
-    ("s01,1,liver,1.5", 3, "dice must lie in [0, 1]"),
-], ids=["short", "blank", "long", "label", "dice"])
+    ("s01,1,liver,1.5", 3, "dice: expected a finite number in 0..1, got 1.5"),
+    ("s01,300,liver,0.5", 3, "label_id: expected a whole number in 0..255, got 300"),
+], ids=["short", "blank", "long", "label", "dice", "label-range"])
 def test_malformed_dice_csv_rows_are_errors_naming_the_line(tmp_path, capsys, row, line, message):
     good = tmp_path / "good.csv"
     good.write_text("subject_id,label_id,label_name,dice\ns00,1,liver,0.5\n")

@@ -100,6 +100,11 @@ def test_summarize_examples():
 def test_dice_record_bounds():
     with pytest.raises(ValueError):
         DiceRecord("s", 1, "organ", 1.2)
+    # a label beyond uint8 and a bool dice were taken
+    with pytest.raises(ValueError, match="^label_id: expected a whole number in 0..255, got 300$"):
+        DiceRecord("s", 300, "a", 0.5)
+    with pytest.raises(ValueError, match="^dice: expected a finite number in 0..1, got True$"):
+        DiceRecord("s", 1, "a", True)
 
 
 def test_dice_csv_round_trip(tmp_path):

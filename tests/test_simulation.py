@@ -68,6 +68,10 @@ def test_band_validation():
     for lo, hi in ((-np.inf, 10.0), (0.0, np.inf), (-np.inf, np.inf), (np.nan, 1.0)):
         with pytest.raises(ValueError, match="label 3 needs finite lo < hi"):
             Band(3, lo, hi)
+    # a bool end was a number (centre 3.0), and a string end raised NumPy's TypeError
+    for lo, hi in ((True, 5), ("0", "5")):
+        with pytest.raises(ValueError, match="^band for label 1 needs finite lo < hi, got "):
+            Band(1, lo, hi)
     # a label id is a whole number in 1..255: not truncated, and not NumPy's OverflowError
     for label_id in (1.5, 0, 256, 300, True, "1"):
         with pytest.raises(ValueError,
@@ -166,10 +170,18 @@ def test_sweep_requires_shifts():
     seg = fit_band_segmenter([pair], "STN", epochs=1)
     with pytest.raises(ValueError, match="nonempty"):
         run_shift_sweep(seg, [pair], "STN", [])
-    # int(1e300) is a whole number, as the CLI passes it; 4e38 overflows float32
-    for shifts in ([0, float("nan")], [-float("inf")], [int(1e300)], [4e38]):
-        with pytest.raises(ValueError, match="finite"):
+    # int(1e300) is a whole number, as the CLI passes it; 4e38 overflows float32;
+    # True swept shift 1 and wrote shift_hu True, and "5" wrote shift_hu '5'
+    for shifts in ([0, float("nan")], [-float("inf")], [int(1e300)], [4e38], [True, 0], ["5"]):
+        with pytest.raises(ValueError, match="^shifts: expected a finite number in "):
             run_shift_sweep(seg, [pair], "STN", shifts)
+
+
+def test_the_shift_cap_covers_the_python_api():
+    with pytest.raises(ValueError, match="^shifts: at most 65536 shifts, got 65537$"):
+        replace(reference_experiment(), shifts=[0] * 65537)
+    with pytest.raises(ValueError, match="^shifts: at most 65536 shifts, got 65537$"):
+        replace(reference_experiment(), shifts=range(-32768, 32769))
 
 
 def test_a_numpy_shift_grid_sweeps_like_its_list(tmp_path):

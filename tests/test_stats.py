@@ -168,6 +168,9 @@ def test_fdr_validation():
         fdr_bh([-0.1], m=3)
     with pytest.raises(ValueError):
         fdr_bh([1.1], m=3)
+    # a fractional m scaled the p-values: [0.01] with m = 1.5 gave [0.015]
+    with pytest.raises(ValueError, match="^m: expected a whole number >= 0, got 1.5$"):
+        fdr_bh([0.01], 1.5)
 
 
 @pytest.mark.parametrize("p", [[0.01, float("nan")], [float("nan")], [0.5, float("inf")]])

@@ -120,6 +120,20 @@ def test_label_volume_rejects_ids_outside_uint8(bad):
     assert wide.voxels.dtype == np.uint8 and wide.voxels.ravel().tolist() == [0, 255, 7]
 
 
+@pytest.mark.parametrize("names,message", [
+    ({1.5: "a"}, "^label_names: expected a whole number in 0..255, got 1.5$"),
+    ({True: "x"}, "^label_names: expected a whole number in 0..255, got True$"),
+    ({1: None}, "^label_names: expected string names, got "),
+], ids=["fraction", "bool", "none"])
+def test_label_names_map_whole_ids_to_strings(names, message):
+    # int() and str() made these {1: 'a'}, {1: 'x'} and {1: 'None'}
+    with pytest.raises(ValueError, match=message):
+        LabelVolume(np.zeros((1, 1, 2), dtype=np.uint8), label_names=names)
+    assert LabelVolume(np.zeros((1, 1, 1), dtype=np.uint8),
+                       label_names={np.int64(2): "b", 3.0: "c"}).label_names == \
+        {2: "b", 3: "c", 0: "background"}
+
+
 def test_shift_identity_and_arithmetic():
     vol = CtVolume(np.array([[[40, -1000]]], dtype=np.int16).reshape(1, 1, 2))
     assert np.array_equal(shift_intensity(vol, 0).voxels, vol.voxels.astype(np.float32))

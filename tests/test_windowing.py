@@ -11,9 +11,9 @@ from oracles import ScalarWindowSampler
 
 from ctwindow import windowing
 from ctwindow.volume import Slice2D
-from ctwindow.windowing import (SwnParams, WindowSampler, WindowSpec, W_MIN, _DRAW_BLOCK,
-                                _check_window, apply_window, normalize_for_testing,
-                                normalize_for_training, preset)
+from ctwindow.windowing import (SOFT_TISSUE, WHOLE_RANGE, SwnParams, WindowSampler, WindowSpec,
+                                W_MIN, _DRAW_BLOCK, _check_window, apply_window,
+                                normalize_for_testing, normalize_for_training)
 
 
 def slc(*values):
@@ -25,16 +25,9 @@ def out(s):
 
 
 def test_presets():
-    soft = preset("soft_tissue")
-    assert (soft.level, soft.half_width) == (40.0, 200.0)
-    assert (soft.lower, soft.upper) == (-160.0, 240.0)
-    lung = preset("lung")
-    assert (lung.lower, lung.upper) == (-1150.0, 350.0)
-    assert (lung.level, lung.half_width) == (-400.0, 750.0)
-    whole = preset("whole_range")
-    assert (whole.lower, whole.upper) == (-1000.0, 1000.0)
-    with pytest.raises(ValueError, match="preset"):
-        preset("bone")
+    assert (SOFT_TISSUE.level, SOFT_TISSUE.half_width) == (40.0, 200.0)
+    assert (SOFT_TISSUE.lower, SOFT_TISSUE.upper) == (-160.0, 240.0)
+    assert (WHOLE_RANGE.lower, WHOLE_RANGE.upper) == (-1000.0, 1000.0)
 
 
 def test_window_spec_floor():
@@ -80,8 +73,7 @@ def test_every_accepted_huge_window_maps_without_overflow():
 
 
 def test_apply_window_boundary_cases_exact():
-    soft = preset("soft_tissue")
-    values = out(apply_window(slc(240.0, -160.0, 40.0, 1000.0, -5000.0), soft))
+    values = out(apply_window(slc(240.0, -160.0, 40.0, 1000.0, -5000.0), SOFT_TISSUE))
     assert values[0] == 255.0
     assert values[1] == 0.0
     assert values[2] == 127.5
@@ -238,11 +230,20 @@ def test_window_fast_accept_skips_the_full_check_only_inside_its_bound():
         assert full.call_count == 2
 
 
+# (True, 0.0) was taken as sigma 1
 @pytest.mark.parametrize("sigmas", [(float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 50.0),
-                                    (50.0, float("inf")), (-1.0, 0.0), (0.0, -1e-9)])
+                                    (50.0, float("inf")), (-1.0, 0.0), (0.0, -1e-9), (True, 0.0)])
 def test_swn_params_reject_negative_and_non_finite_sigmas(sigmas):
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match="^sigma_(level|width): expected a finite number >= 0, "):
         SwnParams(*sigmas)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1])
+def test_swn_params_seed_is_a_whole_number_at_least_0(seed):
+    # both failed only in NumPy, at the sampler, and without the field name
+    with pytest.raises(ValueError, match=f"^seed: expected a whole number >= 0, got {seed}$"):
+        SwnParams(1.0, 1.0, seed=seed)
+    assert SwnParams(1.0, 1.0, seed=2.0).seed == 2
 
 
 def test_sampled_width_floor_always_holds():
