@@ -1,4 +1,4 @@
-"""The one rule for a number in a config or a header, and its error message."""
+"""The field rules (a number, a string, a choice) and their messages, each naming the field."""
 
 import math
 import numbers
@@ -7,13 +7,13 @@ FLOAT32_MAX = 3.4028234663852886e38  # float(np.finfo(np.float32).max)
 MAX_SHIFTS = 1 << 16  # shifts per sweep: the whole-HU values of the int16 range
 
 
-def number(value, what, whole=False, lo=None, hi=None, above=None):
+def number(value, what, whole=False, lo=None, hi=None, above=None, below=None):
     """``value`` if it is a finite real number in range, as int when ``whole``.
 
-    The range is ``lo <= value <= hi`` and ``value > above``, each bound
-    optional. Anything else (a string, a bool, None, a list, NaN, an infinity,
-    an int too large for a float, a fraction where a whole number is due) is
-    a ValueError ``<what>: expected …, got …``.
+    The range is ``lo <= value <= hi`` and ``above < value < below`` (``below``
+    only with ``above``), each bound optional. Anything else (a string, a bool,
+    None, a list, NaN, an infinity, an int too large for a float, a fraction
+    where a whole number is due) is a ValueError ``<what>: expected …, got …``.
     """
     ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
@@ -21,12 +21,26 @@ def number(value, what, whole=False, lo=None, hi=None, above=None):
     except OverflowError:  # an int too large for a float
         ok = False
     if not (ok and (lo is None or value >= lo) and (hi is None or value <= hi)
-            and (above is None or value > above)):
+            and (above is None or value > above) and (below is None or value < below)):
         span = (f" in {lo}..{hi}" if hi is not None else f" >= {lo}" if lo is not None
+                else f" in ({above}, {below})" if below is not None
                 else f" > {above}" if above is not None else "")
         kind = "a whole number" if whole else "a finite number"
         raise ValueError(f"{what}: expected {kind}{span}, got {value!r}")
     return int(value) if whole else value
+
+
+def text(value, what):
+    """``value`` if it is a str, else a ValueError ``<what>: expected a string, got …``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what}: expected a string, got {value!r}")
+    return value
+
+
+def one_of(value, what, choices):
+    """A ValueError ``<what>: expected one of …`` unless ``value`` is in ``choices``."""
+    if value not in choices:
+        raise ValueError(f"{what}: expected one of {', '.join(choices)}, got {value!r}")
 
 
 def number_list(value, what, count, **bounds):

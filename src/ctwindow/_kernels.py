@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 
+from ._checks import one_of
+
 BACKEND = "numpy"  # perfbench/child.py records it in each run's environment
 _backend = sys.modules[__name__]  # perfbench/child.py times the kernels through it
 
@@ -21,6 +23,7 @@ SLAB = 1 << 16
 # A slab in which fewer than 1/RUN_SPARSITY of the values start a run of equal
 # values is read run by run; a denser one is histogrammed voxel by voxel.
 RUN_SPARSITY = 8
+TIE_BREAKS = ("lowest_id", "nearest_center")  # the two rules of classify_bands
 
 
 def window_normalize(values, lo, hi):
@@ -78,8 +81,7 @@ def classify_bands(values, lo, hi, center, labels, tie_break="lowest_id"):
     stay with b. Every comparison is exact, and m is the exact midpoint
     unless one center is below about 2**-29 of the other.
     """
-    if tie_break not in ("lowest_id", "nearest_center"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
+    one_of(tie_break, "tie_break", TIE_BREAKS)
     src = np.asarray(values, dtype=np.float32)
     lo, hi, center = (np.asarray(b, dtype=np.float32) for b in (lo, hi, center))
     labels = np.asarray(labels, dtype=np.uint8)

@@ -24,7 +24,7 @@ from .simulation import (ExperimentConfig, FitParams, OrganSpec, PhantomConfig, 
 from .stats import compare_methods, write_comparison_csv, write_comparison_metadata
 from .volume import (CtVolume, LabelVolume, extract_slice, load_label_volume, load_volume,
                      save_label_volume, save_volume)
-from .windowing import STRATEGIES, SwnParams, WindowSampler, strategy_window
+from .windowing import MODES, STRATEGIES, SwnParams, WindowSampler, strategy_window
 
 # Not called here; kept because perfbench's tracer wraps these names on this module.
 from .volume import stack_slices  # noqa: F401
@@ -328,7 +328,7 @@ def build_parser():
     p.add_argument("--x", type=float, default=0.0, help="sigma of the level draw (SWN)")
     p.add_argument("--y", type=float, default=0.0, help="sigma of the width draw (SWN)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("train", "test"), default="train")
+    p.add_argument("--mode", choices=MODES, default="train")
     p.add_argument("--slice-axis", type=int, default=2, choices=(0, 1, 2))
     p.set_defaults(func=cmd_window)
 

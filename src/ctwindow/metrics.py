@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._checks import number
+from ._checks import number, text
 
 DICE_CSV_COLUMNS = ("subject_id", "label_id", "label_name", "dice")
 
@@ -25,7 +25,9 @@ class DiceRecord:
     dice: float
 
     def __post_init__(self):
+        text(self.subject_id, "subject_id")  # a CSV round trip would turn None into ''
         self.label_id = number(self.label_id, "label_id", whole=True, lo=0, hi=255)
+        text(self.label_name, "label_name")
         number(self.dice, "dice", lo=0, hi=1)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from ._checks import FLOAT32_MAX, number, number_list, shift_grid
+from ._checks import FLOAT32_MAX, number, number_list, one_of, shift_grid, text
 from .metrics import dice_table
 from .volume import CtVolume, LabelVolume
 from .windowing import STRATEGIES, SwnParams, WindowSampler, strategy_window
@@ -47,12 +47,11 @@ from .windowing import normalize_for_testing, normalize_for_training  # noqa: F4
 
 SWEEP_CSV_COLUMNS = ("shift_hu", "strategy", "label_id", "label_name", "mean_dice")
 
-TIE_BREAKS = ("lowest_id", "nearest_center")
-
 
 def derive_seed(base_seed, *key):
     """Stable 64-bit sub-seed for a (base seed, key path) pair."""
-    seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(int(k) for k in key))
+    seq = np.random.SeedSequence(entropy=number(base_seed, "base_seed", whole=True, lo=0),
+                                 spawn_key=tuple(number(k, "key", whole=True, lo=0) for k in key))
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -69,11 +68,6 @@ def worker_count(n_cells):
     if cap == 0:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_cells))
-
-
-def _one_of(value, what, choices):
-    if value not in choices:
-        raise ValueError(f"{what}: expected one of {', '.join(choices)}, got {value!r}")
 
 
 def _list_of(value, what, cls, nonempty=False):
@@ -99,8 +93,7 @@ class OrganSpec:
 
     def __post_init__(self):
         self.label_id = number(self.label_id, "label_id", whole=True, lo=1, hi=255)
-        if not isinstance(self.label_name, str):  # str() would write rows named None or ['x', 1]
-            raise ValueError(f"label_name: expected a string, got {self.label_name!r}")
+        text(self.label_name, "label_name")  # str() would write rows named None or ['x', 1]
         self.center = number_list(self.center, "center", 3)
         self.radii = number_list(self.radii, "radii", 3, above=0)
         number(self.mean_hu, "mean_hu")
@@ -220,7 +213,7 @@ class BandSegmenter:
     """
 
     def __init__(self, bands, strategy, tie_break="lowest_id"):
-        _one_of(tie_break, "tie_break", TIE_BREAKS)
+        one_of(tie_break, "tie_break", _kernels.TIE_BREAKS)
         self.bands = sorted(bands, key=lambda b: b.label_id)
         ids = [b.label_id for b in self.bands]
         if len(set(ids)) != len(ids):
@@ -579,7 +572,7 @@ class StrategySpec:
     seed: int = None  # None: derived from the experiment seed
 
     def __post_init__(self):
-        _one_of(self.strategy, "strategy", STRATEGIES)
+        one_of(self.strategy, "strategy", STRATEGIES)
         number(self.x, "x", lo=0)
         number(self.y, "y", lo=0)
         if self.seed is not None:
@@ -605,7 +598,7 @@ class FitParams:
         if not lo < hi:
             raise ValueError(f"percentiles: expected 0 <= lo < hi <= 100, got {[lo, hi]!r}")
         number(self.band_epsilon, "band_epsilon", lo=0, hi=FLOAT32_MAX)
-        _one_of(self.tie_break, "tie_break", TIE_BREAKS)
+        one_of(self.tie_break, "tie_break", _kernels.TIE_BREAKS)
 
 
 @dataclass

@@ -230,8 +230,7 @@ def compare_methods(dice_tables, reference, alpha=0.05, m=12):
     ``alpha`` must lie in (0, 1); NaN would fail every ``p >= alpha`` test and
     mark every method significant.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    number(alpha, "alpha", above=0, below=1)
     if reference not in dice_tables:
         raise ValueError(f"reference {reference!r} not among methods {sorted(dice_tables)}")
 

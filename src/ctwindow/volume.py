@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import FLOAT32_MAX, number, number_list
+from ._checks import FLOAT32_MAX, number, number_list, text
 from ._kernels import label_counts
 
 _IMAGE_DTYPES = {"int16": np.dtype("<i2"), "float32": np.dtype("<f4")}
@@ -84,10 +84,10 @@ class LabelVolume:
                 raise ValueError(f"label ids must be integers in 0..255, got {lo}..{hi}")
         self.voxels = voxels.astype(np.uint8, copy=False)
         self.ids = np.flatnonzero(label_counts(self.voxels))
-        if not all(isinstance(name, str) for name in self.label_names.values()):
-            raise ValueError(f"label_names: expected string names, got {self.label_names!r}")
-        self.label_names = {number(lid, "label_names", whole=True, lo=0, hi=255): name
-                            for lid, name in self.label_names.items()}
+        if not isinstance(self.label_names, dict):
+            raise ValueError(f"label_names: expected a dict, got {self.label_names!r}")
+        self.label_names = {number(lid, "label_names", whole=True, lo=0, hi=255):
+                            text(name, "label_names") for lid, name in self.label_names.items()}
         for lid in sorted(set(self.ids.tolist()) - set(self.label_names)):
             self.label_names[lid] = "background" if lid == 0 else f"label_{lid}"
 
@@ -229,8 +229,8 @@ def shift_intensity(volume, offset):
 
 def extract_slice(volume, axis, index):
     """Pure projection of one plane, converted to float32."""
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+    axis = number(axis, "axis", whole=True, lo=0, hi=2)
+    index = number(index, "index", whole=True)
     n = volume.voxels.shape[axis]
     if not 0 <= index < n:
         raise IndexError(f"slice index {index} out of range for axis {axis} with extent {n}")
@@ -245,8 +245,7 @@ def stack_slices(planes, axis):
     The array is F-ordered like a loaded volume, so saving it writes the
     x-fastest raw file without a transposing copy.
     """
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+    axis = number(axis, "axis", whole=True, lo=0, hi=2)
     planes = [np.asarray(p) for p in planes]
     if not planes:
         raise ValueError("need at least one plane to stack")

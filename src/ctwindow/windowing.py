@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._checks import number
+from ._checks import number, one_of
 from .volume import Slice2D
 
 STRATEGIES = ("STN", "WIR", "SWN")
+MODES = ("train", "test")
 
 W_MIN = 1.0  # floor on sampled half-widths; |N(200,y)| can land near zero
 
@@ -173,9 +174,9 @@ def apply_window(s, window):
 
 
 def strategy_window(strategy, mode):
-    """A strategy's fixed window in mode "train" or "test"; None for SWN training."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    """A strategy's fixed window in a mode of ``MODES``; None for SWN training."""
+    one_of(strategy, "strategy", STRATEGIES)
+    one_of(mode, "mode", MODES)
     if strategy == "WIR":
         return WHOLE_RANGE
     if strategy == "SWN" and mode == "train":

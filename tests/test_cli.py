@@ -199,7 +199,7 @@ def test_compare_alpha_outside_the_open_unit_interval_is_an_error(tmp_path, caps
                  "--reference", "STN", f"--alpha={alpha}", "-o", str(out)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.count("\n") == 1 and err.startswith("ctwindow: error: alpha must be in (0, 1)")
+    assert err.count("\n") == 1 and err.startswith("ctwindow: error: alpha: expected a finite number in (0, 1)")
     assert not out.exists()
 
 

@@ -1,0 +1,50 @@
+"""Bad values in the Python API are a ValueError whose message starts with the field name.
+
+Each case was accepted, or raised another error, before these functions took
+their rules from ``ctwindow._checks``.
+"""
+
+import numpy as np
+import pytest
+
+from ctwindow import (CtVolume, DiceRecord, LabelVolume, compare_methods, derive_seed,
+                      extract_slice, multi_label_dice, stack_slices, strategy_window)
+
+VOLUME = CtVolume(np.zeros((2, 3, 4), dtype=np.int16))
+LABELS = LabelVolume(np.zeros((2, 2, 2), dtype=np.uint8))
+TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
+          for m, d in (("A", 0.0), ("B", 0.1))}
+
+
+@pytest.mark.parametrize("call,message", [
+    # any mode but "train" was test mode: SWN training got the soft-tissue window
+    (lambda: strategy_window("SWN", "Train"), "^mode: expected one of train, test, got 'Train'$"),
+    # a CSV round trip turned a None name into ''
+    (lambda: DiceRecord("s", 1, None, 0.5), "^label_name: expected a string, got None$"),
+    (lambda: DiceRecord(7, 1, "a", 0.5), "^subject_id: expected a string, got 7$"),
+    (lambda: multi_label_dice(LABELS, LABELS, [0], subject_id=None),
+     "^subject_id: expected a string, got None$"),
+    # TypeError from the comparison
+    (lambda: compare_methods(TABLES, "A", alpha="0.05"),
+     r"^alpha: expected a finite number in \(0, 1\), got '0.05'$"),
+    # True was axis 1, and as an index it added an axis: a 4D plane
+    (lambda: extract_slice(VOLUME, True, 0), "^axis: expected a whole number in 0..2, got True$"),
+    (lambda: extract_slice(VOLUME, 2, True), "^index: expected a whole number, got True$"),
+    # NumPy's own messages named no field, or the fraction was truncated
+    (lambda: derive_seed(7.9), "^base_seed: expected a whole number >= 0, got 7.9$"),
+    (lambda: derive_seed(7, 0.5, 1), "^key: expected a whole number >= 0, got 0.5$"),
+    (lambda: derive_seed(-1), "^base_seed: expected a whole number >= 0, got -1$"),
+], ids=["strategy_window-mode", "DiceRecord-label_name", "DiceRecord-subject_id",
+        "multi_label_dice-subject_id", "compare_methods-alpha", "extract_slice-axis",
+        "extract_slice-index", "derive_seed-fraction", "derive_seed-key", "derive_seed-negative"])
+def test_bad_api_fields_are_value_errors_naming_the_field(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_stack_slices_takes_a_whole_float_axis_like_a_config_field():
+    # 2.0 raised TypeError from the shape list; the rule for a whole number takes it as 2
+    planes = [np.arange(6, dtype=np.float32).reshape(2, 3)] * 4
+    assert np.array_equal(stack_slices(planes, 2.0), stack_slices(planes, 2))
+    with pytest.raises(ValueError, match="^axis: expected a whole number in 0..2, got 1.5$"):
+        stack_slices(planes, 1.5)

@@ -188,7 +188,8 @@ def test_wrapper_shape_and_dtype_handling():
     values = np.arange(12, dtype=np.int16).reshape(3, 4)
     result = kernels.window_normalize(values, 0.0, 11.0)
     assert result.shape == (3, 4) and result.dtype == np.float32
-    with pytest.raises(ValueError, match="unknown tie_break"):
+    with pytest.raises(ValueError,
+                       match="^tie_break: expected one of lowest_id, nearest_center, got 'bogus'$"):
         kernels.classify_bands(values, [0.0], [1.0], [0.5], [1], tie_break="bogus")
     with pytest.raises(ValueError, match="shape"):
         kernels.label_overlap_counts(np.zeros(3, np.uint8), np.zeros(4, np.uint8))

@@ -123,8 +123,9 @@ def test_label_volume_rejects_ids_outside_uint8(bad):
 @pytest.mark.parametrize("names,message", [
     ({1.5: "a"}, "^label_names: expected a whole number in 0..255, got 1.5$"),
     ({True: "x"}, "^label_names: expected a whole number in 0..255, got True$"),
-    ({1: None}, "^label_names: expected string names, got "),
-], ids=["fraction", "bool", "none"])
+    ({1: None}, "^label_names: expected a string, got None$"),
+    ([(1, "a")], r"^label_names: expected a dict, got \[\(1, 'a'\)\]$"),
+], ids=["fraction", "bool", "none", "list"])
 def test_label_names_map_whole_ids_to_strings(names, message):
     # int() and str() made these {1: 'a'}, {1: 'x'} and {1: 'None'}
     with pytest.raises(ValueError, match=message):
