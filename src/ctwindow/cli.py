@@ -152,19 +152,13 @@ def experiment_to_config(exp):
             "spacing_mm": list(exp.phantom.spacing),
             "background_hu": exp.phantom.background_hu,
             "background_noise_std": exp.phantom.background_noise_std,
-            "organs": [
-                {"label_id": o.label_id, "label_name": o.label_name,
-                 "center": list(o.center), "radii": list(o.radii),
-                 "mean_hu": o.mean_hu, "noise_std": o.noise_std}
-                for o in exp.phantom.organs
-            ],
+            "organs": [asdict(o) for o in exp.phantom.organs],
         },
         "strategies": [
             {k: v for k, v in asdict(s).items() if v is not None} if s.strategy == "SWN"
             else {"strategy": s.strategy} for s in exp.strategies
         ],
-        "fit": {"epochs": exp.fit.epochs, "percentiles": list(exp.fit.percentiles),
-                "band_epsilon": exp.fit.band_epsilon, "tie_break": exp.fit.tie_break},
+        "fit": asdict(exp.fit),
         "shifts": _shifts_to_config(list(exp.shifts)),
     }
 

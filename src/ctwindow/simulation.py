@@ -12,6 +12,11 @@ shift's dice counts off the sorted values (see ``run_shift_sweep``),
 because normalization is monotone and the classifier is piecewise
 constant in normalized intensity.
 
+``fit_band_segmenter(training, strategy, swn=None, fit=None, slice_axis=2)``
+takes every fit setting from one ``FitParams`` (None: ``FitParams()``, 12
+epochs). ``run_shift_sweep`` and ``run_experiment`` return lists of
+``SweepRow``s, one per (strategy, shift, label).
+
 The fit reads a (CtVolume, LabelVolume) pair as a training subject: each
 nonzero id's float32 values in plane order along the slice axis, with its
 voxel count per plane. The sweep reads a test subject: every id's float32
@@ -212,13 +217,12 @@ class BandSegmenter:
     ties again to the lowest id; see ``_kernels.classify_bands``).
     """
 
-    def __init__(self, bands, strategy, tie_break="lowest_id"):
+    def __init__(self, bands, tie_break="lowest_id"):
         one_of(tie_break, "tie_break", _kernels.TIE_BREAKS)
         self.bands = sorted(bands, key=lambda b: b.label_id)
         ids = [b.label_id for b in self.bands]
         if len(set(ids)) != len(ids):
             raise ValueError(f"band label ids must be unique, got {ids}")
-        self.strategy = strategy
         self.tie_break = tie_break
         self._lo = np.array([b.lo for b in self.bands], dtype=np.float32)
         self._hi = np.array([b.hi for b in self.bands], dtype=np.float32)
@@ -231,9 +235,7 @@ class BandSegmenter:
                                        self._center, self._labels, self.tie_break)
 
 
-def fit_band_segmenter(training, strategy, swn=None, epochs=1,
-                       percentiles=(1.0, 99.0), band_epsilon=0.5,
-                       tie_break="lowest_id", slice_axis=2):
+def fit_band_segmenter(training, strategy, swn=None, fit=None, slice_axis=2):
     """Fit per-label percentile bands in normalized space.
 
     Every epoch re-normalizes every volume with the strategy's training
@@ -242,8 +244,9 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
     label's normalized intensities are pooled over all epochs and volumes;
     the band is the stated percentile range of the pool, widened to
     ``2 * band_epsilon`` when it degenerates. The labels are the nonzero
-    named ids of all subjects. ``epochs``, ``percentiles``, ``band_epsilon``
-    and ``tie_break`` are checked as a ``FitParams``.
+    named ids of all subjects. ``fit`` is a ``FitParams`` holding ``epochs``,
+    ``percentiles``, ``band_epsilon`` and ``tie_break``; None means
+    ``FitParams()``, 12 epochs.
 
     ``training`` holds (CtVolume, LabelVolume) pairs, reduced on entry,
     or subjects ``run_experiment`` reduced once for every strategy; either
@@ -266,7 +269,7 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
         raise ValueError("training set must be nonempty")
     if (swn is not None) != (strategy == "SWN"):
         raise ValueError("swn params are required for SWN and disallowed otherwise")
-    fit = FitParams(epochs, percentiles, band_epsilon, tie_break)
+    fit = _fit_params(FitParams() if fit is None else fit)
 
     window = strategy_window(strategy, "train")
     sampler = WindowSampler(swn) if window is None else None
@@ -304,7 +307,7 @@ def fit_band_segmenter(training, strategy, swn=None, epochs=1,
             mid = 0.5 * (lo + hi)
             lo, hi = mid - fit.band_epsilon, mid + fit.band_epsilon
         bands.append(Band(lid, float(lo), float(hi)))
-    return BandSegmenter(bands, strategy, tie_break=fit.tie_break)
+    return BandSegmenter(bands, tie_break=fit.tie_break)
 
 
 def _tiled_percentile(values, percentiles, copies):
@@ -404,24 +407,11 @@ class SweepRow:
     mean_dice: float
 
 
-@dataclass
-class SweepResult:
-    rows: list
-
-    def cell(self, shift_hu, label_id):
-        for row in self.rows:
-            if row.shift_hu == shift_hu and row.label_id == label_id:
-                return row.mean_dice
-        raise KeyError((shift_hu, label_id))
-
-    def tolerance_width(self, label_id, threshold=0.5):
-        """Number of shifts at which the label's mean dice stays >= threshold."""
-        return sum(1 for row in self.rows
-                   if row.label_id == label_id and row.mean_dice >= threshold)
-
-
 def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
-    """Mean dice per (shift, label) of a segmenter on shifted test volumes.
+    """Mean dice per (shift, label) of a segmenter on shifted test volumes, as ``SweepRow``s.
+
+    The rows come shift by shift, label ids ascending within a shift, each
+    named ``strategy_label`` or else ``strategy``.
 
     ``test`` holds (CtVolume, LabelVolume) pairs or subjects that
     ``run_experiment`` reduced once for every strategy (``_test_subject``):
@@ -473,7 +463,7 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
         for lid, mean in zip(label_ids, means):
             rows.append(SweepRow(shift, strategy_label or strategy, lid, label_names[lid],
                                  float(mean)))
-    return SweepResult(rows)
+    return rows
 
 
 _NEG_INF_KEY = 0x007FFFFF  # order key of float32 -inf
@@ -601,6 +591,12 @@ class FitParams:
         one_of(self.tie_break, "tie_break", _kernels.TIE_BREAKS)
 
 
+def _fit_params(fit):
+    if not isinstance(fit, FitParams):
+        raise ValueError(f"fit: expected a FitParams, got {fit!r}")
+    return fit
+
+
 @dataclass
 class ExperimentConfig:
     phantom: PhantomConfig
@@ -619,8 +615,7 @@ class ExperimentConfig:
         shift_grid(self.shifts)
         self.n_train = number(self.n_train, "n_train", whole=True, lo=1)
         self.n_test = number(self.n_test, "n_test", whole=True, lo=1)
-        if not isinstance(self.fit, FitParams):
-            raise ValueError(f"fit: expected a FitParams, got {self.fit!r}")
+        _fit_params(self.fit)
         self.seed = number(self.seed, "seed", whole=True, lo=0)
         self.slice_axis = number(self.slice_axis, "slice_axis", whole=True, lo=0, hi=2)
 
@@ -655,14 +650,9 @@ def run_experiment(cfg):
         if spec.strategy == "SWN":
             seed = spec.seed if spec.seed is not None else derive_seed(cfg.seed, 2, j)
             swn = SwnParams(spec.x, spec.y, seed=seed)
-        seg = fit_band_segmenter(train, spec.strategy, swn=swn, epochs=cfg.fit.epochs,
-                                 percentiles=cfg.fit.percentiles,
-                                 band_epsilon=cfg.fit.band_epsilon,
-                                 tie_break=cfg.fit.tie_break)
-        result = run_shift_sweep(seg, test, spec.strategy, cfg.shifts,
-                                 strategy_label=spec.label)
+        seg = fit_band_segmenter(train, spec.strategy, swn=swn, fit=cfg.fit)
+        rows += run_shift_sweep(seg, test, spec.strategy, cfg.shifts, strategy_label=spec.label)
         segmenters[spec.label] = seg
-        rows.extend(result.rows)
     return rows, segmenters
 
 

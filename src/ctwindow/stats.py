@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import number
+from ._checks import number, text
 from .metrics import summarize
 
 EXACT_CUTOFF = 20
@@ -230,7 +230,7 @@ def compare_methods(dice_tables, reference, alpha=0.05, m=12):
     ``alpha`` must lie in (0, 1); NaN would fail every ``p >= alpha`` test and
     mark every method significant.
     """
-    number(alpha, "alpha", above=0, below=1)
+    _check_comparison(reference, alpha, m)
     if reference not in dice_tables:
         raise ValueError(f"reference {reference!r} not among methods {sorted(dice_tables)}")
 
@@ -302,7 +302,14 @@ def write_comparison_csv(rows, path):
             ])
 
 
+def _check_comparison(reference, alpha, m):
+    text(reference, "reference")
+    number(alpha, "alpha", above=0, below=1)
+    number(m, "m", whole=True, lo=0)
+
+
 def write_comparison_metadata(path, reference, alpha, m):
+    _check_comparison(reference, alpha, m)
     meta = {
         "alpha": alpha,
         "comparison_count_m": m,

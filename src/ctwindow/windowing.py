@@ -20,6 +20,7 @@ representability check, which it provably passes.
 """
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -58,8 +59,9 @@ class WindowSpec:
     def __post_init__(self):
         """Accept the window or raise ``_check_window``'s error.
 
-        A window with ``half_width >= W_MIN`` and ``|level| + half_width <=
-        2048`` passes ``_check_window``, so it is accepted without it. Its
+        A window of two Python floats with ``half_width >= W_MIN`` and
+        ``|level| + half_width <= 2048`` passes ``_check_window``, so it is
+        accepted without it; the sampler and the fixed windows pass floats. Its
         float64 ends, rounded from ``level -+ half_width``, are at most 2048
         in magnitude, because rounding is monotone and ``|level -+ half_width|
         <= |level| + half_width``. They lie ``2 * half_width >= 2`` apart,
@@ -72,8 +74,10 @@ class WindowSpec:
         Every other window, NaN and infinite ones included, takes the full
         check.
         """
-        if not (self.half_width >= W_MIN and abs(self.level) + self.half_width <= 2048.0):
-            _check_window(self.level, self.half_width)
+        level, half_width = self.level, self.half_width
+        if not (type(level) is float and type(half_width) is float
+                and half_width >= W_MIN and abs(level) + half_width <= 2048.0):
+            _check_window(level, half_width)
 
     @property
     def lower(self):
@@ -86,6 +90,9 @@ class WindowSpec:
 
 def _check_window(level, half_width):
     """Raise ValueError unless the kernel windows [level -+ half_width] as asked."""
+    for value, what in ((level, "level"), (half_width, "half_width")):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            number(value, what)  # raises; NaN and the infinities fail as unrepresentable below
     if not half_width >= W_MIN:
         raise ValueError(f"half_width must be >= {W_MIN} HU, got {half_width}")
     # The kernel windows in float32 and scales (v - lower) * 255 before it

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -398,6 +399,13 @@ def test_sweep_default_config_round_trips(capsys):
     exp = parse_experiment(cfg)
     assert exp.n_train == 5 and exp.n_test == 5
     assert len(exp.shifts) == 25
+
+
+def test_default_config_bytes_are_pinned(capsys):
+    # the bundled config's exact stdout; a field moved or reformatted changes this digest
+    assert main(["sweep", "--default-config"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "3df56014af149bee77d8769a1b8d11357ab87b04387797f9533edcbfdd3dbda2"
 
 
 def test_default_config_gives_sigmas_and_seeds_only_to_swn(capsys):

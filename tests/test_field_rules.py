@@ -7,8 +7,9 @@ their rules from ``ctwindow._checks``.
 import numpy as np
 import pytest
 
-from ctwindow import (CtVolume, DiceRecord, LabelVolume, compare_methods, derive_seed,
-                      extract_slice, multi_label_dice, stack_slices, strategy_window)
+from ctwindow import (CtVolume, DiceRecord, LabelVolume, WindowSpec, compare_methods,
+                      derive_seed, extract_slice, multi_label_dice, stack_slices,
+                      strategy_window, write_comparison_metadata)
 
 VOLUME = CtVolume(np.zeros((2, 3, 4), dtype=np.int16))
 LABELS = LabelVolume(np.zeros((2, 2, 2), dtype=np.uint8))
@@ -27,6 +28,14 @@ TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
     # TypeError from the comparison
     (lambda: compare_methods(TABLES, "A", alpha="0.05"),
      r"^alpha: expected a finite number in \(0, 1\), got '0.05'$"),
+    # TypeError: unhashable type: 'list'
+    (lambda: compare_methods(TABLES, ["A"]), r"^reference: expected a string, got \['A'\]$"),
+    # with no rows to correct, m was never checked
+    (lambda: compare_methods({"A": []}, "A", m=-3), "^m: expected a whole number >= 0, got -3$"),
+    # TypeError from abs(), and a bool was a number: (40.0, True) windowed [39, 41]
+    (lambda: WindowSpec("40", 200.0), "^level: expected a finite number, got '40'$"),
+    (lambda: WindowSpec(True, 200.0), "^level: expected a finite number, got True$"),
+    (lambda: WindowSpec(40.0, True), "^half_width: expected a finite number, got True$"),
     # True was axis 1, and as an index it added an axis: a 4D plane
     (lambda: extract_slice(VOLUME, True, 0), "^axis: expected a whole number in 0..2, got True$"),
     (lambda: extract_slice(VOLUME, 2, True), "^index: expected a whole number, got True$"),
@@ -35,7 +44,9 @@ TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
     (lambda: derive_seed(7, 0.5, 1), "^key: expected a whole number >= 0, got 0.5$"),
     (lambda: derive_seed(-1), "^base_seed: expected a whole number >= 0, got -1$"),
 ], ids=["strategy_window-mode", "DiceRecord-label_name", "DiceRecord-subject_id",
-        "multi_label_dice-subject_id", "compare_methods-alpha", "extract_slice-axis",
+        "multi_label_dice-subject_id", "compare_methods-alpha", "compare_methods-reference",
+        "compare_methods-m", "WindowSpec-str-level", "WindowSpec-bool-level",
+        "WindowSpec-bool-half_width", "extract_slice-axis",
         "extract_slice-index", "derive_seed-fraction", "derive_seed-key", "derive_seed-negative"])
 def test_bad_api_fields_are_value_errors_naming_the_field(call, message):
     with pytest.raises(ValueError, match=message):
@@ -48,3 +59,18 @@ def test_stack_slices_takes_a_whole_float_axis_like_a_config_field():
     assert np.array_equal(stack_slices(planes, 2.0), stack_slices(planes, 2))
     with pytest.raises(ValueError, match="^axis: expected a whole number in 0..2, got 1.5$"):
         stack_slices(planes, 1.5)
+
+
+@pytest.mark.parametrize("reference,alpha,m,message", [
+    # written as given: "alpha": "x", NaN (not JSON), an m of -3, a list as the reference
+    ("A", "x", 12, r"^alpha: expected a finite number in \(0, 1\), got 'x'$"),
+    ("A", float("nan"), -3, r"^alpha: expected a finite number in \(0, 1\), got nan$"),
+    ("A", 0.05, -3, "^m: expected a whole number >= 0, got -3$"),
+    (["A"], 0.05, 12, r"^reference: expected a string, got \['A'\]$"),
+], ids=["alpha-str", "alpha-nan", "m-negative", "reference-list"])
+def test_comparison_metadata_takes_the_rules_of_compare_methods(tmp_path, reference, alpha,
+                                                                m, message):
+    path = tmp_path / "cmp.meta.json"
+    with pytest.raises(ValueError, match=message):
+        write_comparison_metadata(str(path), reference, alpha, m)
+    assert not path.exists()

@@ -22,7 +22,7 @@ import pytest
 from oracles import per_plane_sweep
 
 from ctwindow import _kernels, simulation, volume
-from ctwindow.simulation import (Band, BandSegmenter, StrategySpec, _test_subject,
+from ctwindow.simulation import (Band, BandSegmenter, FitParams, StrategySpec, _test_subject,
                                  _training_subject, derive_seed, experiment_phantom,
                                  fit_band_segmenter, reference_experiment, run_experiment,
                                  run_shift_sweep)
@@ -46,14 +46,12 @@ def test_run_experiment_equals_separate_calls_on_the_phantoms(slice_axis, tie_br
     for j, spec in enumerate(cfg.strategies):
         swn = SwnParams(spec.x, spec.y, seed=derive_seed(cfg.seed, 2, j)) \
             if spec.strategy == "SWN" else None
-        seg = fit_band_segmenter(train, spec.strategy, swn=swn, epochs=cfg.fit.epochs,
-                                 percentiles=cfg.fit.percentiles,
-                                 band_epsilon=cfg.fit.band_epsilon, tie_break=tie_break,
+        seg = fit_band_segmenter(train, spec.strategy, swn=swn, fit=cfg.fit,
                                  slice_axis=slice_axis)
         assert segmenters[spec.label].bands == seg.bands
         assert segmenters[spec.label].tie_break == tie_break
         expected += run_shift_sweep(seg, test, spec.strategy, cfg.shifts,
-                                    strategy_label=spec.label).rows
+                                    strategy_label=spec.label)
     assert rows == expected
 
 
@@ -85,10 +83,10 @@ def test_prepared_test_subjects_sweep_like_their_pairs():
     for lid, values in prepared.values.items():
         assert values.dtype == np.float32 and np.all(values[:-1] <= values[1:])
         assert values.size == np.count_nonzero(labels == lid)
-    seg = BandSegmenter([Band(1, 100.0, 140.0), Band(3, 130.0, 200.0)], "STN")
+    seg = BandSegmenter([Band(1, 100.0, 140.0), Band(3, 130.0, 200.0)])
     shifts = [-40, 0, 25]
-    assert run_shift_sweep(seg, [prepared], "STN", shifts).rows == \
-        run_shift_sweep(seg, [pair], "STN", shifts).rows == \
+    assert run_shift_sweep(seg, [prepared], "STN", shifts) == \
+        run_shift_sweep(seg, [pair], "STN", shifts) == \
         per_plane_sweep(seg, [pair], "STN", shifts, 2)
 
 
@@ -117,8 +115,8 @@ def test_direct_fallback_counts_labels_across_several_chunks():
         for nudge in (2.0 ** -16, 0.0):
             bands = [Band(1, 100.0, 140.0), Band(2, 100.0 + nudge, 140.0 + nudge),
                      Band(3, 60.0, 110.0)]
-            seg = BandSegmenter(bands, "STN", tie_break="nearest_center")
-            assert run_shift_sweep(seg, test, "STN", shifts).rows == \
+            seg = BandSegmenter(bands, tie_break="nearest_center")
+            assert run_shift_sweep(seg, test, "STN", shifts) == \
                 per_plane_sweep(seg, test, "STN", shifts, 2)
 
 
@@ -156,9 +154,7 @@ def test_the_swn_fit_holds_one_pool_per_label():
     swn = SwnParams(50.0, 50.0, seed=derive_seed(cfg.seed, 2, 2))
 
     def fit():
-        return fit_band_segmenter(train, "SWN", swn=swn, epochs=cfg.fit.epochs,
-                                  percentiles=cfg.fit.percentiles,
-                                  tie_break=cfg.fit.tie_break)
+        return fit_band_segmenter(train, "SWN", swn=swn, fit=cfg.fit)
 
     expected = fit().bands  # a first fit, so that first-call imports do not count
     largest_pool = 4 * cfg.fit.epochs * max(
@@ -182,7 +178,7 @@ def test_the_fit_windows_each_label_once_per_pass(strategy):
     swn = SwnParams(50.0, 50.0, seed=3) if strategy == "SWN" else None
     with mock.patch.object(_kernels, "window_normalize",
                            side_effect=_kernels.window_normalize) as windowed:
-        fit_band_segmenter(train, strategy, swn=swn, epochs=cfg.fit.epochs)
+        fit_band_segmenter(train, strategy, swn=swn, fit=FitParams(epochs=cfg.fit.epochs))
     passes = cfg.fit.epochs if strategy == "SWN" else 1
     sizes = [sum(s.values[lid].size for s in train if lid in s.values) for lid in (1, 2, 3)]
     assert [call.args[0].size for call in windowed.call_args_list] == \
@@ -198,5 +194,6 @@ def test_a_label_without_voxels_fails_before_any_window_is_drawn():
     with mock.patch.object(WindowSampler, "sample", autospec=True,
                            side_effect=WindowSampler.sample) as draws, \
             pytest.raises(ValueError, match="^label 2 has no voxels in any training volume$"):
-        fit_band_segmenter([pair], "SWN", swn=SwnParams(1e36, 1e36, seed=0), epochs=2)
+        fit_band_segmenter([pair], "SWN", swn=SwnParams(1e36, 1e36, seed=0),
+                           fit=FitParams(epochs=2))
     assert draws.call_count == 0

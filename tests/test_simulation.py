@@ -1,9 +1,11 @@
+import inspect
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ctwindow
 from ctwindow.simulation import (Band, BandSegmenter, ExperimentConfig, FitParams,
                                  OrganSpec, PhantomConfig, StrategySpec, derive_seed,
                                  fit_band_segmenter, generate_phantom,
@@ -21,6 +23,14 @@ def single_organ_config(noise=0.0, mean_hu=40.0, seed=0):
         background_noise_std=noise,
         seed=seed,
     )
+
+
+def cell(rows, shift_hu, label_id):
+    """The mean dice of one (shift, label) of a sweep's rows."""
+    for row in rows:
+        if row.shift_hu == shift_hu and row.label_id == label_id:
+            return row.mean_dice
+    raise KeyError((shift_hu, label_id))
 
 
 def test_noiseless_phantom_has_two_values_and_matching_labels():
@@ -78,33 +88,34 @@ def test_band_validation():
                            match="^band label_id: expected a whole number in 1..255, got "):
             Band(label_id, 0.0, 10.0)
     assert type(Band(np.uint8(2), 0.0, 10.0).label_id) is int
-    assert BandSegmenter([Band(2.0, 0.0, 10.0)], "STN").predict([5.0]).tolist() == [2]
+    assert BandSegmenter([Band(2.0, 0.0, 10.0)]).predict([5.0]).tolist() == [2]
     with pytest.raises(ValueError, match="tie_break"):
-        BandSegmenter([Band(1, 0.0, 1.0)], "STN", tie_break="nope")
+        BandSegmenter([Band(1, 0.0, 1.0)], tie_break="nope")
     with pytest.raises(ValueError, match="unique"):
-        BandSegmenter([Band(1, 0.0, 1.0), Band(1, 2.0, 3.0)], "STN")
+        BandSegmenter([Band(1, 0.0, 1.0), Band(1, 2.0, 3.0)])
 
 
 def test_fit_noiseless_stn_band_collapses_to_epsilon_floor():
     pair = generate_phantom(single_organ_config())
-    seg = fit_band_segmenter([pair], "STN", epochs=2)
+    seg = fit_band_segmenter([pair], "STN", fit=FitParams(epochs=2))
     band = seg.bands[0]
     # 40 HU maps to 127.5 exactly; the degenerate band widens by 0.5 each side
     assert (band.lo, band.hi) == (127.0, 128.0)
-    assert seg.strategy == "STN"
 
 
 def test_fit_swn_zero_sigma_equals_stn():
     pair = generate_phantom(single_organ_config(noise=10.0, seed=3))
-    stn = fit_band_segmenter([pair], "STN", epochs=3)
-    swn = fit_band_segmenter([pair], "SWN", swn=SwnParams(0.0, 0.0, seed=1), epochs=3)
+    stn = fit_band_segmenter([pair], "STN", fit=FitParams(epochs=3))
+    swn = fit_band_segmenter([pair], "SWN", swn=SwnParams(0.0, 0.0, seed=1),
+                             fit=FitParams(epochs=3))
     assert [(b.lo, b.hi) for b in swn.bands] == [(b.lo, b.hi) for b in stn.bands]
 
 
 def test_fit_swn_band_strictly_wider_than_stn():
     pairs = [generate_phantom(single_organ_config(noise=10.0, seed=s)) for s in (1, 2)]
-    stn = fit_band_segmenter(pairs, "STN", epochs=4)
-    swn = fit_band_segmenter(pairs, "SWN", swn=SwnParams(50.0, 50.0, seed=5), epochs=4)
+    stn = fit_band_segmenter(pairs, "STN", fit=FitParams(epochs=4))
+    swn = fit_band_segmenter(pairs, "SWN", swn=SwnParams(50.0, 50.0, seed=5),
+                             fit=FitParams(epochs=4))
     width = lambda b: b.hi - b.lo
     assert width(swn.bands[0]) > width(stn.bands[0])
 
@@ -118,20 +129,42 @@ def test_fit_parameter_validation():
     with pytest.raises(ValueError, match="nonempty"):
         fit_band_segmenter([], "STN")
     with pytest.raises(ValueError, match="percentiles"):
-        fit_band_segmenter([pair], "STN", percentiles=(99.0, 1.0))
+        fit_band_segmenter([pair], "STN", fit=FitParams(percentiles=(99.0, 1.0)))
+
+
+def test_fit_settings_come_from_one_fit_params():
+    pair = generate_phantom(single_organ_config(noise=10.0, seed=3))
+    assert list(inspect.signature(fit_band_segmenter).parameters) == \
+        ["training", "strategy", "swn", "fit", "slice_axis"]
+    # no fit is FitParams(), 12 epochs, for SWN as for STN
+    for strategy, swn in (("STN", None), ("SWN", SwnParams(50.0, 50.0, seed=5))):
+        assert fit_band_segmenter([pair], strategy, swn=swn).bands == \
+            fit_band_segmenter([pair], strategy, swn=swn, fit=FitParams()).bands
+    with pytest.raises(ValueError, match=r"^fit: expected a FitParams, got \{'epochs': 2\}$"):
+        fit_band_segmenter([pair], "STN", fit={"epochs": 2})
+
+
+def test_the_segmenter_holds_bands_and_a_tie_break_only():
+    seg = BandSegmenter([Band(1, 0.0, 10.0)], tie_break="nearest_center")
+    assert not hasattr(seg, "strategy")
+    # a strategy in the old second place is a bad tie_break, not a silently stored name
+    with pytest.raises(ValueError, match="^tie_break: expected one of .*, got 'STN'$"):
+        BandSegmenter([Band(1, 0.0, 10.0)], "STN")
+    # a sweep's result is its list of SweepRow, from run_shift_sweep as from run_experiment
+    assert not hasattr(ctwindow, "SweepResult")
+    assert not hasattr(ctwindow.simulation, "SweepResult")
 
 
 def test_fit_errors_on_label_without_voxels():
     vol, lab = generate_phantom(single_organ_config())
     lab.label_names[9] = "ghost"
     with pytest.raises(ValueError, match="no voxels"):
-        fit_band_segmenter([(vol, lab)], "STN", epochs=1)
+        fit_band_segmenter([(vol, lab)], "STN", fit=FitParams(epochs=1))
 
 
 def test_band_segmenter_predict_modes():
-    seg_low = BandSegmenter([Band(1, 0.0, 10.0), Band(2, 0.0, 10.0)], "STN",
-                            tie_break="lowest_id")
-    seg_near = BandSegmenter([Band(1, 0.0, 10.0), Band(2, 6.0, 10.0)], "STN",
+    seg_low = BandSegmenter([Band(1, 0.0, 10.0), Band(2, 0.0, 10.0)], tie_break="lowest_id")
+    seg_near = BandSegmenter([Band(1, 0.0, 10.0), Band(2, 6.0, 10.0)],
                              tie_break="nearest_center")
     s = Slice2D(np.array([[2.0, 9.0, 50.0]], dtype=np.float32))
     assert seg_low.predict(s.values).tolist() == [[1, 1, 0]]
@@ -141,33 +174,34 @@ def test_band_segmenter_predict_modes():
 
 def test_sweep_self_consistency_noiseless():
     pair = generate_phantom(single_organ_config())
-    seg = fit_band_segmenter([pair], "STN", epochs=1)
-    result = run_shift_sweep(seg, [pair], "STN", [0])
-    assert result.cell(0, 1) == 1.0
+    seg = fit_band_segmenter([pair], "STN", fit=FitParams(epochs=1))
+    rows = run_shift_sweep(seg, [pair], "STN", [0])
+    assert cell(rows, 0, 1) == 1.0
 
 
 def test_sweep_row_grid_and_saturation_collapse():
     pairs = [generate_phantom(single_organ_config(noise=5.0, seed=s)) for s in (1, 2)]
-    seg = fit_band_segmenter(pairs, "STN", epochs=2)
+    seg = fit_band_segmenter(pairs, "STN", fit=FitParams(epochs=2))
     shifts = list(range(-300, 301, 25))
-    result = run_shift_sweep(seg, pairs, "STN", shifts)
+    rows = run_shift_sweep(seg, pairs, "STN", shifts)
     assert len(shifts) == 25
-    assert len(result.rows) == 25  # one label
-    assert [r.shift_hu for r in result.rows] == shifts
+    assert len(rows) == 25  # one label
+    assert [r.shift_hu for r in rows] == shifts
     # organ at 40 HU shifted +300 saturates with the rest of the tissue
-    assert result.cell(300, 1) < 0.1
-    assert result.cell(0, 1) > 0.9
+    assert cell(rows, 300, 1) < 0.1
+    assert cell(rows, 0, 1) > 0.9
 
 
 def test_sweep_requires_test_subjects():
-    seg = fit_band_segmenter([generate_phantom(single_organ_config())], "STN", epochs=1)
+    seg = fit_band_segmenter([generate_phantom(single_organ_config())], "STN",
+                             fit=FitParams(epochs=1))
     with pytest.raises(ValueError, match="test set must be nonempty"):
         run_shift_sweep(seg, [], "STN", [0])
 
 
 def test_sweep_requires_shifts():
     pair = generate_phantom(single_organ_config())
-    seg = fit_band_segmenter([pair], "STN", epochs=1)
+    seg = fit_band_segmenter([pair], "STN", fit=FitParams(epochs=1))
     with pytest.raises(ValueError, match="nonempty"):
         run_shift_sweep(seg, [pair], "STN", [])
     # int(1e300) is a whole number, as the CLI passes it; 4e38 overflows float32;
@@ -258,15 +292,16 @@ def test_reference_experiment_shape():
 def test_fit_rejects_epochs_below_one_or_not_whole(epochs):
     pair = generate_phantom(single_organ_config())
     with pytest.raises(ValueError, match="epochs: expected a whole number >= 1"):
-        fit_band_segmenter([pair], "STN", epochs=epochs)
+        fit_band_segmenter([pair], "STN", fit=FitParams(epochs=epochs))
     with pytest.raises(ValueError, match="epochs: expected a whole number >= 1"):
-        fit_band_segmenter([pair], "SWN", swn=SwnParams(1.0, 1.0, seed=0), epochs=epochs)
+        fit_band_segmenter([pair], "SWN", swn=SwnParams(1.0, 1.0, seed=0),
+                           fit=FitParams(epochs=epochs))
 
 
 def test_fit_accepts_whole_float_epochs():
     pair = generate_phantom(single_organ_config(noise=10.0, seed=3))
-    assert fit_band_segmenter([pair], "STN", epochs=3.0).bands == \
-        fit_band_segmenter([pair], "STN", epochs=3).bands
+    assert fit_band_segmenter([pair], "STN", fit=FitParams(epochs=3.0)).bands == \
+        fit_band_segmenter([pair], "STN", fit=FitParams(epochs=3)).bands
 
 
 def test_phantom_rejects_label_ids_outside_uint8():

@@ -55,7 +55,7 @@ def segmenters(draw, strategy):
         pairs = [(lo, hi) if lo < hi else (lo, lo + 1.0) for lo, hi in pairs]
     ids = draw(st.permutations([1, 2, 3, 4, 5]))[:count]
     tie_break = draw(st.sampled_from(["lowest_id", "nearest_center"]))
-    return BandSegmenter([Band(i, lo, hi) for i, (lo, hi) in zip(ids, pairs)], strategy,
+    return BandSegmenter([Band(i, lo, hi) for i, (lo, hi) in zip(ids, pairs)],
                          tie_break=tie_break)
 
 
@@ -99,7 +99,7 @@ def test_sorted_sweep_matches_per_plane_oracle(data, seed, strategy, dims, dtype
     seg = data.draw(segmenters(strategy))
     rng = np.random.default_rng(seed)
     test = [subject(rng, dims, dtype, order, specials) for _ in range(2)]
-    assert run_shift_sweep(seg, test, strategy, shifts).rows == \
+    assert run_shift_sweep(seg, test, strategy, shifts) == \
         per_plane_sweep(seg, test, strategy, shifts, 2)
 
 
@@ -117,8 +117,8 @@ def test_close_centers_fall_back_and_still_match():
         for nudge in (2.0 ** -16, 2.0 ** -24, 2.0 ** -30, 0.0):
             bands = [Band(1, 100.0, 140.0), Band(2, 100.0 + nudge, 140.0 + nudge),
                      Band(3, 60.0, 110.0)]
-            close = BandSegmenter(bands, "STN", tie_break="nearest_center")
-            assert run_shift_sweep(close, test, "STN", shifts).rows == \
+            close = BandSegmenter(bands, tie_break="nearest_center")
+            assert run_shift_sweep(close, test, "STN", shifts) == \
                 per_plane_sweep(close, test, "STN", shifts, 2)
 
 
@@ -126,13 +126,13 @@ def test_close_centers_fall_back_and_still_match():
 def test_a_value_at_the_midpoint_stays_with_the_earlier_band(centers):
     """0 HU normalizes to exactly 102 under the STN test window, the centers' midpoint."""
     assert _kernels.window_normalize(np.float32([0.0]), -160.0, 240.0)[0] == 102.0
-    seg = BandSegmenter([Band(i, c - 20.0, c + 20.0) for i, c in enumerate(centers, 1)], "STN",
+    seg = BandSegmenter([Band(i, c - 20.0, c + 20.0) for i, c in enumerate(centers, 1)],
                         tie_break="nearest_center")
     voxels = np.float32([[[-40.0, -1.0, -0.5, 0.0, 0.5, 1.0, 40.0]]])
     test = [(CtVolume(voxels), LabelVolume(np.uint8([[[1, 2, 1, 2, 1, 2, 1]]]),
                                            label_names=NAMES))]
     shifts = [-0.5, 0, 0.5]
-    assert run_shift_sweep(seg, test, "STN", shifts).rows == \
+    assert run_shift_sweep(seg, test, "STN", shifts) == \
         per_plane_sweep(seg, test, "STN", shifts, 2)
 
 

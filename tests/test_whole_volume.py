@@ -16,7 +16,7 @@ from oracles import per_plane_fit_bands, per_plane_sweep, per_slice_swn_window
 
 from ctwindow import _kernels
 from ctwindow.cli import main
-from ctwindow.simulation import fit_band_segmenter, run_shift_sweep
+from ctwindow.simulation import FitParams, fit_band_segmenter, run_shift_sweep
 from ctwindow.volume import CtVolume, LabelVolume, load_volume, save_volume
 from ctwindow.windowing import SwnParams, WindowSampler
 
@@ -62,12 +62,12 @@ def assert_matches_oracles(train, test, strategy, swn, shifts, slice_axis, tie_b
     """Check the fit and sweep against the oracles; return the fit's window draws."""
     with mock.patch.object(WindowSampler, "sample", autospec=True,
                            side_effect=WindowSampler.sample) as draws:
-        seg = fit_band_segmenter(train, strategy, swn=swn, epochs=epochs,
-                                 percentiles=percentiles, tie_break=tie_break,
+        seg = fit_band_segmenter(train, strategy, swn=swn,
+                                 fit=FitParams(epochs, percentiles, tie_break=tie_break),
                                  slice_axis=slice_axis)
     assert seg.bands == per_plane_fit_bands(train, strategy, swn, epochs, percentiles,
                                             0.5, slice_axis)
-    assert run_shift_sweep(seg, test, strategy, shifts).rows == \
+    assert run_shift_sweep(seg, test, strategy, shifts) == \
         per_plane_sweep(seg, test, strategy, shifts, slice_axis)
     return draws.call_count
 
