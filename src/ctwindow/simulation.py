@@ -21,11 +21,15 @@ The fit reads a (CtVolume, LabelVolume) pair as a training subject: each
 nonzero id's float32 values in plane order along the slice axis, with its
 voxel count per plane. The sweep reads a test subject: every id's float32
 values, sorted. The ids are the ones ``LabelVolume`` found when it was
-built. Neither reduction depends on the strategy, so ``run_experiment``
-reduces each phantom once, as soon as it is generated, drops the phantom,
-and passes the subjects to every strategy's fit and sweep. The fit pools
-them in one loop; the sweep counts them in one loop over subjects, and
-``metrics.dice_table`` turns each subject's counts into dice.
+built. Neither depends on the strategy. A phantom is a draw-free layout
+(``_layout``: labels, names, each organ's box and mask) plus its draws, so
+``run_experiment`` builds no phantom volume: it builds each subject
+straight from its phantom's draws, the same values a reduction of
+``generate_phantom``'s pair gives. It fits every strategy on the training
+subjects, drops them, then builds the test subjects and sweeps each
+strategy. The fit pools the subjects in one loop; the sweep counts them in
+one loop over subjects, and ``metrics.dice_table`` turns each subject's
+counts into dice.
 
 All randomness derives from explicit seeds. ``run_experiment`` derives
 per-subject and per-strategy streams from the experiment seed with spawn
@@ -34,6 +38,7 @@ keys (0, i) for training phantom i, (1, i) for test phantom i
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -134,23 +139,41 @@ class PhantomConfig:
 def generate_phantom(cfg):
     """Build one (CtVolume, LabelVolume) pair; deterministic under cfg.seed.
 
-    An organ's mask is the float64 sum of one term ``((g - c) / r) ** 2``
-    per axis, ``<= 1``. Each axis' term is computed once over that axis,
-    and the mask only on the box of indices where every axis' term is
-    ``<= 1``: outside it one term exceeds 1, and a float64 sum of
-    non-negative terms is at least each term, so the mask there is all
-    False. C order inside the box is the volume's C order restricted to
-    the box, so the organ's draws land on the same voxels as with a mask
-    over the whole volume. An organ with radii too small to cover a grid
-    point has an empty box and draws nothing. The background is drawn in
-    float64 slabs straight into the float32 volume (``_draw_normal``).
+    The labels come from the draw-free layout (``_layout``). The stream then
+    draws the background over the whole volume in C order, in float64 slabs
+    straight into the float32 volume (``_draw_normal``), and then each
+    organ's values in config order (``_organ_draws``), which land on its
+    mask in C order inside its box.
     """
+    labels, names, organs = _layout(cfg)
     rng = np.random.default_rng(cfg.seed)
     voxels = np.empty(cfg.dims, dtype=np.float32)
     _draw_normal(rng, cfg.background_hu, cfg.background_noise_std, voxels.reshape(-1))
+    for (_, box, mask), drawn in zip(organs, _organ_draws(rng, organs)):
+        voxels[box][mask] = drawn
+    return (CtVolume(voxels, spacing=cfg.spacing), LabelVolume(labels, label_names=names))
+
+
+def _layout(cfg):
+    """The draw-free part of a phantom: ``(labels, names, organs)``.
+
+    ``labels`` is the uint8 label volume, ``names`` maps each id to its
+    name, and ``organs`` holds one ``(organ, box, mask)`` per organ in config
+    order. An organ's mask is the float64 sum of one term
+    ``((g - c) / r) ** 2`` per axis, ``<= 1``. Each axis' term is computed
+    once over that axis, and the mask only on the box of indices where every
+    axis' term is ``<= 1``: outside it one term exceeds 1, and a float64 sum
+    of non-negative terms is at least each term, so the mask there is all
+    False. C order inside the box is the volume's C order restricted to the
+    box, so an organ's draws land on the same voxels as with a mask over the
+    whole volume. An organ with radii too small to cover a grid point has an
+    empty box and draws nothing. The layout depends on no seed, so every
+    phantom of one config shares it.
+    """
     labels = np.zeros(cfg.dims, dtype=np.uint8)
     axes = [np.arange(d, dtype=np.float64) for d in cfg.dims]
     names = {0: "background"}
+    organs = []
     for organ in cfg.organs:
         # a subnormal radius overflows a term to inf, which still compares > 1
         with np.errstate(over="ignore"):
@@ -161,30 +184,49 @@ def generate_phantom(cfg):
         mask = t0[:, None, None] + t1[:, None] + t2 <= 1.0
         if np.any(labels[box][mask]):
             raise ValueError(f"organ {organ.label_name!r} overlaps another organ")
-        voxels[box][mask] = rng.normal(organ.mean_hu, organ.noise_std,
-                                       size=int(mask.sum())).astype(np.float32)
         labels[box][mask] = organ.label_id
         names[organ.label_id] = organ.label_name
-    return (CtVolume(voxels, spacing=cfg.spacing), LabelVolume(labels, label_names=names))
+        organs.append((organ, box, mask))
+    return labels, names, organs
 
 
-def _draw_normal(rng, mean, std, out):
-    """Fill float32 ``out`` with ``rng.normal(mean, std, out.size).astype(np.float32)``.
+def _draw_normal(rng, mean, std, out, size=None, labels=None):
+    """Fill float32 ``out`` with ``rng.normal(mean, std, size).astype(np.float32)``.
 
-    ``Generator.normal`` computes ``mean + std * z`` in float64 for the
-    stream's next standard normal z, one draw after another. This draws the
-    same z into a float64 slab of at most ``_kernels.SLAB`` values at a time,
-    multiplies and adds in place, and casts the slab into ``out``, so no
-    float64 array of the whole volume is ever held.
+    ``size`` defaults to ``out.size``. ``Generator.normal`` computes
+    ``mean + std * z`` in float64 for the stream's next standard normal z,
+    one draw after another. This draws the same z into a float64 slab of at
+    most ``_kernels.SLAB`` values at a time, multiplies and adds in place,
+    and casts the slab into ``out``, so no float64 array of the whole volume
+    is ever held. With flat ``labels`` of ``size`` voxels, only the values at
+    its zeros (a phantom's non-organ voxels) are written, packed in order.
+    With ``out`` None, the draws only move the stream past them: there is no
+    scaling and no cast.
     """
     rng.normal(mean, std, size=0)  # its argument checks and errors, with no draw
-    slab = np.empty(min(out.size, _kernels.SLAB))
-    for start in range(0, out.size, _kernels.SLAB):
-        part = slab[:out.size - start]
+    size = out.size if size is None else size
+    slab = np.empty(min(size, _kernels.SLAB))
+    written = 0
+    for start in range(0, size, _kernels.SLAB):
+        part = slab[:size - start]
         rng.standard_normal(out=part)
+        if out is None:
+            continue
         part *= std
         part += mean
-        out[start:start + part.size] = part
+        if labels is not None:
+            part = part[labels[start:start + part.size] == 0]
+        out[written:written + part.size] = part
+        written += part.size
+
+
+def _organ_draws(rng, organs):
+    """Each organ's float32 values, in config order and in C order inside its box.
+
+    They are drawn after the background, as ``generate_phantom`` draws them.
+    """
+    return [rng.normal(organ.mean_hu, organ.noise_std, size=int(mask.sum())).astype(np.float32)
+            for organ, _, mask in organs]
 
 
 @dataclass
@@ -248,15 +290,16 @@ def fit_band_segmenter(training, strategy, swn=None, fit=None, slice_axis=2):
     ``percentiles``, ``band_epsilon`` and ``tie_break``; None means
     ``FitParams()``, 12 epochs.
 
-    ``training`` holds (CtVolume, LabelVolume) pairs, reduced on entry,
-    or subjects ``run_experiment`` reduced once for every strategy; either
-    way each nonzero id's voxel values are gathered once as float32, plane
-    by plane along the slice axis (``_training_subject``). Windowing is exact
-    on them: the kernel windows each value on its own, and ``np.percentile``
-    depends only on the multiset of pooled values. STN and WIR make one pass,
-    since every epoch would add the same values again, and
-    ``_tiled_percentile`` reads ``np.percentile``'s result on the
-    ``epochs``-fold pool off that one copy. SWN makes ``epochs`` passes. It
+    ``training`` holds (CtVolume, LabelVolume) pairs, reduced on entry
+    (``_training_subject``), or subjects ``run_experiment`` built once for
+    every strategy from the phantom draws; either way it holds each nonzero
+    id's voxel values as float32, plane by plane along the slice axis, with
+    their per-plane counts. Windowing is exact on them: the kernel windows
+    each value on its own, and ``np.percentile`` depends only on the
+    multiset of pooled values. STN and WIR make one pass, since every epoch
+    would add the same values again, and ``_tiled_percentile`` reads
+    ``np.percentile``'s result on the ``epochs``-fold pool off that one
+    copy. SWN makes ``epochs`` passes. It
     first draws every window, one per plane in the order epoch, volume, plane,
     planes without a pooled voxel included, so its random stream is the one a
     per-plane fit draws. Then one loop over the labels does the pooling: each
@@ -265,6 +308,7 @@ def fit_band_segmenter(training, strategy, swn=None, fit=None, slice_axis=2):
     per-plane counts, as a call per plane would. A label's pool is dropped as
     soon as its band is taken, before the next label's is allocated.
     """
+    slice_axis = number(slice_axis, "slice_axis", whole=True, lo=0, hi=2)
     if not training:
         raise ValueError("training set must be nonempty")
     if (swn is not None) != (strategy == "SWN"):
@@ -398,6 +442,57 @@ def _test_subject(vol, lab):
     return _Subject(lab.label_names, values)
 
 
+def _drawn_training_subject(cfg, names, organs, seed, slice_axis):
+    """``_training_subject`` of ``generate_phantom(replace(cfg, seed=seed))``, from its draws.
+
+    ``names`` and ``organs`` are those of ``_layout(cfg)``; no label volume
+    is read. The background is drawn only to move the stream past it. Each
+    organ's values are drawn in C order inside its box and laid out in plane
+    order along ``slice_axis`` through the box's mask, with the mask's count
+    in each plane. These are the voxels a pair's id mask selects, in its
+    order.
+    """
+    rng = np.random.default_rng(seed)
+    _draw_normal(rng, cfg.background_hu, cfg.background_noise_std, None, math.prod(cfg.dims))
+    values, plane_counts = {}, {}
+    for (organ, box, mask), drawn in zip(organs, _organ_draws(rng, organs)):
+        if not drawn.size:
+            continue
+        in_planes = np.moveaxis(mask, slice_axis, 0)
+        if slice_axis:  # along axis 0, C order inside the box is already plane order
+            laid = np.empty(mask.shape, dtype=np.float32)  # only the mask's voxels are read
+            laid[mask] = drawn
+            drawn = np.moveaxis(laid, slice_axis, 0)[in_planes]
+        per_plane = in_planes.reshape(len(in_planes), -1).sum(axis=1)
+        counts = np.zeros(cfg.dims[slice_axis], dtype=per_plane.dtype)
+        counts[box[slice_axis]] = per_plane
+        values[organ.label_id], plane_counts[organ.label_id] = drawn, counts
+    return _Subject(names, dict(sorted(values.items())), dict(sorted(plane_counts.items())),
+                    cfg.dims[slice_axis])
+
+
+def _drawn_test_subject(cfg, labels, names, organs, seed):
+    """``_test_subject`` of ``generate_phantom(replace(cfg, seed=seed))``, from its draws.
+
+    ``labels``, ``names`` and ``organs`` are those of ``_layout(cfg)``. The
+    background draws at the zeros of ``labels`` are packed into one float32
+    array, and every id's values are sorted: the multisets of the phantom's
+    id masks, in their C order before the sort.
+    """
+    rng = np.random.default_rng(seed)
+    background = np.empty(labels.size - sum(int(mask.sum()) for _, _, mask in organs),
+                          dtype=np.float32)
+    _draw_normal(rng, cfg.background_hu, cfg.background_noise_std, background, labels.size,
+                 labels.reshape(-1))
+    values = {0: background} if background.size else {}
+    for (organ, _, _), drawn in zip(organs, _organ_draws(rng, organs)):
+        if drawn.size:
+            values[organ.label_id] = drawn
+    for v in values.values():
+        v.sort()
+    return _Subject(names, dict(sorted(values.items())))
+
+
 @dataclass
 class SweepRow:
     shift_hu: float
@@ -411,11 +506,12 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     """Mean dice per (shift, label) of a segmenter on shifted test volumes, as ``SweepRow``s.
 
     The rows come shift by shift, label ids ascending within a shift, each
-    named ``strategy_label`` or else ``strategy``.
+    named ``strategy_label`` (a string) or, when it is None, ``strategy``.
 
-    ``test`` holds (CtVolume, LabelVolume) pairs or subjects that
-    ``run_experiment`` reduced once for every strategy (``_test_subject``):
-    the label names, and the values of each id present sorted as float32.
+    ``test`` holds (CtVolume, LabelVolume) pairs (``_test_subject``) or
+    subjects that ``run_experiment`` built once for every strategy from the
+    phantom draws: the label names, and the values of each id present
+    sorted as float32.
     One loop takes the subjects in turn, reducing a pair when its turn
     comes, so one pair's sorted values are held at a time. It counts each
     subject's predicted, truth and overlap voxels per (shift, id) at the
@@ -443,6 +539,7 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
         raise ValueError("test set must be nonempty")
     shifts = shift_grid(shifts)
     window = strategy_window(strategy, "test")
+    label = strategy if strategy_label is None else text(strategy_label, "strategy_label")
     shift32 = np.array([np.float32(s) for s in shifts], dtype=np.float32)
     counts_of = _sorted_counts(seg, window, shift32)
 
@@ -461,7 +558,7 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     for i, shift in enumerate(shifts):
         means = np.array([table[i, label_ids] for table in tables]).mean(axis=0)
         for lid, mean in zip(label_ids, means):
-            rows.append(SweepRow(shift, strategy_label or strategy, lid, label_names[lid],
+            rows.append(SweepRow(shift, label, lid, label_names[lid],
                                  float(mean)))
     return rows
 
@@ -626,34 +723,44 @@ def experiment_phantom(cfg, kind, i):
 
 
 def run_experiment(cfg):
-    """Generate phantom suites, fit one segmenter per strategy, sweep each.
+    """Fit one segmenter per strategy on the training suite, then sweep each on the test suite.
 
     Returns the concatenated sweep rows (strategy blocks in config order)
     and the fitted segmenters keyed by strategy label.
 
-    Each phantom is reduced to a subject as soon as it is generated and
-    then dropped, so the run holds each training phantom's per-label values
-    in plane order along ``cfg.slice_axis`` with their per-plane counts,
-    each test phantom's sorted per-label values and one phantom in flight.
-    Every strategy's fit and sweep reuse these, and give the rows and bands
-    of calls on the phantoms themselves. Each phantom has its own seed
-    (``experiment_phantom``), so the order they are generated in changes
+    No phantom volume is built. Every phantom of the config shares one
+    draw-free layout (``_layout``), and each subject is built straight from
+    its phantom's draws: a training subject holds each organ's values in
+    plane order along ``cfg.slice_axis`` with their per-plane counts
+    (``_drawn_training_subject``), and a test subject each id's sorted
+    values (``_drawn_test_subject``). These are the subjects
+    ``_training_subject`` and ``_test_subject`` reduce from the phantoms
+    of ``experiment_phantom``, so the rows and bands are those of calls on
+    the phantoms themselves. The training subjects are held only through
+    the fits: every strategy is fitted, the training subjects are dropped,
+    and only then are the test subjects built and each strategy swept.
+    Each phantom has its own seed, so the order they are drawn in changes
     no byte.
     """
-    train = [_training_subject(*experiment_phantom(cfg, 0, i), cfg.slice_axis)
-             for i in range(cfg.n_train)]
-    test = [_test_subject(*experiment_phantom(cfg, 1, i)) for i in range(cfg.n_test)]
-    rows = []
-    segmenters = {}
+    names, organs = _layout(cfg.phantom)[1:]  # so no label volume is held through the fits
+    train = [_drawn_training_subject(cfg.phantom, names, organs, derive_seed(cfg.seed, 0, i),
+                                     cfg.slice_axis) for i in range(cfg.n_train)]
+    fitted = []
     for j, spec in enumerate(cfg.strategies):
         swn = None
         if spec.strategy == "SWN":
             seed = spec.seed if spec.seed is not None else derive_seed(cfg.seed, 2, j)
             swn = SwnParams(spec.x, spec.y, seed=seed)
-        seg = fit_band_segmenter(train, spec.strategy, swn=swn, fit=cfg.fit)
+        fitted.append(fit_band_segmenter(train, spec.strategy, swn=swn, fit=cfg.fit,
+                                         slice_axis=cfg.slice_axis))
+    del train
+    labels = _layout(cfg.phantom)[0]  # only the test subjects read it
+    test = [_drawn_test_subject(cfg.phantom, labels, names, organs, derive_seed(cfg.seed, 1, i))
+            for i in range(cfg.n_test)]
+    rows = []
+    for spec, seg in zip(cfg.strategies, fitted):
         rows += run_shift_sweep(seg, test, spec.strategy, cfg.shifts, strategy_label=spec.label)
-        segmenters[spec.label] = seg
-    return rows, segmenters
+    return rows, {spec.label: seg for spec, seg in zip(cfg.strategies, fitted)}
 
 
 def reference_experiment(seed=7):

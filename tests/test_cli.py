@@ -315,28 +315,48 @@ def test_phantom_command_writes_suite(tmp_path):
 
 
 def test_phantom_command_writes_the_phantoms_run_experiment_generates(tmp_path):
+    """The files reduce to the subjects ``run_experiment`` draws: whole test subjects, and
+    the organ values and per-plane counts of training subjects."""
     spacing = [0.5, 0.75, 2.0]
-    cfg = edited_config(tmp_path, lambda c: c["phantom"].update(spacing_mm=spacing))
-    generate, generated = simulation.generate_phantom, []
 
-    def record(phantom_cfg):
-        generated.append(generate(phantom_cfg))
-        return generated[-1]
+    def edit(c):
+        c["phantom"].update(spacing_mm=spacing)
+        c["slice_axis"] = 1
+    cfg = edited_config(tmp_path, edit)
+    drawn = {"_drawn_training_subject": [], "_drawn_test_subject": []}
 
-    with mock.patch.object(simulation, "generate_phantom", side_effect=record):
+    def spy(name):
+        real = getattr(simulation, name)
+
+        def record(*args):
+            drawn[name].append(real(*args))
+            return drawn[name][-1]
+        return mock.patch.object(simulation, name, side_effect=record)
+
+    with spy("_drawn_training_subject"), spy("_drawn_test_subject"):
         run_experiment(parse_experiment(json.load(open(cfg, encoding="utf-8"))))
     assert main(["phantom", cfg, "--out-dir", str(tmp_path / "suite")]) == 0
-    stems = ["train_00", "train_01", "test_00", "test_01"]
-    assert len(generated) == len(stems)
-    for stem, (vol, lab) in zip(stems, generated):
+    files = [(f"train_{i:02d}", s) for i, s in enumerate(drawn["_drawn_training_subject"])] \
+        + [(f"test_{i:02d}", s) for i, s in enumerate(drawn["_drawn_test_subject"])]
+    assert [stem for stem, _ in files] == ["train_00", "train_01", "test_00", "test_01"]
+    for stem, subject in files:
         label_path = str(tmp_path / "suite" / f"{stem}_labels.ctv.json")
         written = load_volume(str(tmp_path / "suite" / f"{stem}_image.ctv.json"))
         labels = load_label_volume(label_path)
-        assert written.voxels.dtype == vol.voxels.dtype
-        assert written.voxels.tobytes() == vol.voxels.tobytes()
-        assert labels.voxels.tobytes() == lab.voxels.tobytes()
-        assert labels.label_names == lab.label_names
-        assert list(written.spacing) == list(vol.spacing) == spacing
+        assert written.voxels.dtype == np.float32
+        reduced = (simulation._training_subject(written, labels, 1) if stem.startswith("train")
+                   else simulation._test_subject(written, labels))
+        assert subject.label_names == reduced.label_names == labels.label_names
+        assert subject.planes == reduced.planes
+        assert list(subject.values) == list(reduced.values)
+        for lid, values in subject.values.items():
+            assert values.dtype == np.float32
+            assert values.tobytes() == reduced.values[lid].tobytes()
+        if stem.startswith("train"):
+            assert list(subject.plane_counts) == list(reduced.plane_counts)
+            for lid, counts in subject.plane_counts.items():
+                assert counts.tolist() == reduced.plane_counts[lid].tolist()
+        assert list(written.spacing) == spacing
         assert json.load(open(label_path, encoding="utf-8"))["spacing_mm"] == spacing
 
 

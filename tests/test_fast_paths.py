@@ -24,18 +24,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dice_from_counts, full_volume_phantom, scipy_augment_pair
 
-from ctwindow import augmentation
+from ctwindow import _kernels, augmentation
 from ctwindow.augmentation import AugmentConfig, augment_pair
 from ctwindow.metrics import dice_table
 from ctwindow._kernels import SLAB
-from ctwindow.simulation import (OrganSpec, PhantomConfig, _draw_normal,
-                                 _test_subject, _tiled_percentile, _training_subject,
-                                 generate_phantom, reference_experiment)
+from ctwindow.simulation import (OrganSpec, PhantomConfig, _draw_normal, _drawn_test_subject,
+                                 _drawn_training_subject, _layout, _test_subject,
+                                 _tiled_percentile, _training_subject, generate_phantom,
+                                 reference_experiment)
 from ctwindow.volume import CtVolume, LabelVolume, Slice2D
 
 PERCENTILES = st.one_of(st.just(0.0), st.just(100.0), st.floats(0.0, 100.0))
@@ -168,6 +169,80 @@ def test_sub_voxel_edge_and_overlapping_organs():
     assert lab.voxels[0, 6, 2] == 2 and lab.voxels[2, 9, 2] == 2
     overlap = replace(cfg, organs=organs + [OrganSpec(3, "over", (3, 6, 2), (2, 2, 2), 0, 0)])
     assert assert_phantoms_match(overlap) == "overlap"
+
+
+@st.composite
+def drawn_configs(draw):
+    """Small phantoms with zero or nonzero noise, some organs covering no grid point."""
+    dims = tuple(draw(st.integers(2, 12)) for _ in range(3))
+    noise = st.one_of(st.just(0.0), st.floats(0.0, 30.0))
+    organs = []
+    for label_id in draw(st.lists(st.integers(1, 255), max_size=3, unique=True)):
+        center, radii = zip(*(draw(axis_extent(d)) for d in dims))
+        organs.append(OrganSpec(label_id, f"organ_{label_id}", center, radii,
+                                draw(st.floats(-200.0, 300.0)), draw(noise)))
+    try:
+        return PhantomConfig(dims=dims, organs=organs, background_noise_std=draw(noise),
+                             seed=draw(st.integers(0, 2 ** 32 - 1)))
+    except ValueError:  # rounding put an ellipsoid a hair outside dims
+        assume(False)
+
+
+def assert_same_subject(got, expected):
+    assert got.label_names == expected.label_names
+    assert got.planes == expected.planes
+    assert list(got.values) == list(expected.values)
+    for lid, values in got.values.items():
+        assert values.dtype == expected.values[lid].dtype == np.float32
+        assert values.tobytes() == expected.values[lid].tobytes()
+    if expected.plane_counts is None:
+        assert got.plane_counts is None
+    else:
+        assert list(got.plane_counts) == list(expected.plane_counts)
+        for lid, counts in got.plane_counts.items():
+            assert counts.dtype == expected.plane_counts[lid].dtype
+            assert counts.tolist() == expected.plane_counts[lid].tolist()
+
+
+def assert_drawn_subjects_match(cfg):
+    """The subjects from the draws against the reductions of ``generate_phantom``'s pair."""
+    with np.errstate(over="ignore"):  # a subnormal radius squares its terms to inf
+        try:
+            pair = generate_phantom(cfg)
+        except ValueError as exc:  # overlapping organs fail in the layout, before any draw
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                _layout(cfg)
+            return "overlap"
+        layout = _layout(cfg)
+    assert_same_subject(_drawn_test_subject(cfg, *layout, cfg.seed), _test_subject(*pair))
+    for slice_axis in (0, 1, 2):
+        assert_same_subject(_drawn_training_subject(cfg, *layout[1:], cfg.seed, slice_axis),
+                            _training_subject(*pair, slice_axis))
+    return "ok"
+
+
+EMPTY_BOX_NO_NOISE = PhantomConfig(
+    dims=(9, 7, 6), organs=[OrganSpec(4, "speck", (3.5, 3.5, 2.5), (0.3, 0.3, 0.3), 40.0, 5.0),
+                            OrganSpec(2, "slab", (4.0, 3.0, 2.5), (3.0, 2.0, 1.5), 80.0, 0.0)],
+    background_noise_std=0.0, seed=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=drawn_configs(), slab=st.sampled_from([5, 64, SLAB]))
+@example(cfg=EMPTY_BOX_NO_NOISE, slab=7)
+@example(cfg=replace(EMPTY_BOX_NO_NOISE, background_noise_std=12.0), slab=SLAB)
+def test_subjects_from_the_draws_equal_the_reduced_phantoms(cfg, slab):
+    """For every slice axis, bit for bit, with the background drawn in slabs of a few voxels
+    (a partial last one included) or whole."""
+    with mock.patch.object(_kernels, "SLAB", slab):
+        assert_drawn_subjects_match(cfg)
+
+
+def test_subjects_from_the_draws_of_phantoms_larger_than_a_slab():
+    phantom = reference_experiment().phantom
+    assert phantom.dims[0] * phantom.dims[1] * phantom.dims[2] % SLAB  # a partial last slab
+    for seed in range(2):
+        assert assert_drawn_subjects_match(replace(phantom, seed=seed)) == "ok"
 
 
 @settings(max_examples=100, deadline=None)

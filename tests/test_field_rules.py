@@ -7,12 +7,15 @@ their rules from ``ctwindow._checks``.
 import numpy as np
 import pytest
 
-from ctwindow import (CtVolume, DiceRecord, LabelVolume, WindowSpec, compare_methods,
-                      derive_seed, extract_slice, multi_label_dice, stack_slices,
-                      strategy_window, write_comparison_metadata)
+from ctwindow import (Band, BandSegmenter, CtVolume, DiceRecord, LabelVolume, WindowSpec,
+                      compare_methods, derive_seed, extract_slice, fit_band_segmenter,
+                      multi_label_dice, run_shift_sweep, stack_slices, strategy_window,
+                      write_comparison_metadata)
 
 VOLUME = CtVolume(np.zeros((2, 3, 4), dtype=np.int16))
 LABELS = LabelVolume(np.zeros((2, 2, 2), dtype=np.uint8))
+PAIR = (VOLUME, LabelVolume(np.ones((2, 3, 4), dtype=np.uint8)))
+SEG = BandSegmenter([Band(1, 0.0, 10.0)])
 TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
           for m, d in (("A", 0.0), ("B", 0.1))}
 
@@ -43,14 +46,28 @@ TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
     (lambda: derive_seed(7.9), "^base_seed: expected a whole number >= 0, got 7.9$"),
     (lambda: derive_seed(7, 0.5, 1), "^key: expected a whole number >= 0, got 0.5$"),
     (lambda: derive_seed(-1), "^base_seed: expected a whole number >= 0, got -1$"),
+    # True fitted along axis 1, -1 along axis 2, and 5 raised NumPy's AxisError
+    (lambda: fit_band_segmenter([PAIR], "STN", slice_axis=True),
+     "^slice_axis: expected a whole number in 0..2, got True$"),
+    # written as the rows' strategy, 5
+    (lambda: run_shift_sweep(SEG, [PAIR], "STN", [0], strategy_label=5),
+     "^strategy_label: expected a string, got 5$"),
 ], ids=["strategy_window-mode", "DiceRecord-label_name", "DiceRecord-subject_id",
         "multi_label_dice-subject_id", "compare_methods-alpha", "compare_methods-reference",
         "compare_methods-m", "WindowSpec-str-level", "WindowSpec-bool-level",
         "WindowSpec-bool-half_width", "extract_slice-axis",
-        "extract_slice-index", "derive_seed-fraction", "derive_seed-key", "derive_seed-negative"])
+        "extract_slice-index", "derive_seed-fraction", "derive_seed-key", "derive_seed-negative",
+        "fit_band_segmenter-slice_axis", "run_shift_sweep-strategy_label"])
 def test_bad_api_fields_are_value_errors_naming_the_field(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_an_empty_strategy_label_names_the_rows():
+    # "" fell back to the strategy name, as None does
+    assert {row.strategy for row in run_shift_sweep(SEG, [PAIR], "STN", [0],
+                                                    strategy_label="")} == {""}
+    assert {row.strategy for row in run_shift_sweep(SEG, [PAIR], "STN", [0])} == {"STN"}
 
 
 def test_stack_slices_takes_a_whole_float_axis_like_a_config_field():

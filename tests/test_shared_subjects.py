@@ -1,15 +1,17 @@
-"""``run_experiment`` prepares each phantom once for every strategy and keeps no phantom.
+"""``run_experiment`` builds each subject from its phantom's draws and keeps no phantom.
 
-Each phantom becomes one prepared subject: each label's voxel values,
-gathered once from the ids its ``LabelVolume`` found, in plane order with
-per-plane counts for a training phantom (``_training_subject``) and sorted
-for a test phantom (``_test_subject``). Every strategy's fit and sweep read
-those. These tests check that this gives the rows and bands of separate
-calls on the phantoms themselves, that each phantom's labels are scanned
-for ids once, that a prepared subject fits and sweeps like its pair, that
-labels counted across several slabs sweep like the oracle, that the run's memory peak stays well below the bytes of its phantoms, and that the
-fit windows each label once per pass and holds little more than one label's
-pool at a time.
+No phantom volume is built: a training subject holds each label's voxel
+values in plane order with per-plane counts (what ``_training_subject``
+gathers from a phantom), and a test subject each label's sorted values
+(what ``_test_subject`` gathers). Every strategy's fit and sweep read those.
+These tests check that this gives the rows and bands of separate calls on
+the phantoms themselves, that no phantom's labels are built or scanned for
+ids, that every strategy is fitted before any test subject is drawn, that a
+prepared subject fits and sweeps like its pair, that labels counted across
+several slabs sweep like the oracle, that the run's memory peak stays well
+below the bytes of its phantoms and within what its fit or its test suite
+needs, and that the fit windows each label once per pass and holds little
+more than one label's pool at a time.
 """
 
 import tracemalloc
@@ -35,7 +37,7 @@ def phantoms(cfg, kind, count):
 
 
 @pytest.mark.parametrize("tie_break", ["lowest_id", "nearest_center"])
-@pytest.mark.parametrize("slice_axis", [0, 2])
+@pytest.mark.parametrize("slice_axis", [0, 1, 2])
 def test_run_experiment_equals_separate_calls_on_the_phantoms(slice_axis, tie_break):
     cfg = reference_experiment()
     cfg = replace(cfg, n_train=2, n_test=3, shifts=[-200, -25, 0, 50, 300],
@@ -55,13 +57,47 @@ def test_run_experiment_equals_separate_calls_on_the_phantoms(slice_axis, tie_br
     assert rows == expected
 
 
-def test_run_experiment_scans_each_phantom_for_its_ids_once():
-    """``LabelVolume`` scans a phantom's labels as it is built; no reduction scans them again."""
+def test_run_experiment_scans_no_phantom_for_its_ids():
+    """The subjects come from the draws, so no phantom's labels are built or scanned for ids."""
     cfg = replace(reference_experiment(), n_train=2, n_test=3, shifts=[-25, 0])
     assert not hasattr(simulation, "label_counts")  # so the spy below sees every scan
     with mock.patch.object(volume, "label_counts", side_effect=volume.label_counts) as scans:
         run_experiment(cfg)
-    assert scans.call_count == cfg.n_train + cfg.n_test
+    assert scans.call_count == 0
+
+
+def test_run_experiment_fits_every_strategy_before_it_draws_a_test_phantom():
+    """One fit and one sweep per strategy, in config order, with the positional arguments
+    ``(training, strategy)`` and ``(seg, test, strategy, shifts)``; the test subjects are
+    drawn after the last fit."""
+    cfg = reference_experiment()
+    cfg = replace(cfg, n_train=2, n_test=3, shifts=[-25, 0], fit=replace(cfg.fit, epochs=2))
+    events = []
+
+    def spy(name):
+        real = getattr(simulation, name)
+
+        def record(*args, **kwargs):
+            events.append((name, args))
+            return real(*args, **kwargs)
+        return mock.patch.object(simulation, name, side_effect=record)
+
+    with spy("_drawn_training_subject"), spy("fit_band_segmenter"), \
+            spy("_drawn_test_subject"), spy("run_shift_sweep"):
+        rows, segmenters = run_experiment(cfg)
+    strategies = [spec.strategy for spec in cfg.strategies]
+    assert [name for name, _ in events] == (
+        ["_drawn_training_subject"] * cfg.n_train + ["fit_band_segmenter"] * len(strategies)
+        + ["_drawn_test_subject"] * cfg.n_test + ["run_shift_sweep"] * len(strategies))
+    fits = [args for name, args in events if name == "fit_band_segmenter"]
+    sweeps = [args for name, args in events if name == "run_shift_sweep"]
+    assert [len(args[0]) for args in fits] == [cfg.n_train] * len(strategies)
+    assert [args[1] for args in fits] == strategies
+    assert [args[0] for args in sweeps] == list(segmenters.values())
+    assert [len(args[1]) for args in sweeps] == [cfg.n_test] * len(strategies)
+    assert [args[2] for args in sweeps] == strategies
+    assert all(args[3] == cfg.shifts for args in sweeps)
+    assert len(rows) == len(strategies) * len(cfg.shifts) * len(cfg.phantom.organs)
 
 
 def test_a_prepared_training_subject_fits_like_its_pair():
@@ -145,6 +181,42 @@ def test_run_experiment_keeps_no_phantom():
         tracemalloc.stop()
     # holding every phantom would take all of phantom_bytes (float32 HU + uint8 labels)
     assert peak < phantom_bytes / 2, (peak, phantom_bytes)
+
+
+def test_run_experiment_holds_the_training_suite_through_the_fits_only():
+    """No phantom is built, and the peak is that of the fits or that of the sweeps.
+
+    The fits hold the training subjects and the SWN fit's pool bound
+    (``test_the_swn_fit_holds_one_pool_per_label``). The sweeps hold the test
+    subjects, every voxel's float32 value, and one subject's build comes on top:
+    at most its float32 values again and the layout's uint8 labels. Holding
+    the test subjects through the fits breaks both bounds.
+    """
+    cfg = replace(reference_experiment(), phantom=fit_heavy_phantom(), n_test=2)
+    # a small run first, so that first-call imports do not count towards the peak
+    run_experiment(replace(cfg, phantom=reference_experiment().phantom, n_train=1, n_test=1))
+    train = [_training_subject(*experiment_phantom(cfg, 0, i), cfg.slice_axis)
+             for i in range(cfg.n_train)]
+    train_bytes = sum(a.nbytes for s in train
+                      for a in [*s.values.values(), *s.plane_counts.values()])
+    largest_pool = 4 * cfg.fit.epochs * max(
+        sum(s.values[lid].size for s in train if lid in s.values) for lid in (1, 2, 3))
+    del train
+    voxels = int(np.prod(cfg.phantom.dims))
+    fit_bound = 1.75 * largest_pool + train_bytes
+    sweep_bound = 4 * voxels * cfg.n_test + 5 * voxels
+    with mock.patch.object(simulation, "generate_phantom",
+                           side_effect=simulation.generate_phantom) as generated, \
+            mock.patch.object(LabelVolume, "__post_init__", autospec=True,
+                              side_effect=LabelVolume.__post_init__) as labelled:
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < max(fit_bound, sweep_bound), (peak, fit_bound, sweep_bound)
+    assert generated.call_count == labelled.call_count == 0
 
 
 def test_the_swn_fit_holds_one_pool_per_label():
