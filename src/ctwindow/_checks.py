@@ -56,8 +56,13 @@ def shift_grid(shifts, what="shifts"):
     A range is counted from its ends (``len()`` overflows past ``sys.maxsize``),
     so a grid over the cap fails before its list is built.
     """
-    count = (-((shifts.start - shifts.stop) // shifts.step) if isinstance(shifts, range)
-             else len(shifts))
+    if isinstance(shifts, range):
+        count = -((shifts.start - shifts.stop) // shifts.step)
+    else:
+        try:
+            count = len(shifts)
+        except TypeError:  # a number, None, a generator or a 0-d array
+            raise ValueError(f"{what}: expected a list of numbers, got {shifts!r}") from None
     if count <= 0:
         raise ValueError(f"{what}: expected a nonempty grid")
     if count > MAX_SHIFTS:

@@ -19,17 +19,17 @@ epochs). ``run_shift_sweep`` and ``run_experiment`` return lists of
 
 The fit reads a (CtVolume, LabelVolume) pair as a training subject: each
 nonzero id's float32 values in plane order along the slice axis, with its
-voxel count per plane. The sweep reads a test subject: every id's float32
-values, sorted. The ids are the ones ``LabelVolume`` found when it was
-built. Neither depends on the strategy. A phantom is a draw-free layout
-(``_layout``: labels, names, each organ's box and mask) plus its draws, so
-``run_experiment`` builds no phantom volume: it builds each subject
-straight from its phantom's draws, the same values a reduction of
-``generate_phantom``'s pair gives. It fits every strategy on the training
-subjects, drops them, then builds the test subjects and sweeps each
-strategy. The fit pools the subjects in one loop; the sweep counts them in
-one loop over subjects, and ``metrics.dice_table`` turns each subject's
-counts into dice.
+voxel count per plane (``_in_planes``). The sweep reads a test subject:
+every id's float32 values, sorted (``_sorted_subject``). The ids are the
+ones ``LabelVolume`` found when it was built. Neither depends on the
+strategy. A phantom is a draw-free layout (``_layout``: labels, names,
+each organ's box and mask) plus one seeded stream (``_draws``), which
+``generate_phantom`` (and so ``ctwindow phantom``) and ``run_experiment``
+both read. ``run_experiment`` builds no phantom volume: it builds each
+subject from its phantom's draws through the same two helpers, so it holds
+the values a reduction of ``generate_phantom``'s pair gives. The fit pools
+the subjects in one loop; the sweep counts them in one loop over subjects,
+and ``metrics.dice_table`` turns each subject's counts into dice.
 
 All randomness derives from explicit seeds. ``run_experiment`` derives
 per-subject and per-strategy streams from the experiment seed with spawn
@@ -139,18 +139,18 @@ class PhantomConfig:
 def generate_phantom(cfg):
     """Build one (CtVolume, LabelVolume) pair; deterministic under cfg.seed.
 
-    The labels come from the draw-free layout (``_layout``). The stream then
-    draws the background over the whole volume in C order, in float64 slabs
-    straight into the float32 volume (``_draw_normal``), and then each
-    organ's values in config order (``_organ_draws``), which land on its
-    mask in C order inside its box.
+    The labels come from the draw-free layout (``_layout``) and the values
+    from its stream (``_draws``): the background's at the zeros of the
+    labels, then each organ's onto its mask, in C order inside its box.
     """
+    if not isinstance(cfg, PhantomConfig):
+        raise ValueError(f"cfg: expected a PhantomConfig, got {cfg!r}")
     labels, names, organs = _layout(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    background, drawn = _draws(cfg, organs, cfg.seed, labels)
     voxels = np.empty(cfg.dims, dtype=np.float32)
-    _draw_normal(rng, cfg.background_hu, cfg.background_noise_std, voxels.reshape(-1))
-    for (_, box, mask), drawn in zip(organs, _organ_draws(rng, organs)):
-        voxels[box][mask] = drawn
+    voxels[labels == 0] = background
+    for (_, box, mask), values in zip(organs, drawn):
+        voxels[box][mask] = values
     return (CtVolume(voxels, spacing=cfg.spacing), LabelVolume(labels, label_names=names))
 
 
@@ -190,43 +190,39 @@ def _layout(cfg):
     return labels, names, organs
 
 
-def _draw_normal(rng, mean, std, out, size=None, labels=None):
-    """Fill float32 ``out`` with ``rng.normal(mean, std, size).astype(np.float32)``.
+def _draws(cfg, organs, seed, labels=None):
+    """Phantom ``seed``'s stream, the only code that opens one: ``(background, organ_values)``.
 
-    ``size`` defaults to ``out.size``. ``Generator.normal`` computes
-    ``mean + std * z`` in float64 for the stream's next standard normal z,
-    one draw after another. This draws the same z into a float64 slab of at
-    most ``_kernels.SLAB`` values at a time, multiplies and adds in place,
-    and casts the slab into ``out``, so no float64 array of the whole volume
-    is ever held. With flat ``labels`` of ``size`` voxels, only the values at
-    its zeros (a phantom's non-organ voxels) are written, packed in order.
-    With ``out`` None, the draws only move the stream past them: there is no
-    scaling and no cast.
+    ``organs`` and ``labels`` are those of ``_layout(cfg)``. It draws the
+    background over the whole volume in C order, then each organ's float32
+    values in config order, in C order inside its box. ``Generator.normal``
+    computes ``mean + std * z`` in float64 for the stream's next standard
+    normal z; the background draws the same z into float64 slabs of at most
+    ``_kernels.SLAB`` values, scales them in place and packs the values at
+    the zeros of ``labels`` (the non-organ voxels) into one float32 array,
+    so no float64 volume is held. With ``labels`` None, those draws only
+    move the stream: no scaling, no cast, and ``background`` is None.
     """
+    rng = np.random.default_rng(seed)
+    mean, std = cfg.background_hu, cfg.background_noise_std
     rng.normal(mean, std, size=0)  # its argument checks and errors, with no draw
-    size = out.size if size is None else size
+    size = math.prod(cfg.dims)
+    background = None if labels is None else np.empty(
+        size - sum(int(mask.sum()) for *_, mask in organs), dtype=np.float32)
     slab = np.empty(min(size, _kernels.SLAB))
     written = 0
     for start in range(0, size, _kernels.SLAB):
         part = slab[:size - start]
         rng.standard_normal(out=part)
-        if out is None:
+        if background is None:
             continue
         part *= std
         part += mean
-        if labels is not None:
-            part = part[labels[start:start + part.size] == 0]
-        out[written:written + part.size] = part
+        part = part[labels.reshape(-1)[start:start + part.size] == 0]
+        background[written:written + part.size] = part
         written += part.size
-
-
-def _organ_draws(rng, organs):
-    """Each organ's float32 values, in config order and in C order inside its box.
-
-    They are drawn after the background, as ``generate_phantom`` draws them.
-    """
-    return [rng.normal(organ.mean_hu, organ.noise_std, size=int(mask.sum())).astype(np.float32)
-            for organ, _, mask in organs]
+    return background, [rng.normal(organ.mean_hu, organ.noise_std, size=int(mask.sum()))
+                        .astype(np.float32) for organ, _, mask in organs]
 
 
 @dataclass
@@ -291,10 +287,11 @@ def fit_band_segmenter(training, strategy, swn=None, fit=None, slice_axis=2):
     ``FitParams()``, 12 epochs.
 
     ``training`` holds (CtVolume, LabelVolume) pairs, reduced on entry
-    (``_training_subject``), or subjects ``run_experiment`` built once for
-    every strategy from the phantom draws; either way it holds each nonzero
-    id's voxel values as float32, plane by plane along the slice axis, with
-    their per-plane counts. Windowing is exact on them: the kernel windows
+    (``_training_subject``; a malformed entry is a ValueError naming it), or
+    subjects ``run_experiment`` built once for every strategy from the
+    phantom draws; either way it holds each nonzero id's voxel values as
+    float32, plane by plane along the slice axis, with their per-plane
+    counts. Windowing is exact on them: the kernel windows
     each value on its own, and ``np.percentile`` depends only on the
     multiset of pooled values. STN and WIR make one pass, since every epoch
     would add the same values again, and ``_tiled_percentile`` reads
@@ -317,8 +314,9 @@ def fit_band_segmenter(training, strategy, swn=None, fit=None, slice_axis=2):
 
     window = strategy_window(strategy, "train")
     sampler = WindowSampler(swn) if window is None else None
-    subjects = [s if isinstance(s, _Subject) else _training_subject(*s, slice_axis)
-                for s in training]
+    subjects = [s if isinstance(s, _Subject)
+                else _training_subject(*_pair(s, f"training[{i}]"), slice_axis)
+                for i, s in enumerate(training)]
     label_ids = sorted({lid for s in subjects for lid in s.label_names if lid != 0})
     if not label_ids:
         raise ValueError("training labels contain no nonzero ids")
@@ -408,89 +406,82 @@ class _Subject:
     planes: int = 0  # training only
 
 
-def _check_dims(vol, lab):
-    if vol.dims != lab.dims:
-        raise ValueError(f"volume/label dims mismatch: {vol.dims} vs {lab.dims}")
+def _pair(entry, what):
+    """``entry`` if it is a (CtVolume, LabelVolume) pair of equal dims, else a ValueError."""
+    if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+            and isinstance(entry[0], CtVolume) and isinstance(entry[1], LabelVolume)):
+        got = (f"({', '.join(type(e).__name__ for e in entry)})"
+               if isinstance(entry, (tuple, list)) else type(entry).__name__)
+        raise ValueError(f"{what}: expected a (CtVolume, LabelVolume) pair, got {got}")
+    if entry[0].dims != entry[1].dims:
+        raise ValueError(f"{what}: volume/label dims mismatch: {entry[0].dims} vs {entry[1].dims}")
+    return entry
+
+
+def _in_planes(voxels, mask, slice_axis):
+    """The float32 values at ``mask`` in plane order along ``slice_axis``, and its plane counts."""
+    mask = np.moveaxis(mask, slice_axis, 0)
+    values = np.moveaxis(voxels, slice_axis, 0)[mask].astype(np.float32, copy=False)
+    return values, mask.reshape(len(mask), -1).sum(axis=1)
 
 
 def _training_subject(vol, lab, slice_axis):
-    """The float32 values of each nonzero id, in plane order along ``slice_axis``.
+    """Each nonzero id's values in plane order along ``slice_axis``, with its plane counts.
 
-    Also counts each id's voxels in every plane, so that per-plane bounds
-    repeated by these counts lie over the id's values. The labels are
-    copied into plane order once, so each id's mask is laid out plane by
-    plane and its per-plane counts are row sums.
+    The labels are copied into plane order once, so each id's mask is laid
+    out plane by plane and its per-plane counts are row sums.
     """
-    _check_dims(vol, lab)
     labels = np.ascontiguousarray(np.moveaxis(lab.voxels, slice_axis, 0))
     voxels = np.moveaxis(vol.voxels, slice_axis, 0)
     values, plane_counts = {}, {}
     for lid in lab.ids[lab.ids != 0].tolist():
-        mask = labels == lid
-        values[lid] = voxels[mask].astype(np.float32, copy=False)
-        plane_counts[lid] = mask.reshape(len(mask), -1).sum(axis=1)
+        values[lid], plane_counts[lid] = _in_planes(voxels, labels == lid, 0)
     return _Subject(lab.label_names, values, plane_counts, labels.shape[0])
-
-
-def _test_subject(vol, lab):
-    """A test pair as the sweep reads it: every id's float32 values, each sorted in place."""
-    _check_dims(vol, lab)
-    values = {}
-    for lid in lab.ids.tolist():
-        values[lid] = vol.voxels[lab.voxels == lid].astype(np.float32, copy=False)
-        values[lid].sort()
-    return _Subject(lab.label_names, values)
 
 
 def _drawn_training_subject(cfg, names, organs, seed, slice_axis):
     """``_training_subject`` of ``generate_phantom(replace(cfg, seed=seed))``, from its draws.
 
-    ``names`` and ``organs`` are those of ``_layout(cfg)``; no label volume
-    is read. The background is drawn only to move the stream past it. Each
-    organ's values are drawn in C order inside its box and laid out in plane
-    order along ``slice_axis`` through the box's mask, with the mask's count
-    in each plane. These are the voxels a pair's id mask selects, in its
-    order.
+    ``names`` and ``organs`` are those of ``_layout(cfg)``; no label volume is
+    read and no background value kept. Each organ's draws are laid onto its
+    box's mask and read back through ``_in_planes``, as a pair's id mask is.
     """
-    rng = np.random.default_rng(seed)
-    _draw_normal(rng, cfg.background_hu, cfg.background_noise_std, None, math.prod(cfg.dims))
     values, plane_counts = {}, {}
-    for (organ, box, mask), drawn in zip(organs, _organ_draws(rng, organs)):
-        if not drawn.size:
-            continue
-        in_planes = np.moveaxis(mask, slice_axis, 0)
-        if slice_axis:  # along axis 0, C order inside the box is already plane order
+    for (organ, box, mask), drawn in zip(organs, _draws(cfg, organs, seed)[1]):
+        if drawn.size:
             laid = np.empty(mask.shape, dtype=np.float32)  # only the mask's voxels are read
             laid[mask] = drawn
-            drawn = np.moveaxis(laid, slice_axis, 0)[in_planes]
-        per_plane = in_planes.reshape(len(in_planes), -1).sum(axis=1)
-        counts = np.zeros(cfg.dims[slice_axis], dtype=per_plane.dtype)
-        counts[box[slice_axis]] = per_plane
-        values[organ.label_id], plane_counts[organ.label_id] = drawn, counts
+            values[organ.label_id], per_plane = _in_planes(laid, mask, slice_axis)
+            counts = plane_counts[organ.label_id] = np.zeros(cfg.dims[slice_axis], per_plane.dtype)
+            counts[box[slice_axis]] = per_plane
     return _Subject(names, dict(sorted(values.items())), dict(sorted(plane_counts.items())),
                     cfg.dims[slice_axis])
+
+
+def _sorted_subject(names, values):
+    """A subject as the sweep reads it: each id's nonempty float32 values, sorted in place."""
+    values = {lid: v for lid, v in sorted(values.items()) if v.size}
+    for v in values.values():
+        v.sort()
+    return _Subject(names, values)
+
+
+def _test_subject(vol, lab):
+    """A test pair as the sweep reads it (``_sorted_subject``)."""
+    values = {lid: vol.voxels[lab.voxels == lid].astype(np.float32, copy=False)
+              for lid in lab.ids.tolist()}
+    return _sorted_subject(lab.label_names, values)
 
 
 def _drawn_test_subject(cfg, labels, names, organs, seed):
     """``_test_subject`` of ``generate_phantom(replace(cfg, seed=seed))``, from its draws.
 
-    ``labels``, ``names`` and ``organs`` are those of ``_layout(cfg)``. The
-    background draws at the zeros of ``labels`` are packed into one float32
-    array, and every id's values are sorted: the multisets of the phantom's
-    id masks, in their C order before the sort.
+    ``labels``, ``names`` and ``organs`` are those of ``_layout(cfg)``; the
+    draws are the multisets of the phantom's id masks.
     """
-    rng = np.random.default_rng(seed)
-    background = np.empty(labels.size - sum(int(mask.sum()) for _, _, mask in organs),
-                          dtype=np.float32)
-    _draw_normal(rng, cfg.background_hu, cfg.background_noise_std, background, labels.size,
-                 labels.reshape(-1))
-    values = {0: background} if background.size else {}
-    for (organ, _, _), drawn in zip(organs, _organ_draws(rng, organs)):
-        if drawn.size:
-            values[organ.label_id] = drawn
-    for v in values.values():
-        v.sort()
-    return _Subject(names, dict(sorted(values.items())))
+    background, drawn = _draws(cfg, organs, seed, labels)
+    values = {organ.label_id: v for (organ, _, _), v in zip(organs, drawn)}
+    return _sorted_subject(names, {0: background, **values})
 
 
 @dataclass
@@ -508,10 +499,10 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     The rows come shift by shift, label ids ascending within a shift, each
     named ``strategy_label`` (a string) or, when it is None, ``strategy``.
 
-    ``test`` holds (CtVolume, LabelVolume) pairs (``_test_subject``) or
-    subjects that ``run_experiment`` built once for every strategy from the
-    phantom draws: the label names, and the values of each id present
-    sorted as float32.
+    ``test`` holds (CtVolume, LabelVolume) pairs (``_test_subject``; a
+    malformed entry is a ValueError naming it) or subjects that
+    ``run_experiment`` built once for every strategy from the phantom draws:
+    the label names, and the values of each id present sorted as float32.
     One loop takes the subjects in turn, reducing a pair when its turn
     comes, so one pair's sorted values are held at a time. It counts each
     subject's predicted, truth and overlap voxels per (shift, id) at the
@@ -535,6 +526,8 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     a run of their own. ``_sorted_counts`` then counts each label's sorted
     values in each run with ``np.searchsorted``.
     """
+    if not isinstance(seg, BandSegmenter):
+        raise ValueError(f"seg: expected a BandSegmenter, got {seg!r}")
     if not test:
         raise ValueError("test set must be nonempty")
     shifts = shift_grid(shifts)
@@ -545,9 +538,9 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
 
     label_names = {}
     tables = []
-    for subject in test:
+    for i, subject in enumerate(test):
         if not isinstance(subject, _Subject):
-            subject = _test_subject(*subject)
+            subject = _test_subject(*_pair(subject, f"test[{i}]"))
         for lid, name in subject.label_names.items():
             if lid != 0:
                 label_names.setdefault(lid, name)
@@ -729,18 +722,16 @@ def run_experiment(cfg):
     and the fitted segmenters keyed by strategy label.
 
     No phantom volume is built. Every phantom of the config shares one
-    draw-free layout (``_layout``), and each subject is built straight from
-    its phantom's draws: a training subject holds each organ's values in
-    plane order along ``cfg.slice_axis`` with their per-plane counts
-    (``_drawn_training_subject``), and a test subject each id's sorted
-    values (``_drawn_test_subject``). These are the subjects
-    ``_training_subject`` and ``_test_subject`` reduce from the phantoms
-    of ``experiment_phantom``, so the rows and bands are those of calls on
-    the phantoms themselves. The training subjects are held only through
-    the fits: every strategy is fitted, the training subjects are dropped,
-    and only then are the test subjects built and each strategy swept.
-    Each phantom has its own seed, so the order they are drawn in changes
-    no byte.
+    draw-free layout (``_layout``), and each subject is built from its
+    phantom's stream (``_draws``): a training subject holds each organ's
+    values in plane order along ``cfg.slice_axis`` with their per-plane
+    counts (``_drawn_training_subject``), a test subject each id's sorted
+    values (``_drawn_test_subject``). These are the subjects that
+    ``_training_subject`` and ``_test_subject`` reduce from the phantoms of
+    ``experiment_phantom``, so the rows and bands are those of calls on the
+    phantoms. Every strategy is fitted and the training subjects dropped
+    before the test subjects are built. Each phantom has its own seed, so
+    the order they are drawn in changes no byte.
     """
     names, organs = _layout(cfg.phantom)[1:]  # so no label volume is held through the fits
     train = [_drawn_training_subject(cfg.phantom, names, organs, derive_seed(cfg.seed, 0, i),

@@ -3,7 +3,7 @@ and augmentation.
 
 Each shortcut is checked against the plain computation it replaces: the
 bounding-box organ masks against ``oracles.full_volume_phantom``, the slab
-background draw against one ``rng.normal`` draw cast to float32, the
+background draw of ``_draws`` against one ``rng.normal`` draw cast to float32, the
 tiled-pool percentile against ``np.percentile`` on the materialized pool,
 the fit's per-label gather of each nonzero id ``LabelVolume`` found
 against an ``np.isin`` gather over the named ids, the sweep's sorted test
@@ -33,7 +33,7 @@ from ctwindow import _kernels, augmentation
 from ctwindow.augmentation import AugmentConfig, augment_pair
 from ctwindow.metrics import dice_table
 from ctwindow._kernels import SLAB
-from ctwindow.simulation import (OrganSpec, PhantomConfig, _draw_normal, _drawn_test_subject,
+from ctwindow.simulation import (OrganSpec, PhantomConfig, _draws, _drawn_test_subject,
                                  _drawn_training_subject, _layout, _test_subject,
                                  _tiled_percentile, _training_subject, generate_phantom,
                                  reference_experiment)
@@ -76,20 +76,34 @@ def test_tiled_percentile_on_a_fit_sized_pool(copies):
 @pytest.mark.parametrize("mean, std", [(-1000.0, 15.0), (0.0, 0.0), (3.0, 1e30), (-0.0, 2.5)])
 @pytest.mark.parametrize("size", [1, SLAB - 1, SLAB + 1, 3 * SLAB + 4321])
 def test_slab_background_draw_is_one_normal_draw_cast_to_float32(mean, std, size):
-    expected_rng, rng = np.random.default_rng(size), np.random.default_rng(size)
-    expected = expected_rng.normal(mean, std, size).astype(np.float32)
-    out = np.empty(size, dtype=np.float32)
-    _draw_normal(rng, mean, std, out)
-    assert out.tobytes() == expected.tobytes()
-    assert rng.random() == expected_rng.random()  # the stream goes on where normal() left it
+    """With labels, the background is that draw at the labels' zeros; either way, the one organ
+    after it is ``rng.normal`` from where the background's ``normal()`` left the stream."""
+    cfg = PhantomConfig(dims=(size, 1, 1), organs=[], background_hu=mean,
+                        background_noise_std=std)
+    labels = np.zeros(cfg.dims, dtype=np.uint8)
+    labels.reshape(-1)[::3] = 7  # one voxel in three is the organ's, the first included
+    organs = [(OrganSpec(7, "organ", (1, 1, 1), (1, 1, 1), 40.0, 5.0), None, labels == 7)]
+    expected_rng = np.random.default_rng(size)
+    expected = expected_rng.normal(mean, std, size).astype(np.float32)[labels.reshape(-1) == 0]
+    expected_organ = expected_rng.normal(40.0, 5.0, np.count_nonzero(labels)).astype(np.float32)
+    for with_labels in (labels, None):
+        background, (organ,) = _draws(cfg, organs, size, with_labels)
+        if with_labels is None:
+            assert background is None
+        else:
+            assert background.dtype == np.float32 and background.tobytes() == expected.tobytes()
+        assert organ.dtype == np.float32 and organ.tobytes() == expected_organ.tobytes()
 
 
 @pytest.mark.parametrize("std", [-1.0, -0.0, "wide"])
 def test_slab_background_draw_rejects_what_normal_rejects(std):
     with pytest.raises(ValueError) as expected:
         np.random.default_rng(0).normal(0.0, std, 5)
-    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-        _draw_normal(np.random.default_rng(0), 0.0, std, np.empty(5, dtype=np.float32))
+    cfg = PhantomConfig(dims=(5, 1, 1), organs=[])
+    cfg.background_noise_std = std  # past the config's own check, which -0.0 passes
+    for labels in (np.zeros(cfg.dims, dtype=np.uint8), None):
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            _draws(cfg, [], 0, labels)
 
 
 def assert_phantoms_match(cfg):

@@ -7,15 +7,17 @@ their rules from ``ctwindow._checks``.
 import numpy as np
 import pytest
 
-from ctwindow import (Band, BandSegmenter, CtVolume, DiceRecord, LabelVolume, WindowSpec,
-                      compare_methods, derive_seed, extract_slice, fit_band_segmenter,
-                      multi_label_dice, run_shift_sweep, stack_slices, strategy_window,
+from ctwindow import (Band, BandSegmenter, CtVolume, DiceRecord, ExperimentConfig, LabelVolume,
+                      StrategySpec, WindowSpec, compare_methods, derive_seed, extract_slice,
+                      fit_band_segmenter, generate_phantom, multi_label_dice,
+                      reference_experiment, run_shift_sweep, stack_slices, strategy_window,
                       write_comparison_metadata)
 
 VOLUME = CtVolume(np.zeros((2, 3, 4), dtype=np.int16))
 LABELS = LabelVolume(np.zeros((2, 2, 2), dtype=np.uint8))
 PAIR = (VOLUME, LabelVolume(np.ones((2, 3, 4), dtype=np.uint8)))
 SEG = BandSegmenter([Band(1, 0.0, 10.0)])
+PAIR_OF = r"expected a \(CtVolume, LabelVolume\) pair, got "
 TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
           for m, d in (("A", 0.0), ("B", 0.1))}
 
@@ -52,12 +54,54 @@ TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
     # written as the rows' strategy, 5
     (lambda: run_shift_sweep(SEG, [PAIR], "STN", [0], strategy_label=5),
      "^strategy_label: expected a string, got 5$"),
+    # AttributeError or TypeError from the reduction of the pair, naming no entry
+    (lambda: fit_band_segmenter([PAIR, PAIR[::-1]], "STN"),
+     rf"^training\[1\]: {PAIR_OF}\(LabelVolume, CtVolume\)$"),
+    (lambda: fit_band_segmenter([(VOLUME, PAIR[1].voxels)], "STN"),
+     rf"^training\[0\]: {PAIR_OF}\(CtVolume, ndarray\)$"),
+    (lambda: fit_band_segmenter([PAIR + (1,)], "STN"),
+     rf"^training\[0\]: {PAIR_OF}\(CtVolume, LabelVolume, int\)$"),
+    (lambda: fit_band_segmenter([VOLUME], "STN"), rf"^training\[0\]: {PAIR_OF}CtVolume$"),
+    (lambda: run_shift_sweep(SEG, [PAIR[::-1]], "STN", [0]),
+     rf"^test\[0\]: {PAIR_OF}\(LabelVolume, CtVolume\)$"),
+    (lambda: run_shift_sweep(SEG, [PAIR, (VOLUME, PAIR[1].voxels)], "STN", [0]),
+     rf"^test\[1\]: {PAIR_OF}\(CtVolume, ndarray\)$"),
+    (lambda: run_shift_sweep(SEG, [PAIR + (1,)], "STN", [0]),
+     rf"^test\[0\]: {PAIR_OF}\(CtVolume, LabelVolume, int\)$"),
+    (lambda: run_shift_sweep(SEG, [VOLUME], "STN", [0]), rf"^test\[0\]: {PAIR_OF}CtVolume$"),
+    # a ValueError, but naming no entry
+    (lambda: fit_band_segmenter([PAIR, (VOLUME, LABELS)], "STN"),
+     r"^training\[1\]: volume/label dims mismatch: \(2, 3, 4\) vs \(2, 2, 2\)$"),
+    (lambda: run_shift_sweep(SEG, [(VOLUME, LABELS)], "STN", [0]),
+     r"^test\[0\]: volume/label dims mismatch: \(2, 3, 4\) vs \(2, 2, 2\)$"),
+    # AttributeError: 'NoneType' object has no attribute 'bands', and 'str' has no 'dims'
+    (lambda: run_shift_sweep(None, [PAIR], "STN", [0]),
+     "^seg: expected a BandSegmenter, got None$"),
+    (lambda: generate_phantom("x"), "^cfg: expected a PhantomConfig, got 'x'$"),
+    # TypeError: object of type 'int' has no len()
+    (lambda: ExperimentConfig(reference_experiment().phantom, [StrategySpec("STN")], shifts=5),
+     "^shifts: expected a list of numbers, got 5$"),
+    (lambda: ExperimentConfig(reference_experiment().phantom, [StrategySpec("STN")], shifts=None),
+     "^shifts: expected a list of numbers, got None$"),
+    (lambda: run_shift_sweep(SEG, [PAIR], "STN", 5),
+     "^shifts: expected a list of numbers, got 5$"),
+    (lambda: run_shift_sweep(SEG, [PAIR], "STN", (s for s in [0, 25])),
+     "^shifts: expected a list of numbers, got <generator object "),
+    (lambda: run_shift_sweep(SEG, [PAIR], "STN", np.array(25)),
+     r"^shifts: expected a list of numbers, got array\(25\)$"),
 ], ids=["strategy_window-mode", "DiceRecord-label_name", "DiceRecord-subject_id",
         "multi_label_dice-subject_id", "compare_methods-alpha", "compare_methods-reference",
         "compare_methods-m", "WindowSpec-str-level", "WindowSpec-bool-level",
         "WindowSpec-bool-half_width", "extract_slice-axis",
         "extract_slice-index", "derive_seed-fraction", "derive_seed-key", "derive_seed-negative",
-        "fit_band_segmenter-slice_axis", "run_shift_sweep-strategy_label"])
+        "fit_band_segmenter-slice_axis", "run_shift_sweep-strategy_label",
+        "fit_band_segmenter-swapped-pair", "fit_band_segmenter-label-array",
+        "fit_band_segmenter-3-tuple", "fit_band_segmenter-bare-volume",
+        "run_shift_sweep-swapped-pair", "run_shift_sweep-label-array", "run_shift_sweep-3-tuple",
+        "run_shift_sweep-bare-volume", "fit_band_segmenter-dims", "run_shift_sweep-dims",
+        "run_shift_sweep-seg", "generate_phantom-cfg", "ExperimentConfig-int-shifts",
+        "ExperimentConfig-None-shifts", "run_shift_sweep-int-shifts",
+        "run_shift_sweep-generator-shifts", "run_shift_sweep-0d-array-shifts"])
 def test_bad_api_fields_are_value_errors_naming_the_field(call, message):
     with pytest.raises(ValueError, match=message):
         call()
