@@ -23,23 +23,30 @@ voxel count per plane (``_in_planes``). The sweep reads a test subject:
 every id's float32 values, sorted (``_sorted_subject``). The ids are the
 ones ``LabelVolume`` found when it was built. Neither depends on the
 strategy. A phantom is a draw-free layout (``_layout``: labels, names,
-each organ's box and mask) plus one seeded stream (``_draws``), which
-``generate_phantom`` (and so ``ctwindow phantom``) and ``run_experiment``
-both read. ``run_experiment`` builds no phantom volume: it builds each
+each organ's box and mask) plus one seeded stream, which ``_fill`` writes
+into float32 buffers its caller allocated. ``generate_phantom`` (and so
+``ctwindow phantom``) reads it through ``_draws``, the fill into buffers of
+its own, and ``run_experiment`` through ``_fill_all``, which fills a
+suite's phantoms on ``worker_count`` threads. ``run_experiment`` builds no
+phantom volume: on the calling thread, in index order, it builds each
 subject from its phantom's draws through the same two helpers, so it holds
 the values a reduction of ``generate_phantom``'s pair gives. The fit pools
 the subjects in one loop; the sweep counts them in one loop over subjects,
-and ``metrics.dice_table`` turns each subject's counts into dice.
+and ``metrics.dice_table`` turns each subject's counts into dice. The fits
+and the sweeps run on the calling thread alone.
 
 All randomness derives from explicit seeds. ``run_experiment`` derives
 per-subject and per-strategy streams from the experiment seed with spawn
 keys (0, i) for training phantom i, (1, i) for test phantom i
 (``experiment_phantom``) and (2, j) for the window sampler of strategy j.
+Each phantom's stream and buffers are its own, so no byte depends on the
+thread count (``CTWINDOW_THREADS``) or on the order the fills finish in.
 """
 
 import csv
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,6 +63,7 @@ from .volume import extract_slice, shift_intensity, stack_slices  # noqa: F401
 from .windowing import normalize_for_testing, normalize_for_training  # noqa: F401
 
 SWEEP_CSV_COLUMNS = ("shift_hu", "strategy", "label_id", "label_name", "mean_dice")
+DRAW_SLAB = 1 << 14  # float64 values a phantom fill draws at a time: 128 KiB per fill thread
 
 
 def derive_seed(base_seed, *key):
@@ -65,9 +73,14 @@ def derive_seed(base_seed, *key):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-# Not called here; kept because perfbench/child.py and perfbench/tracing.py report it.
-def worker_count(n_cells):
-    """Thread count reported for ``n_cells`` sweep cells; CTWINDOW_THREADS caps it (0 = auto)."""
+def worker_count(n):
+    """Threads for ``n`` independent jobs, the calling thread included: at most ``n``.
+
+    ``CTWINDOW_THREADS`` caps the count; unset or 0 means the CPUs this
+    process may run on (``os.sched_getaffinity`` where the platform has it,
+    else ``os.cpu_count()``), so a run pinned to one CPU stays serial.
+    Anything but a whole number >= 0 is a ValueError naming the variable.
+    """
     raw = os.environ.get("CTWINDOW_THREADS", "0")
     try:
         cap = int(raw)
@@ -76,8 +89,9 @@ def worker_count(n_cells):
     if cap < 0:
         raise ValueError(f"CTWINDOW_THREADS must be >= 0, got {cap}")
     if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_cells))
+        cap = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    return max(1, min(cap, n))
 
 
 def _list_of(value, what, cls, nonempty=False):
@@ -191,27 +205,49 @@ def _layout(cfg):
 
 
 def _draws(cfg, organs, seed, labels=None):
-    """Phantom ``seed``'s stream, the only code that opens one: ``(background, organ_values)``.
+    """Phantom ``seed``'s stream: ``(background, organ_values)``, ``_fill`` into its own buffers.
 
-    ``organs`` and ``labels`` are those of ``_layout(cfg)``. It draws the
-    background over the whole volume in C order, then each organ's float32
-    values in config order, in C order inside its box. ``Generator.normal``
-    computes ``mean + std * z`` in float64 for the stream's next standard
-    normal z; the background draws the same z into float64 slabs of at most
-    ``_kernels.SLAB`` values, scales them in place and packs the values at
-    the zeros of ``labels`` (the non-organ voxels) into one float32 array,
-    so no float64 volume is held. With ``labels`` None, those draws only
-    move the stream: no scaling, no cast, and ``background`` is None.
+    ``organs`` and ``labels`` are those of ``_layout(cfg)``. ``background``
+    holds the float32 values at the zeros of ``labels`` (the non-organ
+    voxels) in C order, or is None when ``labels`` is; ``organ_values``
+    holds each organ's float32 values in config order, in C order inside
+    its box.
+    """
+    background, drawn = _buffers(cfg, organs, labels is not None)
+    _fill(cfg, organs, seed, background, drawn, labels)
+    return background, drawn
+
+
+def _buffers(cfg, organs, background):
+    """Unwritten float32 buffers for one phantom's ``_fill``; ``background`` False gives None."""
+    sizes = [int(mask.sum()) for *_, mask in organs]
+    return (np.empty(math.prod(cfg.dims) - sum(sizes), dtype=np.float32) if background else None,
+            [np.empty(size, dtype=np.float32) for size in sizes])
+
+
+def _fill(cfg, organs, seed, background, drawn, labels=None):
+    """Write phantom ``seed``'s stream into the caller's buffers; the only code that opens one.
+
+    The stream is the background over the whole volume in C order, then
+    each organ in config order, in C order inside its box. ``background``
+    and ``drawn`` are ``_buffers``; ``organs`` and ``labels`` are those of
+    ``_layout(cfg)``. ``Generator.normal`` computes ``mean + std * z`` in
+    float64 for the stream's next standard normal z. This draws the same z
+    into one float64 slab of at most ``DRAW_SLAB`` values, scales it in
+    place and casts it into the float32 buffer, so no float64 array of a
+    whole volume or organ is held; the background keeps only the values
+    at the zeros of ``labels``. With ``labels`` None, the background draws
+    only move the stream: no scaling, no cast, and ``background`` is None.
+    Each phantom's stream and buffers are its own, so phantoms may be
+    filled on different threads at once (``_fill_all``).
     """
     rng = np.random.default_rng(seed)
     mean, std = cfg.background_hu, cfg.background_noise_std
     rng.normal(mean, std, size=0)  # its argument checks and errors, with no draw
     size = math.prod(cfg.dims)
-    background = None if labels is None else np.empty(
-        size - sum(int(mask.sum()) for *_, mask in organs), dtype=np.float32)
-    slab = np.empty(min(size, _kernels.SLAB))
+    slab = np.empty(min(size, DRAW_SLAB))
     written = 0
-    for start in range(0, size, _kernels.SLAB):
+    for start in range(0, size, DRAW_SLAB):
         part = slab[:size - start]
         rng.standard_normal(out=part)
         if background is None:
@@ -221,8 +257,56 @@ def _draws(cfg, organs, seed, labels=None):
         part = part[labels.reshape(-1)[start:start + part.size] == 0]
         background[written:written + part.size] = part
         written += part.size
-    return background, [rng.normal(organ.mean_hu, organ.noise_std, size=int(mask.sum()))
-                        .astype(np.float32) for organ, _, mask in organs]
+    for (organ, _, _), out in zip(organs, drawn):
+        rng.normal(organ.mean_hu, organ.noise_std, size=0)
+        for start in range(0, out.size, DRAW_SLAB):
+            part = slab[:out.size - start]
+            rng.standard_normal(out=part)
+            part *= organ.noise_std
+            part += organ.mean_hu
+            out[start:start + part.size] = part
+
+
+def _fill_all(cfg, organs, seeds, labels):
+    """Each seed's ``_draws``, in seed order: buffers allocated here, filled on worker threads.
+
+    The fills run on ``worker_count(len(seeds))`` threads, the calling
+    thread one of them. Each thread takes the next unfilled phantom until
+    none is left, and allocates none of the buffers it writes. Every thread
+    is joined before this returns or raises. The first exception a fill
+    raises stops further fills and is re-raised here.
+    """
+    threads = worker_count(len(seeds))
+    buffers = [_buffers(cfg, organs, labels is not None) for _ in seeds]
+    pending = zip(seeds, buffers)
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        while True:
+            with lock:
+                job = None if errors else next(pending, None)
+            if job is None:
+                return
+            seed, (background, drawn) = job
+            try:
+                _fill(cfg, organs, seed, background, drawn, labels)
+            except BaseException as exc:  # re-raised in the calling thread
+                with lock:
+                    errors.append(exc)
+
+    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    try:
+        for worker in workers:
+            worker.start()
+        work()
+    finally:
+        for worker in workers:
+            if worker.ident is not None:  # started
+                worker.join()
+    if errors:
+        raise errors[0]
+    return buffers
 
 
 @dataclass
@@ -316,7 +400,7 @@ def fit_band_segmenter(training, strategy, swn=None, fit=None, slice_axis=2):
     sampler = WindowSampler(swn) if window is None else None
     subjects = [s if isinstance(s, _Subject)
                 else _training_subject(*_pair(s, f"training[{i}]"), slice_axis)
-                for i, s in enumerate(training)]
+                for i, s in _entries(training, "training")]
     label_ids = sorted({lid for s in subjects for lid in s.label_names if lid != 0})
     if not label_ids:
         raise ValueError("training labels contain no nonzero ids")
@@ -406,6 +490,15 @@ class _Subject:
     planes: int = 0  # training only
 
 
+def _entries(items, what):
+    """``enumerate(items)``, or a ValueError naming ``what`` when ``items`` is no collection."""
+    try:
+        return enumerate(items)
+    except TypeError:  # a bare CtVolume or LabelVolume, say
+        raise ValueError(f"{what}: expected a collection of (CtVolume, LabelVolume) pairs, "
+                         f"got {type(items).__name__}") from None
+
+
 def _pair(entry, what):
     """``entry`` if it is a (CtVolume, LabelVolume) pair of equal dims, else a ValueError."""
     if not (isinstance(entry, (tuple, list)) and len(entry) == 2
@@ -439,15 +532,15 @@ def _training_subject(vol, lab, slice_axis):
     return _Subject(lab.label_names, values, plane_counts, labels.shape[0])
 
 
-def _drawn_training_subject(cfg, names, organs, seed, slice_axis):
-    """``_training_subject`` of ``generate_phantom(replace(cfg, seed=seed))``, from its draws.
+def _drawn_training_subject(cfg, names, organs, drawn, slice_axis):
+    """``_training_subject`` of a phantom of ``cfg``, from its organs' ``_draws`` ``drawn``.
 
     ``names`` and ``organs`` are those of ``_layout(cfg)``; no label volume is
     read and no background value kept. Each organ's draws are laid onto its
     box's mask and read back through ``_in_planes``, as a pair's id mask is.
     """
     values, plane_counts = {}, {}
-    for (organ, box, mask), drawn in zip(organs, _draws(cfg, organs, seed)[1]):
+    for (organ, box, mask), drawn in zip(organs, drawn):
         if drawn.size:
             laid = np.empty(mask.shape, dtype=np.float32)  # only the mask's voxels are read
             laid[mask] = drawn
@@ -473,13 +566,12 @@ def _test_subject(vol, lab):
     return _sorted_subject(lab.label_names, values)
 
 
-def _drawn_test_subject(cfg, labels, names, organs, seed):
-    """``_test_subject`` of ``generate_phantom(replace(cfg, seed=seed))``, from its draws.
+def _drawn_test_subject(names, organs, background, drawn):
+    """``_test_subject`` of a phantom, from its ``_draws`` ``(background, drawn)``.
 
-    ``labels``, ``names`` and ``organs`` are those of ``_layout(cfg)``; the
-    draws are the multisets of the phantom's id masks.
+    ``names`` and ``organs`` are those of ``_layout``; the draws are the
+    multisets of the phantom's id masks, and are sorted in place.
     """
-    background, drawn = _draws(cfg, organs, seed, labels)
     values = {organ.label_id: v for (organ, _, _), v in zip(organs, drawn)}
     return _sorted_subject(names, {0: background, **values})
 
@@ -530,6 +622,7 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
         raise ValueError(f"seg: expected a BandSegmenter, got {seg!r}")
     if not test:
         raise ValueError("test set must be nonempty")
+    entries = _entries(test, "test")
     shifts = shift_grid(shifts)
     window = strategy_window(strategy, "test")
     label = strategy if strategy_label is None else text(strategy_label, "strategy_label")
@@ -538,7 +631,7 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
 
     label_names = {}
     tables = []
-    for i, subject in enumerate(test):
+    for i, subject in entries:
         if not isinstance(subject, _Subject):
             subject = _test_subject(*_pair(subject, f"test[{i}]"))
         for lid, name in subject.label_names.items():
@@ -723,19 +816,27 @@ def run_experiment(cfg):
 
     No phantom volume is built. Every phantom of the config shares one
     draw-free layout (``_layout``), and each subject is built from its
-    phantom's stream (``_draws``): a training subject holds each organ's
-    values in plane order along ``cfg.slice_axis`` with their per-plane
-    counts (``_drawn_training_subject``), a test subject each id's sorted
-    values (``_drawn_test_subject``). These are the subjects that
+    phantom's stream: a training subject holds each organ's values in plane
+    order along ``cfg.slice_axis`` with their per-plane counts
+    (``_drawn_training_subject``), a test subject each id's sorted values
+    (``_drawn_test_subject``). These are the subjects that
     ``_training_subject`` and ``_test_subject`` reduce from the phantoms of
     ``experiment_phantom``, so the rows and bands are those of calls on the
     phantoms. Every strategy is fitted and the training subjects dropped
-    before the test subjects are built. Each phantom has its own seed, so
-    the order they are drawn in changes no byte.
+    before the test phantoms are drawn.
+
+    Each suite's phantoms are drawn at once (``_fill_all``) on
+    ``worker_count(n)`` threads for its n phantoms, into buffers allocated
+    here; the subjects are then built here, in index order. Each phantom
+    has its own seed and its own buffers, so neither the thread count nor
+    the order the fills run in changes a byte.
     """
     names, organs = _layout(cfg.phantom)[1:]  # so no label volume is held through the fits
-    train = [_drawn_training_subject(cfg.phantom, names, organs, derive_seed(cfg.seed, 0, i),
-                                     cfg.slice_axis) for i in range(cfg.n_train)]
+    drawn = _fill_all(cfg.phantom, organs,
+                      [derive_seed(cfg.seed, 0, i) for i in range(cfg.n_train)], None)
+    drawn.reverse()  # popped in index order, so each phantom's draws go once its subject is built
+    train = [_drawn_training_subject(cfg.phantom, names, organs, drawn.pop()[1], cfg.slice_axis)
+             for _ in range(cfg.n_train)]
     fitted = []
     for j, spec in enumerate(cfg.strategies):
         swn = None
@@ -745,9 +846,11 @@ def run_experiment(cfg):
         fitted.append(fit_band_segmenter(train, spec.strategy, swn=swn, fit=cfg.fit,
                                          slice_axis=cfg.slice_axis))
     del train
-    labels = _layout(cfg.phantom)[0]  # only the test subjects read it
-    test = [_drawn_test_subject(cfg.phantom, labels, names, organs, derive_seed(cfg.seed, 1, i))
-            for i in range(cfg.n_test)]
+    labels = _layout(cfg.phantom)[0]  # only the test phantoms' fills read it
+    drawn = _fill_all(cfg.phantom, organs,
+                      [derive_seed(cfg.seed, 1, i) for i in range(cfg.n_test)], labels)
+    del labels
+    test = [_drawn_test_subject(names, organs, *draws) for draws in drawn]
     rows = []
     for spec, seg in zip(cfg.strategies, fitted):
         rows += run_shift_sweep(seg, test, spec.strategy, cfg.shifts, strategy_label=spec.label)

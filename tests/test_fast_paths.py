@@ -3,7 +3,7 @@ and augmentation.
 
 Each shortcut is checked against the plain computation it replaces: the
 bounding-box organ masks against ``oracles.full_volume_phantom``, the slab
-background draw of ``_draws`` against one ``rng.normal`` draw cast to float32, the
+background and organ draws of ``_draws`` against ``rng.normal`` draws cast to float32, the
 tiled-pool percentile against ``np.percentile`` on the materialized pool,
 the fit's per-label gather of each nonzero id ``LabelVolume`` found
 against an ``np.isin`` gather over the named ids, the sweep's sorted test
@@ -29,11 +29,10 @@ from hypothesis import strategies as st
 
 from oracles import dice_from_counts, full_volume_phantom, scipy_augment_pair
 
-from ctwindow import _kernels, augmentation
+from ctwindow import _kernels, augmentation, simulation
 from ctwindow.augmentation import AugmentConfig, augment_pair
 from ctwindow.metrics import dice_table
-from ctwindow._kernels import SLAB
-from ctwindow.simulation import (OrganSpec, PhantomConfig, _draws, _drawn_test_subject,
+from ctwindow.simulation import (DRAW_SLAB, OrganSpec, PhantomConfig, _draws, _drawn_test_subject,
                                  _drawn_training_subject, _layout, _test_subject,
                                  _tiled_percentile, _training_subject, generate_phantom,
                                  reference_experiment)
@@ -74,10 +73,11 @@ def test_tiled_percentile_on_a_fit_sized_pool(copies):
 
 
 @pytest.mark.parametrize("mean, std", [(-1000.0, 15.0), (0.0, 0.0), (3.0, 1e30), (-0.0, 2.5)])
-@pytest.mark.parametrize("size", [1, SLAB - 1, SLAB + 1, 3 * SLAB + 4321])
+@pytest.mark.parametrize("size", [1, 4 * DRAW_SLAB - 1, 4 * DRAW_SLAB + 1, 12 * DRAW_SLAB + 4321])
 def test_slab_background_draw_is_one_normal_draw_cast_to_float32(mean, std, size):
     """With labels, the background is that draw at the labels' zeros; either way, the one organ
-    after it is ``rng.normal`` from where the background's ``normal()`` left the stream."""
+    after it is ``rng.normal`` from where the background's ``normal()`` left the stream. Past
+    the first size, the last slab is partial and the organ's draws cross a slab boundary too."""
     cfg = PhantomConfig(dims=(size, 1, 1), organs=[], background_hu=mean,
                         background_noise_std=std)
     labels = np.zeros(cfg.dims, dtype=np.uint8)
@@ -228,9 +228,12 @@ def assert_drawn_subjects_match(cfg):
                 _layout(cfg)
             return "overlap"
         layout = _layout(cfg)
-    assert_same_subject(_drawn_test_subject(cfg, *layout, cfg.seed), _test_subject(*pair))
+    labels, names, organs = layout
+    assert_same_subject(_drawn_test_subject(names, organs, *_draws(cfg, organs, cfg.seed, labels)),
+                        _test_subject(*pair))
     for slice_axis in (0, 1, 2):
-        assert_same_subject(_drawn_training_subject(cfg, *layout[1:], cfg.seed, slice_axis),
+        drawn = _draws(cfg, organs, cfg.seed)[1]
+        assert_same_subject(_drawn_training_subject(cfg, names, organs, drawn, slice_axis),
                             _training_subject(*pair, slice_axis))
     return "ok"
 
@@ -242,21 +245,25 @@ EMPTY_BOX_NO_NOISE = PhantomConfig(
 
 
 @settings(max_examples=200, deadline=None)
-@given(cfg=drawn_configs(), slab=st.sampled_from([5, 64, SLAB]))
+@given(cfg=drawn_configs(), slab=st.sampled_from([5, 64, DRAW_SLAB]))
 @example(cfg=EMPTY_BOX_NO_NOISE, slab=7)
-@example(cfg=replace(EMPTY_BOX_NO_NOISE, background_noise_std=12.0), slab=SLAB)
+@example(cfg=replace(EMPTY_BOX_NO_NOISE, background_noise_std=12.0), slab=DRAW_SLAB)
 def test_subjects_from_the_draws_equal_the_reduced_phantoms(cfg, slab):
     """For every slice axis, bit for bit, with the background drawn in slabs of a few voxels
-    (a partial last one included) or whole."""
-    with mock.patch.object(_kernels, "SLAB", slab):
+    (a partial last one included) or whole, and the pairs' label scans in slabs of that size."""
+    with mock.patch.object(simulation, "DRAW_SLAB", slab), \
+            mock.patch.object(_kernels, "SLAB", slab):
         assert_drawn_subjects_match(cfg)
 
 
 def test_subjects_from_the_draws_of_phantoms_larger_than_a_slab():
+    """The reference phantom fills whole slabs; one plane fewer leaves a partial last one."""
     phantom = reference_experiment().phantom
-    assert phantom.dims[0] * phantom.dims[1] * phantom.dims[2] % SLAB  # a partial last slab
-    for seed in range(2):
-        assert assert_drawn_subjects_match(replace(phantom, seed=seed)) == "ok"
+    shorter = replace(phantom, dims=(*phantom.dims[:2], phantom.dims[2] - 1))
+    assert np.prod(phantom.dims) % DRAW_SLAB == 0 and np.prod(shorter.dims) % DRAW_SLAB
+    for cfg in (phantom, shorter):
+        for seed in range(2):
+            assert assert_drawn_subjects_match(replace(cfg, seed=seed)) == "ok"
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,6 +18,7 @@ LABELS = LabelVolume(np.zeros((2, 2, 2), dtype=np.uint8))
 PAIR = (VOLUME, LabelVolume(np.ones((2, 3, 4), dtype=np.uint8)))
 SEG = BandSegmenter([Band(1, 0.0, 10.0)])
 PAIR_OF = r"expected a \(CtVolume, LabelVolume\) pair, got "
+PAIRS_OF = r"expected a collection of \(CtVolume, LabelVolume\) pairs, got "
 TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
           for m, d in (("A", 0.0), ("B", 0.1))}
 
@@ -69,6 +70,11 @@ TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
     (lambda: run_shift_sweep(SEG, [PAIR + (1,)], "STN", [0]),
      rf"^test\[0\]: {PAIR_OF}\(CtVolume, LabelVolume, int\)$"),
     (lambda: run_shift_sweep(SEG, [VOLUME], "STN", [0]), rf"^test\[0\]: {PAIR_OF}CtVolume$"),
+    # TypeError: 'CtVolume' object is not iterable, naming neither set
+    (lambda: fit_band_segmenter(VOLUME, "STN"), f"^training: {PAIRS_OF}CtVolume$"),
+    (lambda: fit_band_segmenter(LABELS, "STN"), f"^training: {PAIRS_OF}LabelVolume$"),
+    (lambda: run_shift_sweep(SEG, VOLUME, "STN", [0]), f"^test: {PAIRS_OF}CtVolume$"),
+    (lambda: run_shift_sweep(SEG, LABELS, "STN", [0]), f"^test: {PAIRS_OF}LabelVolume$"),
     # a ValueError, but naming no entry
     (lambda: fit_band_segmenter([PAIR, (VOLUME, LABELS)], "STN"),
      r"^training\[1\]: volume/label dims mismatch: \(2, 3, 4\) vs \(2, 2, 2\)$"),
@@ -98,13 +104,22 @@ TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
         "fit_band_segmenter-swapped-pair", "fit_band_segmenter-label-array",
         "fit_band_segmenter-3-tuple", "fit_band_segmenter-bare-volume",
         "run_shift_sweep-swapped-pair", "run_shift_sweep-label-array", "run_shift_sweep-3-tuple",
-        "run_shift_sweep-bare-volume", "fit_band_segmenter-dims", "run_shift_sweep-dims",
+        "run_shift_sweep-bare-volume", "fit_band_segmenter-volume-as-set",
+        "fit_band_segmenter-labels-as-set", "run_shift_sweep-volume-as-set",
+        "run_shift_sweep-labels-as-set", "fit_band_segmenter-dims", "run_shift_sweep-dims",
         "run_shift_sweep-seg", "generate_phantom-cfg", "ExperimentConfig-int-shifts",
         "ExperimentConfig-None-shifts", "run_shift_sweep-int-shifts",
         "run_shift_sweep-generator-shifts", "run_shift_sweep-0d-array-shifts"])
 def test_bad_api_fields_are_value_errors_naming_the_field(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_training_and_test_sets_may_be_generators():
+    seg = fit_band_segmenter([PAIR], "STN")
+    assert fit_band_segmenter((p for p in [PAIR]), "STN").bands == seg.bands
+    assert run_shift_sweep(seg, (p for p in [PAIR, PAIR]), "STN", [0, 50]) == \
+        run_shift_sweep(seg, [PAIR, PAIR], "STN", [0, 50])
 
 
 def test_an_empty_strategy_label_names_the_rows():
