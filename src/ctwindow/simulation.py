@@ -27,7 +27,7 @@ each organ's box and mask) plus one seeded stream, which ``_fill`` writes
 into float32 buffers its caller allocated. ``generate_phantom`` (and so
 ``ctwindow phantom``) reads it through ``_draws``, the fill into buffers of
 its own, and ``run_experiment`` through ``_fill_all``, which fills a
-suite's phantoms on ``worker_count`` threads. ``run_experiment`` builds no
+suite's phantoms on ``_fill_threads`` threads. ``run_experiment`` builds no
 phantom volume: on the calling thread, in index order, it builds each
 subject from its phantom's draws through the same two helpers, so it holds
 the values a reduction of ``generate_phantom``'s pair gives. The fit pools
@@ -40,7 +40,7 @@ per-subject and per-strategy streams from the experiment seed with spawn
 keys (0, i) for training phantom i, (1, i) for test phantom i
 (``experiment_phantom``) and (2, j) for the window sampler of strategy j.
 Each phantom's stream and buffers are its own, so no byte depends on the
-thread count (``CTWINDOW_THREADS``) or on the order the fills finish in.
+thread count or on the order the fills finish in.
 """
 
 import csv
@@ -64,6 +64,10 @@ from .windowing import normalize_for_testing, normalize_for_training  # noqa: F4
 
 SWEEP_CSV_COLUMNS = ("shift_hu", "strategy", "label_id", "label_name", "mean_dice")
 DRAW_SLAB = 1 << 14  # float64 values a phantom fill draws at a time: 128 KiB per fill thread
+# Each fill thread keeps about 0.3 MiB in its own glibc malloc arena, and the
+# draws are under half of a sweep's time, so more threads add memory for
+# little time.
+MAX_FILL_THREADS = 4
 
 
 def derive_seed(base_seed, *key):
@@ -73,13 +77,25 @@ def derive_seed(base_seed, *key):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def worker_count(n):
-    """Threads for ``n`` independent jobs, the calling thread included: at most ``n``.
+def _fill_threads(n):
+    """Threads ``run_experiment`` fills ``n`` phantoms on: at most ``n`` and ``MAX_FILL_THREADS``.
 
-    ``CTWINDOW_THREADS`` caps the count; unset or 0 means the CPUs this
-    process may run on (``os.sched_getaffinity`` where the platform has it,
-    else ``os.cpu_count()``), so a run pinned to one CPU stays serial.
-    Anything but a whole number >= 0 is a ValueError naming the variable.
+    Within those, one per CPU this process may run on
+    (``os.sched_getaffinity`` where the platform has it, else
+    ``os.cpu_count()``), so a run pinned to one CPU fills on the calling
+    thread alone.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(n, cpus, MAX_FILL_THREADS))
+
+
+def worker_count(n):
+    """Thread count reported for ``n`` jobs; CTWINDOW_THREADS caps it (0 = auto).
+
+    Not called here; kept because perfbench reports it. Auto is
+    ``_fill_threads(n)``, the threads ``run_experiment`` fills ``n``
+    phantoms on; the variable changes the report and nothing else.
     """
     raw = os.environ.get("CTWINDOW_THREADS", "0")
     try:
@@ -88,10 +104,7 @@ def worker_count(n):
         raise ValueError(f"CTWINDOW_THREADS must be an integer, got {raw!r}") from None
     if cap < 0:
         raise ValueError(f"CTWINDOW_THREADS must be >= 0, got {cap}")
-    if cap == 0:
-        cap = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-    return max(1, min(cap, n))
+    return max(1, min(cap, n)) if cap else _fill_threads(n)
 
 
 def _list_of(value, what, cls, nonempty=False):
@@ -270,42 +283,38 @@ def _fill(cfg, organs, seed, background, drawn, labels=None):
 def _fill_all(cfg, organs, seeds, labels):
     """Each seed's ``_draws``, in seed order: buffers allocated here, filled on worker threads.
 
-    The fills run on ``worker_count(len(seeds))`` threads, the calling
-    thread one of them. Each thread takes the next unfilled phantom until
-    none is left, and allocates none of the buffers it writes. Every thread
-    is joined before this returns or raises. The first exception a fill
-    raises stops further fills and is re-raised here.
+    The fills run on ``_fill_threads(len(seeds))`` threads, the calling
+    thread one of them: thread t fills phantoms t, t + threads, ... and
+    allocates none of the buffers it writes. Every thread is joined before
+    this returns or raises, and the first failing thread's exception is
+    re-raised here. (``concurrent.futures.ThreadPoolExecutor`` leaves the
+    calling thread idle; on a 2-CPU Linux host ``fit_heavy`` ran about 7%
+    slower and peaked about 1 MiB higher with it.)
     """
-    threads = worker_count(len(seeds))
     buffers = [_buffers(cfg, organs, labels is not None) for _ in seeds]
-    pending = zip(seeds, buffers)
-    lock = threading.Lock()
-    errors = []
+    threads = _fill_threads(len(seeds))
+    errors = [None] * threads
 
-    def work():
-        while True:
-            with lock:
-                job = None if errors else next(pending, None)
-            if job is None:
-                return
-            seed, (background, drawn) = job
-            try:
+    def work(t):
+        try:
+            for seed, (background, drawn) in zip(seeds[t::threads], buffers[t::threads]):
                 _fill(cfg, organs, seed, background, drawn, labels)
-            except BaseException as exc:  # re-raised in the calling thread
-                with lock:
-                    errors.append(exc)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors[t] = exc
 
-    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    workers = []
     try:
-        for worker in workers:
+        for t in range(1, threads):
+            worker = threading.Thread(target=work, args=(t,))
             worker.start()
-        work()
+            workers.append(worker)
+        work(0)
     finally:
         for worker in workers:
-            if worker.ident is not None:  # started
-                worker.join()
-    if errors:
-        raise errors[0]
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return buffers
 
 
@@ -826,7 +835,7 @@ def run_experiment(cfg):
     before the test phantoms are drawn.
 
     Each suite's phantoms are drawn at once (``_fill_all``) on
-    ``worker_count(n)`` threads for its n phantoms, into buffers allocated
+    ``_fill_threads(n)`` threads for its n phantoms, into buffers allocated
     here; the subjects are then built here, in index order. Each phantom
     has its own seed and its own buffers, so neither the thread count nor
     the order the fills run in changes a byte.

@@ -1,15 +1,17 @@
 """``run_experiment`` draws each suite's phantoms on worker threads, into buffers it allocates.
 
 Each phantom has its own seed and its own buffers, so the rows and bands must
-not depend on ``CTWINDOW_THREADS``. These tests check that against the serial
+not depend on the thread count, which follows the CPUs the process may run
+on. These tests check the count, and the rows and bands against the serial
 path over slice axes, suite sizes and seeds; that two fills really run at
-once; that many threads switching often fill each phantom once; that the buffers are allocated and the subjects built on the calling
-thread; that a failing fill is re-raised in the caller with every thread
-joined; and that a bad ``CTWINDOW_THREADS`` or a fill out of memory ends
-``ctwindow sweep`` in one error line.
+once; that many threads switching often fill each phantom once; that the
+buffers are allocated and the subjects built on the calling thread; that a
+failing fill is re-raised in the caller with every thread joined; and that a
+fill out of memory ends ``ctwindow sweep`` in one error line.
 """
 
 import json
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -30,8 +32,13 @@ SMALL_SWEEP = {
     "strategies": [{"strategy": "STN"}], "shifts": [-50, 0, 50]}
 
 
-def run(monkeypatch, threads, cfg):
-    monkeypatch.setenv("CTWINDOW_THREADS", threads)
+def pin(monkeypatch, cpus):
+    """Let the process run on ``cpus`` CPUs, as ``taskset`` would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def run(monkeypatch, cpus, cfg):
+    pin(monkeypatch, cpus)
     rows, segmenters = run_experiment(cfg)
     return rows, {label: (seg.bands, seg.tie_break) for label, seg in segmenters.items()}
 
@@ -46,6 +53,33 @@ def spy(name, calls):
     return mock.patch.object(simulation, name, side_effect=record)
 
 
+def test_the_fill_thread_count(monkeypatch):
+    """One thread per CPU the process may run on, at most one per phantom and MAX_FILL_THREADS."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    pin(monkeypatch, 1)
+    assert simulation._fill_threads(10) == 1
+    pin(monkeypatch, 3)
+    assert simulation._fill_threads(10) == 3 and simulation._fill_threads(2) == 2
+    pin(monkeypatch, 64)
+    assert simulation._fill_threads(10) == simulation.MAX_FILL_THREADS == 4
+    assert simulation._fill_threads(0) == 1
+    # where the platform has no affinity call, os.cpu_count(), and 1 when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert simulation._fill_threads(10) == 4 and simulation._fill_threads(3) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulation._fill_threads(10) == 1
+
+
+def test_one_cpu_fills_on_the_calling_thread(monkeypatch):
+    pin(monkeypatch, 1)
+    fills = []
+    before = threading.active_count()
+    with spy("_fill", fills):
+        run_experiment(replace(reference_experiment(), n_train=3, n_test=2, shifts=[0]))
+    assert [thread for thread, _ in fills] == [threading.get_ident()] * 5
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize("n_train,n_test", [(5, 5), (1, 3), (3, 2)])
 @pytest.mark.parametrize("slice_axis", [0, 1, 2])
@@ -53,9 +87,9 @@ def test_rows_and_bands_do_not_depend_on_the_thread_count(monkeypatch, slice_axi
                                                            n_test, seed):
     cfg = replace(reference_experiment(seed), n_train=n_train, n_test=n_test,
                   slice_axis=slice_axis)
-    serial = run(monkeypatch, "1", cfg)
-    for threads in ("2", "3", "0"):
-        assert run(monkeypatch, threads, cfg) == serial, threads
+    serial = run(monkeypatch, 1, cfg)
+    for cpus in (2, 3, 4):
+        assert run(monkeypatch, cpus, cfg) == serial, cpus
 
 
 def test_two_fills_run_at_once_and_every_worker_is_joined(monkeypatch):
@@ -69,22 +103,23 @@ def test_two_fills_run_at_once_and_every_worker_is_joined(monkeypatch):
         barrier.wait()
         real(*args)
     cfg = replace(reference_experiment(), n_train=2, n_test=2)
-    serial = run(monkeypatch, "1", cfg)
+    serial = run(monkeypatch, 1, cfg)
     before = threading.active_count()
     with mock.patch.object(simulation, "_fill", side_effect=fill):
-        assert run(monkeypatch, "2", cfg) == serial
+        assert run(monkeypatch, 2, cfg) == serial
     assert threading.active_count() == before
     train, test = fills[:cfg.n_train], fills[cfg.n_train:]
     assert len(set(train)) == len(set(test)) == 2 and threading.get_ident() in train
 
 
 def test_many_threads_fill_every_phantom_once_with_its_serial_draws(monkeypatch):
-    """More threads than CPUs, switching every microsecond, share one queue of phantoms."""
+    """More threads than CPUs, switching every microsecond, split the phantoms between them."""
     cfg = PhantomConfig(dims=(6, 5, 4), background_noise_std=10.0,
                         organs=[OrganSpec(1, "organ", (3, 2, 2), (2, 2, 1), 40.0, 5.0)])
     labels, _, organs = simulation._layout(cfg)
     seeds = list(range(300))
-    monkeypatch.setenv("CTWINDOW_THREADS", "8")
+    pin(monkeypatch, 8)
+    monkeypatch.setattr(simulation, "MAX_FILL_THREADS", 8)
     fills = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -102,7 +137,7 @@ def test_many_threads_fill_every_phantom_once_with_its_serial_draws(monkeypatch)
 
 
 def test_the_calling_thread_allocates_the_buffers_and_builds_the_subjects(monkeypatch):
-    monkeypatch.setenv("CTWINDOW_THREADS", "3")
+    pin(monkeypatch, 3)
     cfg = replace(reference_experiment(), n_train=4, n_test=3, shifts=[0])
     allocated, fills, built = [], [], []
     with spy("_buffers", allocated), spy("_fill", fills), \
@@ -118,8 +153,8 @@ def test_the_calling_thread_allocates_the_buffers_and_builds_the_subjects(monkey
 
 
 @pytest.mark.parametrize("kind,k", [(0, 0), (0, 3), (1, 0), (1, 1)])
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_a_failing_fill_is_raised_in_the_caller_with_every_thread_joined(monkeypatch, threads,
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_failing_fill_is_raised_in_the_caller_with_every_thread_joined(monkeypatch, cpus,
                                                                          kind, k):
     cfg = replace(reference_experiment(), n_train=5, n_test=2, shifts=[0])
     bad = derive_seed(cfg.seed, kind, k)
@@ -129,25 +164,12 @@ def test_a_failing_fill_is_raised_in_the_caller_with_every_thread_joined(monkeyp
         if seed == bad:
             raise RuntimeError(f"no draws for phantom ({kind}, {k})")
         real(phantom, organs, seed, *buffers)
-    monkeypatch.setenv("CTWINDOW_THREADS", threads)
+    pin(monkeypatch, cpus)
     before = threading.active_count()
     with mock.patch.object(simulation, "_fill", side_effect=fill), \
             pytest.raises(RuntimeError, match=rf"^no draws for phantom \({kind}, {k}\)$"):
         run_experiment(cfg)
     assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("value,message", [("lots", "must be an integer, got 'lots'"),
-                                           ("-3", "must be >= 0, got -3")])
-def test_a_bad_thread_count_is_one_error_line(tmp_path, capsys, monkeypatch, value, message):
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps(SMALL_SWEEP))
-    monkeypatch.setenv("CTWINDOW_THREADS", value)
-    fills = []
-    with spy("_fill", fills):
-        assert main(["sweep", str(config), "-o", str(tmp_path / "sweep.csv")]) == 1
-    assert capsys.readouterr().err == f"ctwindow: error: CTWINDOW_THREADS {message}\n"
-    assert fills == [] and not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("kind", [0, 1])
@@ -161,7 +183,7 @@ def test_a_fill_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, k
         if seed == bad:
             raise MemoryError("Unable to allocate 128. KiB for an array")
         real(phantom, organs, seed, *buffers)
-    monkeypatch.setenv("CTWINDOW_THREADS", "2")
+    pin(monkeypatch, 2)
     before = threading.active_count()
     with mock.patch.object(simulation, "_fill", side_effect=fill):
         assert main(["sweep", str(config), "-o", str(tmp_path / "sweep.csv")]) == 1

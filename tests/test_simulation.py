@@ -240,19 +240,13 @@ def test_worker_count_env(monkeypatch):
     assert worker_count(1) == 1
     monkeypatch.setenv("CTWINDOW_THREADS", "0")
     assert worker_count(10) >= 1
-    # auto counts the CPUs this process may run on, so a run pinned to one stays serial
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    # auto reports the fill threads: the CPUs this process may run on, so a pinned run is 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert worker_count(10) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     assert worker_count(10) == 3 and worker_count(2) == 2
     monkeypatch.delenv("CTWINDOW_THREADS")
     assert worker_count(10) == 3
-    # where the platform has no affinity call, os.cpu_count(), and 1 when that is unknown
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert worker_count(10) == 8
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert worker_count(10) == 1
     monkeypatch.setenv("CTWINDOW_THREADS", "-3")
     with pytest.raises(ValueError, match="^CTWINDOW_THREADS must be >= 0, got -3$"):
         worker_count(10)
