@@ -29,6 +29,12 @@ a crop/pad, so the bytes are the same as that pipeline's:
   ``inf * 0`` gives NaN without a warning.
 * **Labels, nearest.** The source pixel is ``floor(c + 0.5)`` on each axis.
 * **No transform.** A zero angle with a zero shift copies the plane.
+
+The crops come back in the image plane's memory order. An F-contiguous
+plane, such as every plane of a loaded volume, is resampled in the
+transposed frame, so no plane is copied across its memory order; only the
+flat-index strides differ, and each pixel's arithmetic is the same.
+Labels are gathered with their own strides.
 """
 
 import math
@@ -39,7 +45,9 @@ import numpy as np
 from ._checks import FLOAT32_MAX, number, number_list
 from .volume import Slice2D
 
-CHUNK_PIXELS = 1 << 14  # crop pixels per chunk (at least one row); bounds its float64 temporaries
+# crop pixels per chunk (at least one row); sizes the chunk buffers, six float64 and two intp,
+# that each plane allocates once, next to its one float64 mirror, and reuses for every chunk
+CHUNK_PIXELS = 1 << 14
 
 
 @dataclass
@@ -98,7 +106,7 @@ def _mirror_extended(plane):
     return ext
 
 
-def _set_nan_signs(t, ext, k, weights, width):
+def _set_nan_signs(t, ext, k, weights, strides):
     """Give each NaN of the bilinear sum ``t`` the bits SciPy's running sum carries.
 
     NumPy's loops do not fix which operand's NaN an addition keeps, so the
@@ -112,11 +120,12 @@ def _set_nan_signs(t, ext, k, weights, width):
         return
     k = k.ravel()[at]
     (w0r, w1r), (w0c, w1c) = ([w.ravel()[at] for w in pair] for pair in weights)
+    s0, s1 = strides
     generated = (np.array([np.inf]) * 0.0).view(np.uint64)[0]
     bits = np.zeros(at.size, dtype=np.uint64)
     total = np.zeros(at.size)
-    for step, wr, wc in ((0, w0r, w0c), (1, w0r, w1c), (width, w1r, w0c), (width + 1, w1r, w1c)):
-        v = ext[k + step]
+    for step, wr, wc in ((0, w0r, w0c), (s1, w0r, w1c), (s0, w1r, w0c), (s0 + s1, w1r, w1c)):
+        v = np.take(ext, k + step, mode="clip")
         total += (v * wr) * wc
         first = np.isnan(total) & (bits == 0)
         bits[first] = np.where(np.isnan(v), v.view(np.uint64) | np.uint64(1 << 51),
@@ -139,45 +148,88 @@ def _outside(c0, c1, shape):
     return ~((c0 >= 0) & (c0 <= shape[0] - 1) & (c1 >= 0) & (c1 <= shape[1] - 1))
 
 
-def _bilinear(ext, width, c0, c1, outside, fill, finite):
-    """The bilinear values at ``(c0, c1)`` from the flat mirror-extended plane ``width`` wide."""
-    f0, f1 = np.floor(c0), np.floor(c1)
-    k = (f0 * width + f1).astype(np.intp)
-    if outside is not None:
-        k[outside] = 0
-    w0r, w0c = 1.0 - (c0 - f0), 1.0 - (c1 - f1)
-    w1r, w1c = 1.0 - w0r, 1.0 - w0c
-    t = ext[k] * w0r * w0c + 0.0  # the sum starts at 0.0, which turns a leading -0.0 into 0.0
-    t += ext[k + 1] * w0r * w1c
-    t += ext[k + width] * w1r * w0c
-    t += ext[k + width + 1] * w1r * w1c
+def _flat_index(k, f0, f1, strides):
+    """Write ``f0 * s0 + f1 * s1`` to the intp ``k``, overwriting the floors ``f0`` and ``f1``.
+
+    Inside the plane every step is an exact integer in float64. Outside it
+    ``k`` is whatever the cast gives, so the gathers clip their indices, and
+    the pad value then overwrites those pixels.
+    """
+    for f, s in ((f0, strides[0]), (f1, strides[1])):
+        if s != 1:
+            f *= s
+    f0 += f1
+    np.copyto(k, f0, casting="unsafe")
+
+
+def _bilinear(ext, strides, c0, c1, outside, fill, finite, out, scratch):
+    """Write the bilinear values at ``(c0, c1)`` from the flat mirror-extended plane to ``out``.
+
+    ``strides`` step ``ext`` one pixel along each plane axis. ``c0`` and
+    ``c1`` are overwritten.
+    """
+    f0, f1, t, v, k, kk = scratch
+    np.floor(c0, out=f0)
+    np.floor(c1, out=f1)
+    w0r = np.subtract(1.0, np.subtract(c0, f0, out=c0), out=c0)
+    w0c = np.subtract(1.0, np.subtract(c1, f1, out=c1), out=c1)
+    _flat_index(k, f0, f1, strides)
+    w1r = np.subtract(1.0, w0r, out=f0)
+    w1c = np.subtract(1.0, w0c, out=f1)
+    s0, s1 = strides
+    np.take(ext, k, out=t, mode="clip")
+    t *= w0r
+    t *= w0c
+    t += 0.0  # the sum starts at 0.0, which turns a leading -0.0 into 0.0
+    for step, wr, wc in ((s1, w0r, w1c), (s0, w1r, w0c), (s0 + s1, w1r, w1c)):
+        np.add(k, step, out=kk)
+        np.take(ext, kk, out=v, mode="clip")
+        v *= wr
+        v *= wc
+        t += v
     if not finite:
-        _set_nan_signs(t, ext, k, ((w0r, w1r), (w0c, w1c)), width)
+        _set_nan_signs(t, ext, k, ((w0r, w1r), (w0c, w1c)), strides)
+    out[...] = t
     if outside is not None:
-        t[outside] = fill
-    return t
+        out[outside] = fill
 
 
-def _nearest(flat, n1, c0, c1, outside, fill):
-    """The nearest values at ``(c0, c1)`` from the flat plane ``n1`` wide."""
-    k = (np.floor(c0 + 0.5) * n1 + np.floor(c1 + 0.5)).astype(np.intp)
+def _nearest(flat, strides, c0, c1, outside, fill, out, scratch):
+    """Write the nearest values at ``(c0, c1)`` from the flat plane to ``out``."""
+    f0, f1, _, _, k, _ = scratch
+    np.floor(np.add(c0, 0.5, out=f0), out=f0)
+    np.floor(np.add(c1, 0.5, out=f1), out=f1)
+    _flat_index(k, f0, f1, strides)
+    np.take(flat, k, out=out, mode="clip")
     if outside is not None:
-        k[outside] = 0
-    v = flat[k]
-    if outside is not None:
-        v[outside] = fill
-    return v
+        out[outside] = fill
+
+
+def _flat_view(a):
+    """A 1D view of the memory ``a`` spans and the element steps along its axes.
+
+    An array with a negative stride is copied to C order first.
+    """
+    if min(a.strides) < 0:
+        a = np.ascontiguousarray(a)
+    steps = [s // a.itemsize for s in a.strides]
+    span = 1 + sum((n - 1) * s for n, s in zip(a.shape, steps))
+    return np.lib.stride_tricks.as_strided(a, (span,), (a.itemsize,), writeable=False), steps
 
 
 def _moved_crop(image, labels, angle_deg, shift, starts, size, image_fill, label_fill):
     """The ``size`` window at ``starts`` of the moved image and label planes.
 
     The image is resampled bilinearly and the labels nearest-neighbor; both
-    planes have the same shape.
+    planes have the same shape. The crops come back in the image's memory
+    order; an image in neither C nor F order is copied to C first.
     """
+    if not (image.flags.c_contiguous or image.flags.f_contiguous):
+        image = np.ascontiguousarray(image)
+    order = "C" if image.flags.c_contiguous else "F"
     shape = image.shape
-    out_img = np.full(size, image_fill, dtype=image.dtype)
-    out_lab = np.full(size, label_fill, dtype=labels.dtype)
+    out_img = np.full(size, image_fill, dtype=image.dtype, order=order)
+    out_lab = np.full(size, label_fill, dtype=labels.dtype, order=order)
     # the crop pixels inside the moved plane
     lo = [max(0, -s) for s in starts]
     hi = [min(t, n - s) for t, n, s in zip(size, shape, starts)]
@@ -192,29 +244,42 @@ def _moved_crop(image, labels, angle_deg, shift, starts, size, image_fill, label
 
     rows = np.arange(lo[0] + starts[0], hi[0] + starts[0], dtype=np.float64)
     cols = np.arange(lo[1] + starts[1], hi[1] + starts[1], dtype=np.float64)
-    (row0, col0), (row1, col1) = _source_coordinates(shape, angle_deg, shift, rows, cols)
-    kept_img = out_img[lo[0]:hi[0], lo[1]:hi[1]]
-    kept_lab = out_lab[lo[0]:hi[0], lo[1]:hi[1]]
-    step = max(1, CHUNK_PIXELS // cols.size)  # whole crop rows
-    flat_lab = np.ascontiguousarray(labels).ravel()
-    # inf * 0 and signaling NaNs are part of the arithmetic, not errors
+    terms = _source_coordinates(shape, angle_deg, shift, rows, cols)
+    # the memory frame: its first axis is the plane axis with the longer stride
+    frame = (0, 1) if order == "C" else (1, 0)
+    kept_img = out_img[lo[0]:hi[0], lo[1]:hi[1]].transpose(frame)
+    kept_lab = out_lab[lo[0]:hi[0], lo[1]:hi[1]].transpose(frame)
+    (slow0, fast0), (slow1, fast1) = ((t[frame[0]], t[frame[1]]) for t in terms)
+    ext_strides = (shape[1] + 1, 1) if order == "C" else (1, shape[0] + 1)
+    flat_lab, lab_strides = _flat_view(labels)
+    n_slow, width = kept_img.shape
+    step = max(1, CHUNK_PIXELS // width)  # whole rows of the memory frame
+    pixels = min(n_slow * width, max(CHUNK_PIXELS, width))
+    buffers = [np.empty(pixels) for _ in range(6)] + [np.empty(pixels, np.intp) for _ in range(2)]
+    # inf * 0, signaling NaNs and the index casts of outside sources are part of the
+    # arithmetic, not errors
     with np.errstate(invalid="ignore", over="ignore"):
-        ext = _mirror_extended(image).ravel()
+        ext = _mirror_extended(image.transpose(frame)).ravel()
         finite = bool(np.isfinite(image).all())
-        for r in range(0, rows.size, step):
-            c0 = row0[r:r + step, None] + col0
-            c1 = row1[r:r + step, None] + col1
+        for r in range(0, n_slow, step):
+            rows_here = min(step, n_slow - r)
+            c0, c1, *scratch = (b[:rows_here * width].reshape(rows_here, width) for b in buffers)
+            # row + col is the same float as col + row, so either frame gives the same sources
+            np.add(slow0[r:r + rows_here, None], fast0, out=c0)
+            np.add(slow1[r:r + rows_here, None], fast1, out=c1)
             outside = _outside(c0, c1, shape)
-            kept_img[r:r + step] = _bilinear(ext, shape[1] + 1, c0, c1, outside, image_fill,
-                                             finite)
-            kept_lab[r:r + step] = _nearest(flat_lab, shape[1], c0, c1, outside, label_fill)
+            _nearest(flat_lab, lab_strides, c0, c1, outside, label_fill,
+                     kept_lab[r:r + rows_here], scratch)
+            _bilinear(ext, ext_strides, c0, c1, outside, image_fill, finite,
+                      kept_img[r:r + rows_here], scratch)
     return out_img, out_lab
 
 
 def augment_pair(img, lab, cfg, rng):
     """Apply one random transform to an image slice and its label slice.
 
-    Returns ``(Slice2D, uint8 array)`` with dims equal to ``cfg.crop_size``.
+    Returns ``(Slice2D, uint8 array)`` with dims equal to ``cfg.crop_size``,
+    in the image's memory order (C for an image in neither C nor F order).
     """
     lab = np.asarray(lab, dtype=np.uint8)
     if img.dims != lab.shape:

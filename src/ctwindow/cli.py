@@ -289,7 +289,9 @@ def cmd_augment(args):
     axis = args.slice_axis
     rng = np.random.default_rng(cfg.seed)
     # each plane goes straight into its output volume, laid out as stack_slices
-    # lays it: F-ordered, so saving writes the x-fastest raw file without a copy
+    # lays it: F-ordered, so saving writes the x-fastest raw file without a copy.
+    # The loaded volumes are F-ordered too, and extract_slice and augment_pair keep
+    # a plane's memory order, so no plane or crop is copied across it.
     shape = list(cfg.crop_size)
     shape.insert(axis, volume.dims[axis])
     out_img = np.empty(shape, dtype=np.float32, order="F")

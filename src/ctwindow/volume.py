@@ -228,7 +228,11 @@ def shift_intensity(volume, offset):
 
 
 def extract_slice(volume, axis, index):
-    """Pure projection of one plane, converted to float32."""
+    """Pure projection of one plane, converted to float32 in its memory order.
+
+    The copy keeps the plane's own layout, so an axis-2 plane of a loaded
+    (F-ordered) volume comes back F-contiguous, with no transposing copy.
+    """
     axis = number(axis, "axis", whole=True, lo=0, hi=2)
     index = number(index, "index", whole=True)
     n = volume.voxels.shape[axis]
@@ -236,7 +240,7 @@ def extract_slice(volume, axis, index):
         raise IndexError(f"slice index {index} out of range for axis {axis} with extent {n}")
     # a view; np.take would copy an F-ordered volume whole for every plane
     plane = np.moveaxis(volume.voxels, axis, 0)[index]
-    return Slice2D(np.ascontiguousarray(plane, dtype=np.float32))
+    return Slice2D(np.array(plane, dtype=np.float32, order="K"))
 
 
 def stack_slices(planes, axis):

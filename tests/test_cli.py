@@ -15,11 +15,11 @@ from ctwindow import simulation
 from ctwindow._checks import MAX_SHIFTS
 from ctwindow.cli import ConfigError, experiment_to_config, main, parse_experiment, parse_shifts
 from ctwindow.metrics import read_dice_csv
-from ctwindow.augmentation import AugmentConfig
+from ctwindow.augmentation import AugmentConfig, augment_pair
 from ctwindow.simulation import (ExperimentConfig, FitParams, OrganSpec, PhantomConfig,
                                  StrategySpec, reference_experiment, run_experiment)
-from ctwindow.volume import (CtVolume, LabelVolume, load_label_volume, load_volume,
-                             save_label_volume, save_volume)
+from ctwindow.volume import (CtVolume, LabelVolume, Slice2D, load_label_volume, load_volume,
+                             save_label_volume, save_volume, stack_slices)
 
 
 @pytest.fixture
@@ -375,6 +375,38 @@ def test_augment_command_identity(tmp_path, image_path):
     augmented = load_volume(out_img)
     assert np.array_equal(augmented.voxels, original.voxels.astype(np.float32))
     assert np.array_equal(load_label_volume(out_lab).voxels, labels.voxels)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+def test_augment_command_matches_augment_pair_on_c_ordered_planes(tmp_path, axis, dtype):
+    """The command resamples F-ordered planes; a loop over C-ordered copies gives its bytes."""
+    rng = np.random.default_rng(axis)
+    dims = (13, 11, 9)
+    voxels = rng.integers(-1000, 1000, dims).astype(dtype)
+    if dtype == np.float32:
+        voxels.ravel()[rng.choice(voxels.size, 60, replace=False)] = \
+            rng.choice([np.nan, np.inf, -np.inf], 60)
+    img_path, lab_path = str(tmp_path / "img.ctv.json"), str(tmp_path / "lab.ctv.json")
+    save_volume(CtVolume(voxels), img_path)
+    save_label_volume(LabelVolume(rng.integers(0, 5, dims).astype(np.uint8)), lab_path)
+    config = {"crop_size": [12, 10], "max_rotation_deg": 30.0, "max_translation": [3.0, 3.0],
+              "pad_value_image": -5.0, "pad_value_label": 7, "seed": 5}
+    (tmp_path / "aug.json").write_text(json.dumps(config))
+    out_img, out_lab = str(tmp_path / "out_img.ctv.json"), str(tmp_path / "out_lab.ctv.json")
+    assert main(["augment", img_path, lab_path, str(tmp_path / "aug.json"), "--slice-axis",
+                 str(axis), "--out-image", out_img, "--out-labels", out_lab]) == 0
+
+    image, labels = load_volume(img_path), load_label_volume(lab_path)
+    cfg, draws = AugmentConfig(**config), np.random.default_rng(config["seed"])
+    planes = [augment_pair(Slice2D(np.ascontiguousarray(np.moveaxis(image.voxels, axis, 0)[i],
+                                                        dtype=np.float32)),
+                           np.ascontiguousarray(np.moveaxis(labels.voxels, axis, 0)[i]), cfg,
+                           draws)
+              for i in range(dims[axis])]
+    assert any(np.isnan(p.values).any() for p, _ in planes) == (dtype == np.float32)
+    assert raw_bytes(out_img) == stack_slices([p.values for p, _ in planes], axis).tobytes("F")
+    assert raw_bytes(out_lab) == stack_slices([lab for _, lab in planes], axis).tobytes("F")
 
 
 @pytest.mark.parametrize("spelling", ["out.ctv.json", "sub/../out.ctv.json"])

@@ -14,7 +14,8 @@ gather against ``np.sort`` of each id's masked values, the vectorised
 behind it slab by slab), and the crop-only NumPy resampler against
 ``oracles.scipy_augment_pair`` (two full-plane
 ``scipy.ndimage.affine_transform`` passes, then a crop/pad), with chunks
-of a few pixels so that every crop spans several.
+of a few pixels so that every crop spans several, on C-ordered,
+F-ordered and negative-stride planes.
 """
 
 import re
@@ -392,13 +393,19 @@ NAN_BITS = [0x7FC00000, 0xFFC00000, 0x7FC00123, 0x7F800001]
 SPECIALS = np.concatenate([
     np.array([np.inf, -np.inf, -0.0, 3.4e38, -3.4e38, 1e-45], dtype=np.float32),
     np.array(NAN_BITS, dtype=np.uint32).view(np.float32)])
+# C order, F order, and a view with both strides negative (neither C nor F contiguous)
+LAYOUTS = [np.ascontiguousarray, np.asfortranarray,
+           lambda a: np.flip(np.ascontiguousarray(np.flip(a)))]
 # tiny shifts put source coordinates a hair past a pixel, where w1 = 1 - w0 rounds to 0
 SPANS = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.sampled_from([1e-300, 1e-17]))
 
 
 @st.composite
 def augment_cases(draw):
-    """A plane of 1-40 px a side with special voxels, its labels, a config and a draw seed."""
+    """A plane of 1-40 px a side with special voxels, its labels, a config and a draw seed.
+
+    The image and the labels are each laid out C-ordered, F-ordered or reversed.
+    """
     shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values = rng.normal(0.0, 300.0, shape).astype(np.float32)
@@ -407,8 +414,8 @@ def augment_cases(draw):
     values[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = \
         draw(st.floats(width=32))
     labels = rng.integers(0, 256, shape, dtype=np.uint8)
-    if draw(st.booleans()):
-        labels = np.asfortranarray(labels)
+    # the resampler works in the image's memory order and reads labels with their own strides
+    values, labels = (draw(st.sampled_from(LAYOUTS))(a) for a in (values, labels))
     cfg = AugmentConfig(
         crop_size=(draw(st.integers(1, 48)), draw(st.integers(1, 48))),
         max_rotation_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 180.0))),

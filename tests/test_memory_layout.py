@@ -3,7 +3,8 @@
 The kernels keep an F-ordered volume F-ordered and ravel the two label
 arrays of ``label_overlap_counts`` in one shared order ('F' when both are
 F-ordered, else 'C'), ``LabelVolume`` collects its ids in
-memory order and ``stack_slices`` builds F-ordered volumes. Each is checked
+memory order, ``extract_slice`` copies each plane in its own memory order
+and ``stack_slices`` builds F-ordered volumes. Each is checked
 here against the plain C-ordered computation, over C-ordered, F-ordered,
 strided and negative-stride inputs.
 """
@@ -101,6 +102,28 @@ def test_label_volume_ids_do_not_depend_on_layout(dims, seed, layout, top):
     labels = LabelVolume(voxels)
     assert set(labels.label_names) == set(np.unique(ids).tolist())
     assert np.array_equal(labels.voxels, ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 5)] * 3), seed=st.integers(0, 2 ** 32 - 1),
+       dtype=st.sampled_from([np.int16, np.float32]), layout=st.sampled_from(LAYOUTS),
+       axis=st.sampled_from([0, 1, 2]))
+def test_extract_slice_copies_the_plane_values(dims, seed, dtype, layout, axis):
+    rng = np.random.default_rng(seed)
+    volume = CtVolume(laid_out(rng.integers(-1000, 1000, size=dims).astype(dtype), layout))
+    for i in range(dims[axis]):
+        plane = extract_slice(volume, axis, i).values
+        assert same_bytes(plane, np.moveaxis(volume.voxels, axis, 0)[i].astype(np.float32))
+        assert not np.shares_memory(plane, volume.voxels)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+def test_extract_slice_keeps_the_planes_of_an_f_volume_f_ordered(dtype):
+    # a loaded volume is F-ordered, so its planes resample without a transposing copy
+    volume = CtVolume(np.asfortranarray(np.arange(60, dtype=dtype).reshape(5, 4, 3)))
+    for axis in (0, 1, 2):
+        for i in range(volume.dims[axis]):
+            assert f_only(extract_slice(volume, axis, i).values)
 
 
 @settings(max_examples=100, deadline=None)
