@@ -422,8 +422,11 @@ def fit_band_segmenter(training, strategy, swn=None, fit=None, slice_axis=2):
     if window is None:  # ends[p] holds the (lower, upper) of every plane of pass p
         drawn = [sampler.sample() for _ in range(passes) for s in subjects
                  for _ in range(s.planes)]
-        ends = np.array([(w.lower, w.upper) for w in drawn],
-                        dtype=np.float32).reshape(passes, -1, 2).transpose(0, 2, 1)
+        level = np.array([w.level for w in drawn])
+        half_width = np.array([w.half_width for w in drawn])
+        # WindowSpec.lower and .upper's float64 arithmetic, then rounded to float32
+        ends = np.stack([level - half_width, level + half_width]).astype(
+            np.float32).reshape(2, passes, -1).transpose(1, 0, 2)
     bands = []
     for lid in label_ids:
         values = np.concatenate([s.values[lid] for s in subjects if lid in s.values])
@@ -610,6 +613,10 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     float32 shifts, off the per-label values since dice counts do not
     depend on where a voxel is, and ``metrics.dice_table`` turns them into
     dice for all 256 ids; the nonzero named ids are selected at the end.
+    A shift's row is the float64 mean over subjects of a C-ordered
+    (subjects, ids) array, taken for every shift at once from one
+    (shifts, subjects, ids) array, so each row is summed as one call per
+    shift would sum it.
 
     The counts are exact. The test-time map
     ``n(x) = window_normalize(f32(x) + f32(shift))`` is monotone
@@ -622,10 +629,13 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     the prediction is constant on each run of voxel values between the
     points where a test switches.
     ``_run_starts`` bisects float32 order keys for those points, probing
-    with the real ``window_normalize`` and the kernels' comparisons, and
-    labels each run with ``seg.predict`` on its first value; NaN voxels are
-    a run of their own. ``_sorted_counts`` then counts each label's sorted
-    values in each run with ``np.searchsorted``.
+    with the real ``window_normalize`` and the kernels' comparisons, each
+    from a checked bracket around the window's inverse where it holds the
+    point, else over every key; ``seg.predict`` on a run's first value
+    labels the run, and NaN voxels are a run of their own.
+    ``_sorted_counts`` then cuts each label's sorted values at the run
+    starts with ``np.searchsorted`` and sums the subject's counts as whole
+    integer arrays.
     """
     if not isinstance(seg, BandSegmenter):
         raise ValueError(f"seg: expected a BandSegmenter, got {seg!r}")
@@ -649,23 +659,32 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
         tables.append(dice_table(counts_of(subject)))
 
     label_ids = sorted(label_names)
-    rows = []
-    for i, shift in enumerate(shifts):
-        means = np.array([table[i, label_ids] for table in tables]).mean(axis=0)
-        for lid, mean in zip(label_ids, means):
-            rows.append(SweepRow(shift, label, lid, label_names[lid],
-                                 float(mean)))
-    return rows
+    # Copied to (shifts, subjects, ids) in C order, so each shift's block is the
+    # C-ordered (subjects, ids) array that one mean per shift would sum: NumPy sums
+    # the rows of such an array in turn, but a single column of 8 or more pairwise.
+    scores = np.array([table[:, label_ids] for table in tables])
+    means = np.ascontiguousarray(scores.transpose(1, 0, 2)).mean(axis=1)
+    return [SweepRow(shift, label, lid, label_names[lid], mean)
+            for shift, row in zip(shifts, means.tolist()) for lid, mean in zip(label_ids, row)]
 
 
 _NEG_INF_KEY = 0x007FFFFF  # order key of float32 -inf
 _POS_INF_KEY = 0xFF800000  # order key of float32 +inf
+# Float32 ulps either side of a run-start search's guess that its first bracket reaches
+# (see ``_run_starts``), taken at the largest magnitude the search's arithmetic meets.
+_BRACKET_ULPS = 16
 
 
 def _key_values(keys):
     """float32 values of uint32 order keys, which sort like the values (-0.0 before 0.0)."""
     keys = np.asarray(keys, dtype=np.uint32)
     return np.where(keys & 0x80000000, keys & 0x7FFFFFFF, ~keys).view(np.float32)
+
+
+def _value_keys(values):
+    """uint32 order keys of float32 values, the inverse of ``_key_values``."""
+    bits = np.asarray(values, dtype=np.float32).view(np.uint32)
+    return np.where(bits & 0x80000000, ~bits, bits | 0x80000000)
 
 
 def _thresholds(seg):
@@ -689,20 +708,55 @@ def _thresholds(seg):
 def _run_starts(seg, window, shift32):
     """Per shift, the first values of the runs on which the prediction is constant.
 
-    Returns float32 (shifts, tests + 2), each row ascending: -inf, then the
-    smallest value at which each test switches (NaN for a test that never
-    does), then NaN, which starts the run of NaN voxels.
+    ``shift32`` is a float32 column of shifts. Returns float32 (shifts,
+    tests + 2), each row ascending: -inf, then the smallest value at which
+    each test switches (NaN for a test that never does), then NaN, which
+    starts the run of NaN voxels.
+
+    A test holds at a float32 order key where the real ``window_normalize``
+    of the key's value plus the shift passes the kernels' comparison
+    (``holds``). That is monotone in the key, so bisecting any bracket that
+    fails at its lower key and holds at its upper key ends on the first key
+    that holds, whatever the bracket. Each (shift, test) starts from a
+    guess, the window's float64 inverse ``x0 = f32(lower + at * (upper -
+    lower) / 255 - shift)``, and a bracket ``_BRACKET_ULPS`` float32 ulps
+    either side of it, the ulps taken at the largest magnitude among that
+    HU value, the shift and the window's ends, which bounds the rounding of
+    the kernel's float32 steps. One probe reads both ends of every bracket
+    and the full key range [-inf, +inf]. A bracket is kept where it fails
+    at its lower end and holds at its upper end; every other (shift, test)
+    that switches over the full range is bisected over all of it. A guess
+    on the float32 plateau near x = 0, where ``x + shift`` rounds to the
+    shift, reaches across 0.0 and so over most keys: it takes about as
+    many steps as the full range. A test that never switches is closed at
+    once, on the keys of -inf and -FLT_MAX, so it is probed at -inf alone;
+    probes near +-FLT_MAX would overflow ``x + shift`` for shifts of 1e31
+    and more. The bisection runs until every bracket is one key wide.
     """
     at, above = _thresholds(seg)
+    lower, upper = window.lower, window.upper
 
     def holds(keys):
-        n = _kernels.window_normalize(_key_values(keys) + shift32, window.lower, window.upper)
+        n = _kernels.window_normalize(_key_values(keys) + shift32, lower, upper)
         return np.where(above, n > at, n >= at)
 
-    lo = np.full((shift32.shape[0], at.size), _NEG_INF_KEY, dtype=np.int64)
-    hi = np.full_like(lo, _POS_INF_KEY)
-    switches = holds(hi) & ~holds(lo)
-    for _ in range(32):  # where a test switches, false at lo and true at hi; ends hi - lo == 1
+    hu = lower + at * (upper - lower) / 255.0
+    shift = shift32.astype(np.float64)
+    scale = np.maximum(np.maximum(np.abs(hu), np.abs(shift)), max(abs(lower), abs(upper)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a guess beyond float32 fails its probe
+        guess = (hu - shift).astype(np.float32).astype(np.float64)
+        reach = _BRACKET_ULPS * np.spacing(scale.astype(np.float32)).astype(np.float64)
+        guessed = _value_keys(np.stack([guess - reach, guess + reach]).astype(np.float32))
+    guessed = np.clip(guessed.astype(np.int64), _NEG_INF_KEY, _POS_INF_KEY)
+    full = np.broadcast_to(np.array([_NEG_INF_KEY, _POS_INF_KEY], dtype=np.int64)[:, None, None],
+                           guessed.shape)
+    guess_lo, guess_hi, full_lo, full_hi = holds(np.concatenate([guessed, full]))
+    kept = guess_hi & ~guess_lo
+    lo = np.where(kept, guessed[0], _NEG_INF_KEY)
+    hi = np.where(kept, guessed[1], _POS_INF_KEY)
+    switches = full_hi & ~full_lo
+    lo[~switches], hi[~switches] = _NEG_INF_KEY, _NEG_INF_KEY + 1
+    while (hi - lo > 1).any():  # false at lo and true at hi wherever a test switches
         mid = (lo + hi) // 2
         up = holds(mid)
         lo = np.where(up, lo, mid)
@@ -716,7 +770,13 @@ def _sorted_counts(seg, window, shift32):
     """The counts of a test subject, read off its sorted values.
 
     Returns a function of the subject; its counts have shape (3, shifts,
-    256): predicted, truth and overlap voxels per (shift, id).
+    256): predicted, truth and overlap voxels per (shift, id). Each id's
+    sorted values are cut at every shift's run starts by one
+    ``np.searchsorted``, which gives the subject's voxels per (id, shift,
+    run) as one integer array. Its sums over ids, added to each run's
+    label by one ``np.add.at``, are the predicted counts; its sums over
+    the runs an id's own label holds are the overlaps, and an id's truth
+    count is its number of values.
     """
     shift32 = shift32[:, None]
     starts = _run_starts(seg, window, shift32)
@@ -725,13 +785,16 @@ def _sorted_counts(seg, window, shift32):
     rows = np.arange(len(shift32))[:, None]
 
     def counts_of(subject):
+        ids = np.fromiter(subject.values, dtype=np.intp, count=len(subject.values))
+        ends = np.empty((ids.size, len(shift32), starts.shape[1] + 1), dtype=np.intp)
+        for end, values in zip(ends, subject.values.values()):
+            end[:, :-1] = np.searchsorted(values, starts)
+            end[:, -1] = values.size
+        in_run = np.diff(ends, axis=2)  # (ids, shifts, runs)
         counts = np.zeros((3, len(shift32), 256), dtype=np.int64)
-        for lid, values in subject.values.items():
-            counts[1, :, lid] = values.size
-            ends = np.searchsorted(values, starts.ravel()).reshape(starts.shape)
-            in_run = np.diff(ends, axis=1, append=values.size)
-            np.add.at(counts[0], (rows, run_labels), in_run)
-            counts[2, :, lid] = np.where(run_labels == lid, in_run, 0).sum(axis=1)
+        counts[1][:, ids] = ends[:, 0, -1]
+        np.add.at(counts[0], (rows, run_labels), in_run.sum(axis=0))
+        counts[2][:, ids] = np.where(run_labels == ids[:, None, None], in_run, 0).sum(axis=2).T
         return counts
 
     return counts_of

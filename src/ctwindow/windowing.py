@@ -12,11 +12,11 @@ supported:
 
 Gaussian draws come from NumPy's PCG64 generator (ziggurat normals); the
 stream is fully determined by the seed, level drawn before width.
-``WindowSampler`` draws its standard normals in blocks and scales them in
-Python, which gives the values of one scalar ``Generator.normal`` call per
-draw, but still returns one window per ``sample()`` call. ``WindowSpec``
-accepts a window well inside float32's exact range without the full
-representability check, which it provably passes.
+``WindowSampler`` draws its standard normals in blocks and scales each
+block in NumPy, which gives the values of one scalar ``Generator.normal``
+call per draw, but still returns one window per ``sample()`` call.
+``WindowSpec`` accepts a window well inside float32's exact range without
+the full representability check, which it provably passes.
 """
 
 import math
@@ -148,26 +148,32 @@ class WindowSampler:
     ``Generator.normal(loc, scale)`` returns ``loc + scale * z`` for the
     stream's next standard normal z, and ``standard_normal(n)`` gives the
     next n of them. So the sampler draws z in blocks of ``_DRAW_BLOCK`` and
-    does that float64 arithmetic itself, one window per ``sample()`` call.
+    scales each block in NumPy into a list of levels and one of half-widths,
+    one window per ``sample()`` call. Its float64 multiply and add are
+    separate ufunc calls, each rounded once as Python's float operations
+    are, and overflow to an infinity as they do, without a warning; the
+    window that holds one fails in ``WindowSpec``, at its own draw.
     """
 
     def __init__(self, params):
         self._rng = np.random.default_rng(params.seed)
         self._sigma_level = float(params.sigma_level)
         self._sigma_width = float(params.sigma_width)
-        self._draws = []
+        self._levels = self._half_widths = []
         self._next = 0
 
     def sample(self):
         """Draw one window: level first, then width, |width| floored at W_MIN."""
-        if self._next == len(self._draws):
-            self._draws = self._rng.standard_normal(_DRAW_BLOCK).tolist()
+        if self._next == len(self._levels):
+            z = self._rng.standard_normal(_DRAW_BLOCK)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._levels = (SOFT_TISSUE_LEVEL + self._sigma_level * z[0::2]).tolist()
+                width = np.abs(SOFT_TISSUE_HALF_WIDTH + self._sigma_width * z[1::2])
+                self._half_widths = np.maximum(width, W_MIN).tolist()
             self._next = 0
-        z_level, z_width = self._draws[self._next], self._draws[self._next + 1]
-        self._next += 2
-        level = SOFT_TISSUE_LEVEL + self._sigma_level * z_level
-        width = abs(SOFT_TISSUE_HALF_WIDTH + self._sigma_width * z_width)
-        return WindowSpec(level, max(width, W_MIN))
+        i = self._next
+        self._next += 1
+        return WindowSpec(self._levels[i], self._half_widths[i])
 
 
 def apply_window(s, window):

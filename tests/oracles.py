@@ -9,7 +9,10 @@ SWN ``window`` command that one broadcast kernel call replaced; all three
 are built from the 2D slice API only. The per-plane fit and the SWN
 ``window`` oracle draw their windows from ``ScalarWindowSampler``, two
 scalar ``Generator.normal`` calls per window, which is what
-``WindowSampler``'s buffered draws replaced. ``scipy_augment_pair`` is the
+``WindowSampler``'s buffered draws replaced. ``full_range_run_starts`` is
+the sweep's run-start search as it was before each search started from a
+guessed bracket: 32 bisection steps over the whole float32 key range for
+every (shift, test). ``scipy_augment_pair`` is the
 augmentation the crop-only NumPy resampler replaced: two full-plane
 ``scipy.ndimage.affine_transform`` passes, then a crop/pad.
 """
@@ -21,8 +24,9 @@ import numpy as np
 from scipy import ndimage
 from scipy.stats import norm, rankdata
 
+from ctwindow import _kernels
 from ctwindow.metrics import multi_label_dice
-from ctwindow.simulation import Band, SweepRow
+from ctwindow.simulation import Band, SweepRow, _thresholds
 from ctwindow.volume import LabelVolume, Slice2D, extract_slice, shift_intensity, stack_slices
 from ctwindow.windowing import (SOFT_TISSUE_HALF_WIDTH, SOFT_TISSUE_LEVEL, W_MIN, SwnParams,
                                 WindowSpec, _check_window, apply_window, normalize_for_testing,
@@ -153,6 +157,38 @@ def per_plane_sweep(seg, test, strategy, shifts, slice_axis):
         rows.extend(SweepRow(shift, strategy, lid, label_names[lid], float(mean))
                     for lid, mean in zip(label_ids, means))
     return rows
+
+
+def full_range_run_starts(seg, window, shift32):
+    """``simulation._run_starts`` by 32 bisection steps over every float32 key, for every test.
+
+    ``shift32`` is a float32 column of shifts. The tests are the library's
+    ``_thresholds``; each (shift, test) is bisected from the keys of -inf
+    and +inf, whether it switches or not, with the real window kernel.
+    """
+    at, above = _thresholds(seg)
+
+    def values(keys):
+        keys = np.asarray(keys, dtype=np.uint32)
+        return np.where(keys & 0x80000000, keys & 0x7FFFFFFF, ~keys).view(np.float32)
+
+    def holds(keys):
+        with np.errstate(over="ignore"):  # a test that never switches is probed near +-FLT_MAX
+            shifted = values(keys) + shift32
+        n = _kernels.window_normalize(shifted, window.lower, window.upper)
+        return np.where(above, n > at, n >= at)
+
+    lo = np.full((shift32.shape[0], at.size), 0x007FFFFF, dtype=np.int64)  # -inf
+    hi = np.full_like(lo, 0xFF800000)  # +inf
+    switches = holds(hi) & ~holds(lo)
+    for _ in range(32):
+        mid = (lo + hi) // 2
+        up = holds(mid)
+        lo = np.where(up, lo, mid)
+        hi = np.where(up, mid, hi)
+    starts = np.sort(np.where(switches, values(hi), np.float32(np.nan)), axis=1)
+    edge = np.ones((len(starts), 1), dtype=np.float32)
+    return np.hstack([-np.inf * edge, starts, np.nan * edge])
 
 
 def per_plane_fit_bands(training, strategy, swn, epochs, percentiles, band_epsilon,

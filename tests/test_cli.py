@@ -81,6 +81,30 @@ def test_window_swn_zero_sigma_equals_stn_byte_for_byte(tmp_path, image_path, ca
     assert all(ln["level"] == 40.0 and ln["half_width"] == 200.0 for ln in per_slice)
 
 
+@pytest.mark.parametrize("args, raw_sha256, stdout_sha256", [
+    (["--x", "50", "--y", "50", "--seed", "3"],
+     "926cbc7b04e63662f9355956ad953c855e8749a3d80ab9a017b1fe45fd47eff7",
+     "eac87bbe84edff2adffcb08ed210ca98a915f19486dc48c3584f2813380eeb39"),
+    # three of these 600 half-widths are floored at W_MIN
+    (["--x", "80", "--y", "350", "--seed", "12"],
+     "0923e3c70f2a3333fd7d35e9b9b7ccb22ffdeca15af7392df3f7180c987ffa32",
+     "24648381b3774e1da8d2451315d577ceaf06df5ca39615b94ed8a4ead0d8b6b6"),
+], ids=["50-50", "80-350"])
+def test_window_swn_train_bytes_are_pinned(tmp_path, capsys, args, raw_sha256, stdout_sha256):
+    """600 slices draw 1,200 normals over three of the sampler's blocks; output and stdout pinned.
+
+    The digests are those of the scalar-scaled sampler (one Python float
+    multiply and add per draw), which the block-scaled one must reproduce.
+    """
+    rng = np.random.default_rng(3)
+    image = str(tmp_path / "img.ctv.json")
+    save_volume(CtVolume(rng.integers(-1100, 1100, size=(3, 2, 600)).astype(np.int16)), image)
+    out = str(tmp_path / "out.ctv.json")
+    assert main(["window", image, out, "--strategy", "SWN", "--mode", "train", *args]) == 0
+    assert hashlib.sha256(raw_bytes(out)).hexdigest() == raw_sha256
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha256
+
+
 def test_window_swn_test_mode_ignores_params(tmp_path, image_path):
     out_a = str(tmp_path / "a.ctv.json")
     out_b = str(tmp_path / "b.ctv.json")

@@ -1,4 +1,5 @@
-"""Differential tests: the sorted-threshold sweep against the per-plane oracle."""
+"""Differential tests: the sorted-threshold sweep against the per-plane oracle, and its
+run-start search against the full-range bisection."""
 
 from dataclasses import replace
 from unittest import mock
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_plane_sweep
+from oracles import full_range_run_starts, per_plane_sweep
 
-from ctwindow import _kernels
-from ctwindow.simulation import (Band, BandSegmenter, experiment_phantom, reference_experiment,
-                                 run_experiment, run_shift_sweep)
+from ctwindow import _kernels, simulation
+from ctwindow._checks import FLOAT32_MAX
+from ctwindow.simulation import (Band, BandSegmenter, _run_starts, experiment_phantom,
+                                 reference_experiment, run_experiment, run_shift_sweep)
 from ctwindow.volume import CtVolume, LabelVolume
 from ctwindow.windowing import strategy_window
 
@@ -146,3 +148,144 @@ def test_reference_experiment_rows_match_the_oracle():
         expected += [replace(row, strategy=spec.label) for row in
                      per_plane_sweep(seg, test, spec.strategy, cfg.shifts, cfg.slice_axis)]
     assert rows == expected
+
+
+def test_rows_average_many_subjects_as_the_oracle_does():
+    """Nine subjects, one label and three: NumPy sums eight or more rows of one column pairwise.
+
+    Each shift's row is the mean of a C-ordered (subjects, labels) array, as
+    in the oracle, so one label's mean over nine subjects is summed the same
+    way and gives the same float.
+    """
+    rng = np.random.default_rng(11)
+    shifts = np.linspace(-300.0, 300.0, 41).tolist()
+    for labels in (1, 3):
+        bands = [Band(i, 60.0 + 40.0 * i, 90.0 + 40.0 * i) for i in range(1, labels + 1)]
+        seg = BandSegmenter(bands)
+        test = []
+        for _ in range(9):
+            lab = rng.integers(0, labels + 1, size=(5, 4, 3)).astype(np.uint8)
+            voxels = rng.uniform(-200.0, 300.0, size=lab.shape).astype(np.float32)
+            names = {i: NAMES[i] for i in range(labels + 1)}  # no row for an absent label
+            test.append((CtVolume(voxels), LabelVolume(lab, label_names=names)))
+        assert run_shift_sweep(seg, test, "STN", shifts) == \
+            per_plane_sweep(seg, test, "STN", shifts, 2)
+
+
+def column(shifts):
+    return np.array([np.float32(s) for s in shifts], dtype=np.float32)[:, None]
+
+
+def assert_same_starts(seg, strategy, shifts):
+    window = strategy_window(strategy, "test")
+    got = _run_starts(seg, window, column(shifts))
+    expected = full_range_run_starts(seg, window, column(shifts))
+    assert got.dtype == expected.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+
+FAR = (FLOAT32_MAX, -FLOAT32_MAX, 3.4e38, -3.4e38, 1e38, -1e38, 2.0 ** 100, -2.0 ** 100)
+run_start_shifts = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1e4, -1e4, 0.5, -12.5, *FAR]),
+    st.floats(-400.0, 400.0), st.floats(-1e4, 1e4),
+    st.floats(-FLOAT32_MAX, FLOAT32_MAX, width=32)), min_size=1, max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), strategy=st.sampled_from(["STN", "WIR", "SWN"]), shifts=run_start_shifts)
+def test_run_starts_match_the_full_range_bisection(data, strategy, shifts):
+    """Bit for bit, NaN included: the guessed bracket finds the keys the full range does."""
+    assert_same_starts(data.draw(segmenters(strategy)), strategy, shifts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), strategy=st.sampled_from(["STN", "WIR", "SWN"]), shifts=run_start_shifts,
+       ulps=st.sampled_from([0, 1, 2]))
+def test_run_starts_match_from_brackets_too_narrow_to_hold_every_start(data, strategy, shifts,
+                                                                       ulps):
+    """Guesses reaching 0 to 2 ulps often miss the start or put it at a bracket end.
+
+    A missed start must fall back to the full range, and a start at either
+    end must still be found.
+    """
+    seg = data.draw(segmenters(strategy))
+    with mock.patch.object(simulation, "_BRACKET_ULPS", ulps):
+        assert_same_starts(seg, strategy, shifts)
+
+
+@pytest.mark.parametrize("strategy", ["STN", "WIR", "SWN"])
+def test_a_shift_at_a_thresholds_hu_value_guesses_near_zero_and_still_matches(strategy):
+    """A shift at a band end's HU value puts the guess on the plateau around x = 0.
+
+    There ``x + shift`` rounds to the shift for every |x| below half its
+    ulp, so the search reaches across 0.0 or falls back to the full range.
+    """
+    window = strategy_window(strategy, "test")
+    seg = BandSegmenter([Band(1, 37.25, 130.5), Band(2, 101.0, 180.0)],
+                        tie_break="nearest_center")
+    shifts = []
+    for end in (37.25, 130.5, 101.0, 180.0):
+        hu = window.lower + end * (window.upper - window.lower) / 255.0
+        shifts += [hu, np.nextafter(np.float32(hu), np.float32(np.inf)).item(),
+                   np.nextafter(np.float32(hu), np.float32(-np.inf)).item()]
+    assert_same_starts(seg, strategy, shifts)
+
+
+@pytest.mark.parametrize("ulps", [0, simulation._BRACKET_ULPS])
+def test_starts_at_the_ends_of_the_float32_range(ulps):
+    """At shifts of +-FLT_MAX tests switch at -FLT_MAX, +FLT_MAX or +inf, the range's end keys.
+
+    With 0 ulps no guess holds a start, so every one is found over the full
+    range. Each shift is also searched alone, so that its bisection is the
+    last to end: steps taken after a bracket is one key wide would hide one
+    that ended on the wrong key.
+    """
+    seg = BandSegmenter([Band(1, 37.25, 130.5), Band(2, 101.0, 180.0)],
+                        tie_break="nearest_center")
+    shifts = [FLOAT32_MAX, -FLOAT32_MAX, 3.4e38, -3.4e38]
+    with mock.patch.object(simulation, "_BRACKET_ULPS", ulps):
+        for strategy in ("STN", "WIR", "SWN"):
+            for grid in [shifts] + [[shift] for shift in shifts]:
+                assert_same_starts(seg, strategy, grid)
+    starts = _run_starts(seg, strategy_window("STN", "test"), column(shifts))
+    assert {-FLOAT32_MAX, FLOAT32_MAX, np.inf} <= set(starts[:, 1:-1].ravel().tolist())
+
+
+@pytest.mark.parametrize("ends", [(-5.0, 300.0), (-40.0, 10.0), (250.0, 300.0)],
+                         ids=["both", "below", "above"])
+def test_band_ends_outside_0_255_never_switch(ends):
+    """n lies in [0, 255], so ``n >= lo`` for lo < 0 and ``n > hi`` for hi >= 255 never switch."""
+    seg = BandSegmenter([Band(1, *ends), Band(2, 100.0, 140.0)], tie_break="nearest_center")
+    shifts = [-1000.0, -0.0, 0.0, 33.3, 1e4, 3.4e38, -3.4e38]
+    assert_same_starts(seg, "STN", shifts)
+    starts = _run_starts(seg, strategy_window("STN", "test"), column(shifts))
+    never = (ends[0] < 0) + (ends[1] >= 255)
+    assert (np.isnan(starts).sum(axis=1) == 1 + never).all()
+
+
+def test_run_starts_of_the_reference_config_take_at_most_20_kernel_calls():
+    """One probe of every bracket's ends, then bisection steps: at most 20 per strategy."""
+    cfg = reference_experiment()
+    segmenters = run_experiment(cfg)[1]
+    for spec in cfg.strategies:
+        window = strategy_window(spec.strategy, "test")
+        with mock.patch.object(_kernels, "window_normalize",
+                               wraps=_kernels.window_normalize) as kernel:
+            starts = _run_starts(segmenters[spec.label], window, column(cfg.shifts))
+        assert kernel.call_count <= 20, spec.label
+        expected = full_range_run_starts(segmenters[spec.label], window, column(cfg.shifts))
+        assert np.array_equal(starts.view(np.uint32), expected.view(np.uint32))
+
+
+def test_far_shifts_sweep_a_band_at_255_without_an_overflow_warning():
+    """``n > 255`` never holds, so its test is never probed near FLT_MAX.
+
+    There ``x + shift`` overflows for shifts of 1e31 and more, a RuntimeWarning,
+    which this suite turns into an error.
+    """
+    seg = BandSegmenter([Band(1, 110.0, 255.0), Band(2, -3.0, 90.0)])
+    rng = np.random.default_rng(5)
+    test = [subject(rng, (4, 3, 2), np.float32, "C", False) for _ in range(2)]
+    shifts = [1e31, 1e38, -1e38, FLOAT32_MAX, -FLOAT32_MAX, 0.0]
+    assert run_shift_sweep(seg, test, "SWN", shifts) == \
+        per_plane_sweep(seg, test, "SWN", shifts, 2)

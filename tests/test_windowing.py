@@ -156,7 +156,8 @@ def outcomes(sampler, count):
     return drawn
 
 
-SIGMAS = st.one_of(st.sampled_from([0.0, 1e4, 1e36]), st.floats(0.0, 500.0))
+# 1e308 * z overflows to +-inf wherever |z| > 1.8: those draws fail in WindowSpec
+SIGMAS = st.one_of(st.sampled_from([0.0, 1e4, 1e36, 1e308]), st.floats(0.0, 500.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,11 +165,16 @@ SIGMAS = st.one_of(st.sampled_from([0.0, 1e4, 1e36]), st.floats(0.0, 500.0))
 def test_buffered_draws_equal_scalar_normal_draws(seed, x, y):
     """Values bit for bit, and which draws fail with which message, over several draw blocks.
 
-    Where the platform fuses ``loc + scale * z`` inside ``Generator.normal``, this fails.
+    Every warning is an error here, so the block arithmetic must overflow as
+    Python's floats do: to an infinity, silently. Where the platform fuses
+    ``loc + scale * z`` inside ``Generator.normal``, this fails.
     """
     params = SwnParams(x, y, seed=seed)
     count = _DRAW_BLOCK + _DRAW_BLOCK // 2 + 3  # 1,542 standard normals: four draw blocks
-    assert outcomes(WindowSampler(params), count) == outcomes(ScalarWindowSampler(params), count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcomes(WindowSampler(params), count) == \
+            outcomes(ScalarWindowSampler(params), count)
 
 
 def nudged(x, steps):
