@@ -70,11 +70,12 @@ def multi_label_dice(pred, truth, labels, subject_id=""):
 
 
 def dice_table(counts):
-    """float64 dice from predicted, truth and overlap counts stacked on axis 0.
+    """float64 dice from predicted, truth and overlap counts, ``counts[0]`` to ``counts[2]``.
 
-    Counts are (3, 256) per id, (3, shifts, 256) in the sweep, or (3,) for one
-    mask pair. A cell is 1.0 where the denominator is 0, else
-    ``2.0 * overlap / (predicted + truth)``.
+    Counts are a (3, 256) array per id or a (3,) array for one mask pair.
+    The sweep passes a (predicted, truth, overlap) tuple of (shifts, ids),
+    (ids,) and (shifts, ids) arrays, which broadcast together. A cell is 1.0
+    where the denominator is 0, else ``2.0 * overlap / (predicted + truth)``.
     """
     den = counts[0] + counts[1]
     return np.divide(2.0 * counts[2], den, out=np.ones(den.shape), where=den != 0)

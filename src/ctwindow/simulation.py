@@ -10,7 +10,7 @@ grid and re-normalized with the strategy's test-time window. It sorts
 each test subject's voxel values once per truth label and reads every
 shift's dice counts off the sorted values (see ``run_shift_sweep``),
 because normalization is monotone and the classifier is piecewise
-constant in normalized intensity.
+constant in normalized intensity. It scores the named label ids only.
 
 ``fit_band_segmenter(training, strategy, swn=None, fit=None, slice_axis=2)``
 takes every fit setting from one ``FitParams`` (None: ``FitParams()``, 12
@@ -31,8 +31,8 @@ suite's phantoms on ``_fill_threads`` threads. ``run_experiment`` builds no
 phantom volume: on the calling thread, in index order, it builds each
 subject from its phantom's draws through the same two helpers, so it holds
 the values a reduction of ``generate_phantom``'s pair gives. The fit pools
-the subjects in one loop; the sweep counts them in one loop over subjects,
-and ``metrics.dice_table`` turns each subject's counts into dice. The fits
+the subjects in one loop; the sweep scores them in one loop over subjects
+(``_subject_dice``), each into its (shifts, named ids) dice table. The fits
 and the sweeps run on the calling thread alone.
 
 All randomness derives from explicit seeds. ``run_experiment`` derives
@@ -602,21 +602,20 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
 
     The rows come shift by shift, label ids ascending within a shift, each
     named ``strategy_label`` (a string) or, when it is None, ``strategy``.
+    The labels are the nonzero ids named by any test subject, each under
+    the first name given to it.
 
     ``test`` holds (CtVolume, LabelVolume) pairs (``_test_subject``; a
     malformed entry is a ValueError naming it) or subjects that
     ``run_experiment`` built once for every strategy from the phantom draws:
     the label names, and the values of each id present sorted as float32.
-    One loop takes the subjects in turn, reducing a pair when its turn
-    comes, so one pair's sorted values are held at a time. It counts each
-    subject's predicted, truth and overlap voxels per (shift, id) at the
-    float32 shifts, off the per-label values since dice counts do not
-    depend on where a voxel is, and ``metrics.dice_table`` turns them into
-    dice for all 256 ids; the nonzero named ids are selected at the end.
-    A shift's row is the float64 mean over subjects of a C-ordered
-    (subjects, ids) array, taken for every shift at once from one
-    (shifts, subjects, ids) array, so each row is summed as one call per
-    shift would sum it.
+    Every entry is checked, in index order, before one is reduced; then one
+    loop takes the subjects in turn, reducing a pair when its turn comes, so
+    one pair's sorted values are held at a time. ``_subject_dice`` scores a
+    subject over the named ids only, into one C-ordered (shifts, subjects,
+    ids) float64 array whose mean over axis 1 gives the rows. So the sweep
+    holds one float64 per (shift, subject, named id), and one subject's
+    integer counts per (named id, shift, run).
 
     The counts are exact. The test-time map
     ``n(x) = window_normalize(f32(x) + f32(shift))`` is monotone
@@ -633,9 +632,9 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     from a checked bracket around the window's inverse where it holds the
     point, else over every key; ``seg.predict`` on a run's first value
     labels the run, and NaN voxels are a run of their own.
-    ``_sorted_counts`` then cuts each label's sorted values at the run
-    starts with ``np.searchsorted`` and sums the subject's counts as whole
-    integer arrays.
+    ``_subject_dice`` then cuts each id's sorted values at the run starts
+    with ``np.searchsorted`` and sums the subject's counts as whole integer
+    arrays.
     """
     if not isinstance(seg, BandSegmenter):
         raise ValueError(f"seg: expected a BandSegmenter, got {seg!r}")
@@ -645,27 +644,27 @@ def run_shift_sweep(seg, test, strategy, shifts, strategy_label=None):
     shifts = shift_grid(shifts)
     window = strategy_window(strategy, "test")
     label = strategy if strategy_label is None else text(strategy_label, "strategy_label")
-    shift32 = np.array([np.float32(s) for s in shifts], dtype=np.float32)
-    counts_of = _sorted_counts(seg, window, shift32)
+    entries = [e if isinstance(e, _Subject) else _pair(e, f"test[{i}]") for i, e in entries]
+    if not entries:  # an empty generator
+        raise ValueError("test set must be nonempty")
 
     label_names = {}
-    tables = []
-    for i, subject in entries:
-        if not isinstance(subject, _Subject):
-            subject = _test_subject(*_pair(subject, f"test[{i}]"))
-        for lid, name in subject.label_names.items():
+    for entry in entries:
+        for lid, name in (entry if isinstance(entry, _Subject) else entry[1]).label_names.items():
             if lid != 0:
                 label_names.setdefault(lid, name)
-        tables.append(dice_table(counts_of(subject)))
-
     label_ids = sorted(label_names)
-    # Copied to (shifts, subjects, ids) in C order, so each shift's block is the
-    # C-ordered (subjects, ids) array that one mean per shift would sum: NumPy sums
-    # the rows of such an array in turn, but a single column of 8 or more pairwise.
-    scores = np.array([table[:, label_ids] for table in tables])
-    means = np.ascontiguousarray(scores.transpose(1, 0, 2)).mean(axis=1)
+    shift32 = np.array([np.float32(s) for s in shifts], dtype=np.float32)
+    dice_of = _subject_dice(seg, window, shift32, label_ids)
+    # C-ordered (shifts, subjects, ids), so each shift's block is the C-ordered
+    # (subjects, ids) array that one mean per shift would sum: NumPy sums the rows
+    # of such an array in turn, but a single column of 8 or more pairwise.
+    scores = np.empty((len(shifts), len(entries), len(label_ids)))
+    for i, entry in enumerate(entries):
+        scores[:, i] = dice_of(entry if isinstance(entry, _Subject) else _test_subject(*entry))
     return [SweepRow(shift, label, lid, label_names[lid], mean)
-            for shift, row in zip(shifts, means.tolist()) for lid, mean in zip(label_ids, row)]
+            for shift, row in zip(shifts, scores.mean(axis=1).tolist())
+            for lid, mean in zip(label_ids, row)]
 
 
 _NEG_INF_KEY = 0x007FFFFF  # order key of float32 -inf
@@ -766,38 +765,37 @@ def _run_starts(seg, window, shift32):
     return np.hstack([-np.inf * edge, starts, np.nan * edge])
 
 
-def _sorted_counts(seg, window, shift32):
-    """The counts of a test subject, read off its sorted values.
+def _subject_dice(seg, window, shift32, label_ids):
+    """A test subject's float64 dice per (shift, id) for ``label_ids``, read off its sorted values.
 
-    Returns a function of the subject; its counts have shape (3, shifts,
-    256): predicted, truth and overlap voxels per (shift, id). Each id's
-    sorted values are cut at every shift's run starts by one
-    ``np.searchsorted``, which gives the subject's voxels per (id, shift,
-    run) as one integer array. Its sums over ids, added to each run's
-    label by one ``np.add.at``, are the predicted counts; its sums over
-    the runs an id's own label holds are the overlaps, and an id's truth
-    count is its number of values.
+    Returns a function of the subject. The run starts and run labels are
+    computed once, here, with the (ids, shifts, runs) mask of the runs each
+    id's label holds. Each id's sorted values are cut at every shift's run
+    starts by one ``np.searchsorted``, which gives its voxels per (shift,
+    run); the ids not in ``label_ids``, background 0 among them, share one
+    extra row. An id's predicted count is the sum of every row over the runs
+    its label holds, its overlap that of its own row, and its truth count
+    its number of values; ``metrics.dice_table`` turns the three into dice.
     """
     shift32 = shift32[:, None]
     starts = _run_starts(seg, window, shift32)
     run_labels = seg.predict(_kernels.window_normalize(starts + shift32,
                                                        window.lower, window.upper))
-    rows = np.arange(len(shift32))[:, None]
+    held = run_labels == np.array(label_ids, dtype=np.intp)[:, None, None]
+    row_of = {lid: k for k, lid in enumerate(label_ids)}
 
-    def counts_of(subject):
-        ids = np.fromiter(subject.values, dtype=np.intp, count=len(subject.values))
-        ends = np.empty((ids.size, len(shift32), starts.shape[1] + 1), dtype=np.intp)
-        for end, values in zip(ends, subject.values.values()):
-            end[:, :-1] = np.searchsorted(values, starts)
-            end[:, -1] = values.size
-        in_run = np.diff(ends, axis=2)  # (ids, shifts, runs)
-        counts = np.zeros((3, len(shift32), 256), dtype=np.int64)
-        counts[1][:, ids] = ends[:, 0, -1]
-        np.add.at(counts[0], (rows, run_labels), in_run.sum(axis=0))
-        counts[2][:, ids] = np.where(run_labels == ids[:, None, None], in_run, 0).sum(axis=2).T
-        return counts
+    def dice_of(subject):
+        in_run = np.zeros((len(label_ids) + 1, *run_labels.shape), dtype=np.intp)
+        truth = np.zeros(len(label_ids) + 1, dtype=np.intp)
+        for lid, values in subject.values.items():
+            k = row_of.get(lid, len(label_ids))
+            in_run[k] += np.diff(np.searchsorted(values, starts), axis=1, append=values.size)
+            truth[k] += values.size
+        predicted = np.where(held, in_run.sum(axis=0), 0).sum(axis=2).T
+        overlap = np.where(held, in_run[:-1], 0).sum(axis=2).T
+        return dice_table((predicted, truth[:-1], overlap))
 
-    return counts_of
+    return dice_of
 
 
 def write_sweep_csv(rows, path):

@@ -309,8 +309,8 @@ def test_gather_matches_isin_over_the_named_ids(seed, dims, present, named, slic
        zeros=st.floats(0.0, 1.0))
 def test_dice_table_is_dice_from_counts_bit_for_bit(seed, shifts, zeros):
     """Random int64 counts of shape (3, 256), as ``multi_label_dice`` has them, or (3, shifts,
-    256), as the sweep has them, some with a zero denominator, give the same float64 dice for
-    all ids as the scalar oracle.
+    256), one row per shift, some with a zero denominator, give the same float64 dice for all
+    ids as the scalar oracle.
     """
     rng = np.random.default_rng(seed)
     rows = () if shifts is None else (shifts,)

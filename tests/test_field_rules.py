@@ -95,6 +95,9 @@ TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
      "^shifts: expected a list of numbers, got <generator object "),
     (lambda: run_shift_sweep(SEG, [PAIR], "STN", np.array(25)),
      r"^shifts: expected a list of numbers, got array\(25\)$"),
+    # the entries are checked after the shifts, so the shifts' message comes first
+    (lambda: run_shift_sweep(SEG, [PAIR, PAIR[::-1]], "STN", 5),
+     "^shifts: expected a list of numbers, got 5$"),
 ], ids=["strategy_window-mode", "DiceRecord-label_name", "DiceRecord-subject_id",
         "multi_label_dice-subject_id", "compare_methods-alpha", "compare_methods-reference",
         "compare_methods-m", "WindowSpec-str-level", "WindowSpec-bool-level",
@@ -109,7 +112,8 @@ TABLES = {m: [DiceRecord(f"s{i}", 1, "a", 0.5 + 0.01 * i + d) for i in range(6)]
         "run_shift_sweep-labels-as-set", "fit_band_segmenter-dims", "run_shift_sweep-dims",
         "run_shift_sweep-seg", "generate_phantom-cfg", "ExperimentConfig-int-shifts",
         "ExperimentConfig-None-shifts", "run_shift_sweep-int-shifts",
-        "run_shift_sweep-generator-shifts", "run_shift_sweep-0d-array-shifts"])
+        "run_shift_sweep-generator-shifts", "run_shift_sweep-0d-array-shifts",
+        "run_shift_sweep-int-shifts-bad-entry"])
 def test_bad_api_fields_are_value_errors_naming_the_field(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,6 +1,7 @@
 """Differential tests: the sorted-threshold sweep against the per-plane oracle, and its
-run-start search against the full-range bisection."""
+run-start search against the full-range bisection. One more bounds the sweep's memory."""
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -68,8 +69,9 @@ def snap(value, strategy):
     return float(_kernels.window_normalize(np.float32([hu]), window.lower, window.upper)[0])
 
 
-def subject(rng, dims, dtype, order, specials):
-    labels = rng.integers(0, 4, size=dims).astype(np.uint8)
+def subject(rng, dims, dtype, order, specials, top=3, names=NAMES):
+    """A pair whose voxels hold label ids 0 to ``top``, named by ``names``."""
+    labels = rng.integers(0, top + 1, size=dims).astype(np.uint8)
     hu = rng.uniform(-1200.0, 1200.0, size=dims)
     if dtype == np.int16:
         voxels = np.rint(hu).astype(np.int16)
@@ -80,7 +82,7 @@ def subject(rng, dims, dtype, order, specials):
             voxels[picks] = rng.choice(SPECIAL, size=int(picks.sum()))
     if order == "F":
         voxels, labels = np.asfortranarray(voxels), np.asfortranarray(labels)
-    return CtVolume(voxels), LabelVolume(labels, label_names=NAMES)
+    return CtVolume(voxels), LabelVolume(labels, label_names=names)
 
 
 shift_grids = st.lists(st.one_of(st.integers(-400, 400), st.floats(-400.0, 400.0),
@@ -98,9 +100,19 @@ shift_grids = st.lists(st.one_of(st.integers(-400, 400), st.floats(-400.0, 400.0
        shifts=shift_grids)
 def test_sorted_sweep_matches_per_plane_oracle(data, seed, strategy, dims, dtype, order,
                                                specials, shifts):
+    """Each subject has its own label-name map, and the bands take ids 1 to 5.
+
+    A subject's voxels and names hold ids 0 to its own top id, so an id may be
+    named by some subjects only. Every subject names id 4, each under its own
+    name, and none holds it, so a band of id 4 predicts an id with no truth
+    voxels; no subject names id 5, so a band of id 5 predicts an unnamed id.
+    """
     seg = data.draw(segmenters(strategy))
     rng = np.random.default_rng(seed)
-    test = [subject(rng, dims, dtype, order, specials) for _ in range(2)]
+    tops = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    test = [subject(rng, dims, dtype, order, specials, top,
+                    {**{i: NAMES[i] for i in range(top + 1)}, 4: f"unheld_{j}"})
+            for j, top in enumerate(tops)]
     assert run_shift_sweep(seg, test, strategy, shifts) == \
         per_plane_sweep(seg, test, strategy, shifts, 2)
 
@@ -289,3 +301,27 @@ def test_far_shifts_sweep_a_band_at_255_without_an_overflow_warning():
     shifts = [1e31, 1e38, -1e38, FLOAT32_MAX, -FLOAT32_MAX, 0.0]
     assert run_shift_sweep(seg, test, "SWN", shifts) == \
         per_plane_sweep(seg, test, "SWN", shifts, 2)
+
+
+def test_the_sweep_holds_one_float64_per_shift_subject_and_named_id():
+    """8,192 shifts on three 8 x 8 x 4 subjects with two labels peak under 16 MiB.
+
+    A sweep that counted all 256 ids per (shift, subject) peaked at 130.5 MiB here.
+    """
+    rng = np.random.default_rng(2)
+    seg = BandSegmenter([Band(1, 60.0, 120.0), Band(2, 110.0, 200.0)],
+                        tie_break="nearest_center")
+    names = {i: NAMES[i] for i in range(3)}
+    test = [(CtVolume(rng.uniform(-300.0, 400.0, size=(8, 8, 4)).astype(np.float32)),
+             LabelVolume(rng.integers(0, 3, size=(8, 8, 4)).astype(np.uint8), label_names=names))
+            for _ in range(3)]
+    shifts = np.linspace(-500.0, 500.0, 8192).tolist()
+    run_shift_sweep(seg, test, "STN", shifts[:2])  # so that first-call imports do not count
+    tracemalloc.start()
+    try:
+        rows = run_shift_sweep(seg, test, "STN", shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2 * len(shifts)
+    assert peak < 16 << 20, peak
