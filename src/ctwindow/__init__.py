@@ -11,13 +11,14 @@ from ._kernels import BACKEND  # always "numpy"; perfbench/child.py reads it
 from .augmentation import AugmentConfig, augment_pair
 from .metrics import (DiceRecord, SummaryStats, dice, dice_table, multi_label_dice,
                       read_dice_csv, summarize, write_dice_csv)
-from .simulation import (Band, BandSegmenter, ExperimentConfig, FitParams, OrganSpec,
-                         PhantomConfig, StrategySpec, SweepRow, derive_seed,
-                         fit_band_segmenter, generate_phantom, reference_experiment,
-                         run_experiment, run_shift_sweep, write_sweep_csv)
+from .model import Band, BandSegmenter, FitParams, fit_band_segmenter
+from .phantom import OrganSpec, PhantomConfig, generate_phantom
+from .simulation import (ExperimentConfig, StrategySpec, derive_seed, reference_experiment,
+                         run_experiment)
 from .stats import (ComparisonRow, WilcoxonResult, ZeroDifferencesError,
                     compare_methods, fdr_bh, wilcoxon_signed_rank,
                     write_comparison_csv, write_comparison_metadata)
+from .sweep import SweepRow, run_shift_sweep, write_sweep_csv
 from .volume import (CtVolume, CtvFormatError, LabelVolume, Slice2D,
                      extract_slice, load_label_volume, load_volume,
                      save_label_volume, save_volume, shift_intensity,

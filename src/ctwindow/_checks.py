@@ -43,6 +43,17 @@ def one_of(value, what, choices):
         raise ValueError(f"{what}: expected one of {', '.join(choices)}, got {value!r}")
 
 
+def _list_of(value, what, cls, nonempty=False):
+    """A ValueError ``<what>: expected a list of <cls>, got …`` unless ``value`` is one.
+
+    A list or a tuple is taken; ``nonempty`` also rejects an empty one.
+    """
+    if (not isinstance(value, (list, tuple)) or (nonempty and not value)
+            or not all(isinstance(v, cls) for v in value)):
+        some = "a nonempty list" if nonempty else "a list"
+        raise ValueError(f"{what}: expected {some} of {cls.__name__}, got {value!r}")
+
+
 def number_list(value, what, count, **bounds):
     """A list or tuple of ``count`` numbers, each checked by ``number``, as a tuple."""
     if not isinstance(value, (list, tuple)) or len(value) != count:

@@ -17,8 +17,8 @@ _backend = sys.modules[__name__]  # perfbench/child.py times the kernels through
 
 _F255 = np.float32(255.0)
 _F0 = np.float32(0.0)
-# Values per slab of every label count and of the phantom's background draw; it
-# bounds the intp copy np.bincount makes of a slab.
+# Values per slab of every label count; it bounds the intp copy np.bincount makes
+# of a slab. (A phantom's draws go by ``phantom.DRAW_SLAB``.)
 SLAB = 1 << 16
 # A slab in which fewer than 1/RUN_SPARSITY of the values start a run of equal
 # values is read run by run; a denser one is histogrammed voxel by voxel.

@@ -18,10 +18,12 @@ from . import _kernels
 from ._checks import FLOAT32_MAX, number, shift_grid
 from .augmentation import AugmentConfig, augment_pair
 from .metrics import multi_label_dice, read_dice_csv, write_dice_csv
-from .simulation import (ExperimentConfig, FitParams, OrganSpec, PhantomConfig, StrategySpec,
-                         experiment_phantom, reference_experiment, run_experiment,
-                         write_sweep_csv)
+from .model import FitParams
+from .phantom import OrganSpec, PhantomConfig
+from .simulation import (ExperimentConfig, StrategySpec, experiment_phantom, reference_experiment,
+                         run_experiment)
 from .stats import compare_methods, write_comparison_csv, write_comparison_metadata
+from .sweep import write_sweep_csv
 from .volume import (CtVolume, LabelVolume, extract_slice, load_label_volume, load_volume,
                      save_label_volume, save_volume)
 from .windowing import MODES, STRATEGIES, SwnParams, WindowSampler, strategy_window

@@ -26,7 +26,8 @@ from scipy.stats import norm, rankdata
 
 from ctwindow import _kernels
 from ctwindow.metrics import multi_label_dice
-from ctwindow.simulation import Band, SweepRow, _thresholds
+from ctwindow.model import Band
+from ctwindow.sweep import SweepRow, _thresholds
 from ctwindow.volume import LabelVolume, Slice2D, extract_slice, shift_intensity, stack_slices
 from ctwindow.windowing import (SOFT_TISSUE_HALF_WIDTH, SOFT_TISSUE_LEVEL, W_MIN, SwnParams,
                                 WindowSpec, _check_window, apply_window, normalize_for_testing,
@@ -160,7 +161,7 @@ def per_plane_sweep(seg, test, strategy, shifts, slice_axis):
 
 
 def full_range_run_starts(seg, window, shift32):
-    """``simulation._run_starts`` by 32 bisection steps over every float32 key, for every test.
+    """``sweep._run_starts`` by 32 bisection steps over every float32 key, for every test.
 
     ``shift32`` is a float32 column of shifts. The tests are the library's
     ``_thresholds``; each (shift, test) is bisected from the keys of -inf

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ctwindow
-from ctwindow import simulation
+from ctwindow import phantom, simulation
 from ctwindow._checks import MAX_SHIFTS
 from ctwindow.cli import ConfigError, experiment_to_config, main, parse_experiment, parse_shifts
 from ctwindow.metrics import read_dice_csv
@@ -368,8 +368,8 @@ def test_phantom_command_writes_the_phantoms_run_experiment_generates(tmp_path):
         written = load_volume(str(tmp_path / "suite" / f"{stem}_image.ctv.json"))
         labels = load_label_volume(label_path)
         assert written.voxels.dtype == np.float32
-        reduced = (simulation._training_subject(written, labels, 1) if stem.startswith("train")
-                   else simulation._test_subject(written, labels))
+        reduced = (phantom._training_subject(written, labels, 1) if stem.startswith("train")
+                   else phantom._test_subject(written, labels))
         assert subject.label_names == reduced.label_names == labels.label_names
         assert subject.planes == reduced.planes
         assert list(subject.values) == list(reduced.values)

@@ -3,7 +3,7 @@ and augmentation.
 
 Each shortcut is checked against the plain computation it replaces: the
 bounding-box organ masks against ``oracles.full_volume_phantom``, the slab
-background and organ draws of ``_draws`` against ``rng.normal`` draws cast to float32, the
+background and organ draws of ``_fill_all`` against ``rng.normal`` draws cast to float32, the
 tiled-pool percentile against ``np.percentile`` on the materialized pool,
 the fit's per-label gather of each nonzero id ``LabelVolume`` found
 against an ``np.isin`` gather over the named ids, the sweep's sorted test
@@ -30,13 +30,14 @@ from hypothesis import strategies as st
 
 from oracles import dice_from_counts, full_volume_phantom, scipy_augment_pair
 
-from ctwindow import _kernels, augmentation, simulation
+from ctwindow import _kernels, augmentation
 from ctwindow.augmentation import AugmentConfig, augment_pair
 from ctwindow.metrics import dice_table
-from ctwindow.simulation import (DRAW_SLAB, OrganSpec, PhantomConfig, _draws, _drawn_test_subject,
-                                 _drawn_training_subject, _layout, _test_subject,
-                                 _tiled_percentile, _training_subject, generate_phantom,
-                                 reference_experiment)
+from ctwindow.model import _tiled_percentile
+from ctwindow.phantom import (DRAW_SLAB, OrganSpec, PhantomConfig, _drawn_test_subject,
+                              _drawn_training_subject, _fill_all, _layout, _test_subject,
+                              _training_subject, generate_phantom)
+from ctwindow.simulation import reference_experiment
 from ctwindow.volume import CtVolume, LabelVolume, Slice2D
 
 PERCENTILES = st.one_of(st.just(0.0), st.just(100.0), st.floats(0.0, 100.0))
@@ -88,7 +89,7 @@ def test_slab_background_draw_is_one_normal_draw_cast_to_float32(mean, std, size
     expected = expected_rng.normal(mean, std, size).astype(np.float32)[labels.reshape(-1) == 0]
     expected_organ = expected_rng.normal(40.0, 5.0, np.count_nonzero(labels)).astype(np.float32)
     for with_labels in (labels, None):
-        background, (organ,) = _draws(cfg, organs, size, with_labels)
+        background, (organ,) = _fill_all(cfg, organs, [size], with_labels)[0]
         if with_labels is None:
             assert background is None
         else:
@@ -104,7 +105,7 @@ def test_slab_background_draw_rejects_what_normal_rejects(std):
     cfg.background_noise_std = std  # past the config's own check, which -0.0 passes
     for labels in (np.zeros(cfg.dims, dtype=np.uint8), None):
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            _draws(cfg, [], 0, labels)
+            _fill_all(cfg, [], [0], labels)
 
 
 def assert_phantoms_match(cfg):
@@ -230,10 +231,11 @@ def assert_drawn_subjects_match(cfg):
             return "overlap"
         layout = _layout(cfg)
     labels, names, organs = layout
-    assert_same_subject(_drawn_test_subject(names, organs, *_draws(cfg, organs, cfg.seed, labels)),
+    assert_same_subject(_drawn_test_subject(names, organs,
+                                            *_fill_all(cfg, organs, [cfg.seed], labels)[0]),
                         _test_subject(*pair))
     for slice_axis in (0, 1, 2):
-        drawn = _draws(cfg, organs, cfg.seed)[1]
+        drawn = _fill_all(cfg, organs, [cfg.seed], None)[0][1]
         assert_same_subject(_drawn_training_subject(cfg, names, organs, drawn, slice_axis),
                             _training_subject(*pair, slice_axis))
     return "ok"
@@ -252,7 +254,7 @@ EMPTY_BOX_NO_NOISE = PhantomConfig(
 def test_subjects_from_the_draws_equal_the_reduced_phantoms(cfg, slab):
     """For every slice axis, bit for bit, with the background drawn in slabs of a few voxels
     (a partial last one included) or whole, and the pairs' label scans in slabs of that size."""
-    with mock.patch.object(simulation, "DRAW_SLAB", slab), \
+    with mock.patch("ctwindow.phantom.DRAW_SLAB", slab), \
             mock.patch.object(_kernels, "SLAB", slab):
         assert_drawn_subjects_match(cfg)
 

@@ -124,6 +124,11 @@ def test_training_and_test_sets_may_be_generators():
     assert fit_band_segmenter((p for p in [PAIR]), "STN").bands == seg.bands
     assert run_shift_sweep(seg, (p for p in [PAIR, PAIR]), "STN", [0, 50]) == \
         run_shift_sweep(seg, [PAIR, PAIR], "STN", [0, 50])
+    # an empty generator is an empty set; the fit read it as labels with no nonzero ids
+    with pytest.raises(ValueError, match="^training set must be nonempty$"):
+        fit_band_segmenter((p for p in []), "STN")
+    with pytest.raises(ValueError, match="^test set must be nonempty$"):
+        run_shift_sweep(seg, (p for p in []), "STN", [0])
 
 
 def test_an_empty_strategy_label_names_the_rows():

@@ -23,11 +23,12 @@ import pytest
 
 from oracles import per_plane_sweep
 
-from ctwindow import _kernels, simulation, volume
-from ctwindow.simulation import (Band, BandSegmenter, FitParams, StrategySpec, _test_subject,
-                                 _training_subject, derive_seed, experiment_phantom,
-                                 fit_band_segmenter, reference_experiment, run_experiment,
-                                 run_shift_sweep)
+from ctwindow import _kernels, model, phantom, simulation, sweep, volume
+from ctwindow.model import Band, BandSegmenter, FitParams, fit_band_segmenter
+from ctwindow.phantom import _test_subject, _training_subject
+from ctwindow.simulation import (StrategySpec, derive_seed, experiment_phantom,
+                                 reference_experiment, run_experiment)
+from ctwindow.sweep import run_shift_sweep
 from ctwindow.volume import CtVolume, LabelVolume
 from ctwindow.windowing import SwnParams, WindowSampler
 
@@ -60,7 +61,8 @@ def test_run_experiment_equals_separate_calls_on_the_phantoms(slice_axis, tie_br
 def test_run_experiment_scans_no_phantom_for_its_ids():
     """The subjects come from the draws, so no phantom's labels are built or scanned for ids."""
     cfg = replace(reference_experiment(), n_train=2, n_test=3, shifts=[-25, 0])
-    assert not hasattr(simulation, "label_counts")  # so the spy below sees every scan
+    # so the spy below sees every scan
+    assert not any(hasattr(m, "label_counts") for m in (phantom, model, sweep, simulation))
     with mock.patch.object(volume, "label_counts", side_effect=volume.label_counts) as scans:
         run_experiment(cfg)
     assert scans.call_count == 0

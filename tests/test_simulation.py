@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import ctwindow
-from ctwindow.simulation import (Band, BandSegmenter, ExperimentConfig, FitParams,
-                                 OrganSpec, PhantomConfig, StrategySpec, derive_seed,
-                                 fit_band_segmenter, generate_phantom,
-                                 reference_experiment, run_experiment,
-                                 run_shift_sweep, worker_count, write_sweep_csv)
+from ctwindow import _kernels, simulation
+from ctwindow.model import Band, BandSegmenter, FitParams, fit_band_segmenter
+from ctwindow.phantom import OrganSpec, PhantomConfig, generate_phantom
+from ctwindow.simulation import (ExperimentConfig, StrategySpec, derive_seed,
+                                 reference_experiment, run_experiment, worker_count)
+from ctwindow.sweep import run_shift_sweep, write_sweep_csv
 from ctwindow.volume import Slice2D, extract_slice
 from ctwindow.windowing import SwnParams, normalize_for_testing
 
@@ -279,6 +280,41 @@ def test_run_experiment_small_and_deterministic():
     assert rows_a == rows_b
     assert sorted(segs) == ["STN", "SWN[50,50]"]
     assert {r.strategy for r in rows_a} == {"STN", "SWN[50,50]"}
+
+
+# perfbench's tracer wraps these by ``vars(ctwindow.simulation)[name]``
+PERFBENCH_PINS = ("generate_phantom", "fit_band_segmenter", "run_shift_sweep", "BandSegmenter",
+                  "multi_label_dice", "extract_slice", "stack_slices", "shift_intensity",
+                  "normalize_for_training", "normalize_for_testing", "worker_count")
+
+
+def test_the_names_perfbench_traces_are_the_ones_the_run_calls(monkeypatch):
+    """A pinned name missing from ``simulation`` is a KeyError in every traced run. The run
+    calls the fit, the sweep and the phantom through ``simulation``'s globals, and the fit and
+    the sweep call the kernels through ``_kernels``, so that the tracer's wrappers see them."""
+    assert [name for name in PERFBENCH_PINS if name not in vars(simulation)] == []
+    stage, calls = [], []
+
+    def wrap(module, name, record):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            record(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("window_normalize", "classify_bands"):
+        wrap(_kernels, name, lambda name: calls.append((stage[-1], name)))
+    for name in ("fit_band_segmenter", "run_shift_sweep", "generate_phantom"):
+        wrap(simulation, name, stage.append)
+    cfg = replace(reference_experiment(), n_train=1, n_test=1, shifts=[0])
+    run_experiment(cfg)
+    assert set(calls) == {("fit_band_segmenter", "window_normalize"),
+                          ("run_shift_sweep", "window_normalize"),
+                          ("run_shift_sweep", "classify_bands")}
+    assert stage == ["fit_band_segmenter"] * 3 + ["run_shift_sweep"] * 3
+    simulation.experiment_phantom(cfg, 1, 0)
+    assert stage[-1] == "generate_phantom"
 
 
 def test_derive_seed_is_stable_and_keyed():

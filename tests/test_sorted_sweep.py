@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from oracles import full_range_run_starts, per_plane_sweep
 
-from ctwindow import _kernels, simulation
+from ctwindow import _kernels, sweep
 from ctwindow._checks import FLOAT32_MAX
-from ctwindow.simulation import (Band, BandSegmenter, _run_starts, experiment_phantom,
-                                 reference_experiment, run_experiment, run_shift_sweep)
+from ctwindow.model import Band, BandSegmenter
+from ctwindow.simulation import experiment_phantom, reference_experiment, run_experiment
+from ctwindow.sweep import _run_starts, run_shift_sweep
 from ctwindow.volume import CtVolume, LabelVolume
 from ctwindow.windowing import strategy_window
 
@@ -221,7 +222,7 @@ def test_run_starts_match_from_brackets_too_narrow_to_hold_every_start(data, str
     end must still be found.
     """
     seg = data.draw(segmenters(strategy))
-    with mock.patch.object(simulation, "_BRACKET_ULPS", ulps):
+    with mock.patch.object(sweep, "_BRACKET_ULPS", ulps):
         assert_same_starts(seg, strategy, shifts)
 
 
@@ -243,7 +244,7 @@ def test_a_shift_at_a_thresholds_hu_value_guesses_near_zero_and_still_matches(st
     assert_same_starts(seg, strategy, shifts)
 
 
-@pytest.mark.parametrize("ulps", [0, simulation._BRACKET_ULPS])
+@pytest.mark.parametrize("ulps", [0, sweep._BRACKET_ULPS])
 def test_starts_at_the_ends_of_the_float32_range(ulps):
     """At shifts of +-FLT_MAX tests switch at -FLT_MAX, +FLT_MAX or +inf, the range's end keys.
 
@@ -255,7 +256,7 @@ def test_starts_at_the_ends_of_the_float32_range(ulps):
     seg = BandSegmenter([Band(1, 37.25, 130.5), Band(2, 101.0, 180.0)],
                         tie_break="nearest_center")
     shifts = [FLOAT32_MAX, -FLOAT32_MAX, 3.4e38, -3.4e38]
-    with mock.patch.object(simulation, "_BRACKET_ULPS", ulps):
+    with mock.patch.object(sweep, "_BRACKET_ULPS", ulps):
         for strategy in ("STN", "WIR", "SWN"):
             for grid in [shifts] + [[shift] for shift in shifts]:
                 assert_same_starts(seg, strategy, grid)
