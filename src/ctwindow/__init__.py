@@ -9,8 +9,8 @@ pure Python and installs without a compiler.
 
 from ._kernels import BACKEND  # always "numpy"; perfbench/child.py reads it
 from .augmentation import AugmentConfig, augment_pair
-from .metrics import (DiceRecord, SummaryStats, dice, dice_table, multi_label_dice,
-                      read_dice_csv, summarize, write_dice_csv)
+from .metrics import (DiceRecord, SummaryStats, dice_table, multi_label_dice, read_dice_csv,
+                      summarize, write_dice_csv)
 from .model import Band, BandSegmenter, FitParams, fit_band_segmenter
 from .phantom import OrganSpec, PhantomConfig, generate_phantom
 from .simulation import (ExperimentConfig, StrategySpec, derive_seed, reference_experiment,

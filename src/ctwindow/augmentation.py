@@ -45,7 +45,7 @@ import numpy as np
 from ._checks import FLOAT32_MAX, number, number_list
 from .volume import Slice2D
 
-# crop pixels per chunk (at least one row); sizes the chunk buffers, six float64 and two intp,
+# crop pixels per chunk (at least one row); sizes the chunk buffers, six float64 and one intp,
 # that each plane allocates once, next to its one float64 mirror, and reuses for every chunk
 CHUNK_PIXELS = 1 << 14
 
@@ -125,7 +125,7 @@ def _set_nan_signs(t, ext, k, weights, strides):
     bits = np.zeros(at.size, dtype=np.uint64)
     total = np.zeros(at.size)
     for step, wr, wc in ((0, w0r, w0c), (s1, w0r, w1c), (s0, w1r, w0c), (s0 + s1, w1r, w1c)):
-        v = np.take(ext, k + step, mode="clip")
+        v = np.take(ext[step:], k, mode="clip")
         total += (v * wr) * wc
         first = np.isnan(total) & (bits == 0)
         bits[first] = np.where(np.isnan(v), v.view(np.uint64) | np.uint64(1 << 51),
@@ -166,9 +166,12 @@ def _bilinear(ext, strides, c0, c1, outside, fill, finite, out, scratch):
     """Write the bilinear values at ``(c0, c1)`` from the flat mirror-extended plane to ``out``.
 
     ``strides`` step ``ext`` one pixel along each plane axis. ``c0`` and
-    ``c1`` are overwritten.
+    ``c1`` are overwritten. Each shifted neighbor is gathered with the
+    first's flat index ``k`` from ``ext[step:]``: an inside pixel's
+    ``k + step`` lies in the mirror, and an outside pixel's clipped read is
+    overwritten by the pad value.
     """
-    f0, f1, t, v, k, kk = scratch
+    f0, f1, t, v, k = scratch
     np.floor(c0, out=f0)
     np.floor(c1, out=f1)
     w0r = np.subtract(1.0, np.subtract(c0, f0, out=c0), out=c0)
@@ -182,8 +185,7 @@ def _bilinear(ext, strides, c0, c1, outside, fill, finite, out, scratch):
     t *= w0c
     t += 0.0  # the sum starts at 0.0, which turns a leading -0.0 into 0.0
     for step, wr, wc in ((s1, w0r, w1c), (s0, w1r, w0c), (s0 + s1, w1r, w1c)):
-        np.add(k, step, out=kk)
-        np.take(ext, kk, out=v, mode="clip")
+        np.take(ext[step:], k, out=v, mode="clip")
         v *= wr
         v *= wc
         t += v
@@ -196,7 +198,7 @@ def _bilinear(ext, strides, c0, c1, outside, fill, finite, out, scratch):
 
 def _nearest(flat, strides, c0, c1, outside, fill, out, scratch):
     """Write the nearest values at ``(c0, c1)`` from the flat plane to ``out``."""
-    f0, f1, _, _, k, _ = scratch
+    f0, f1, _, _, k = scratch
     np.floor(np.add(c0, 0.5, out=f0), out=f0)
     np.floor(np.add(c1, 0.5, out=f1), out=f1)
     _flat_index(k, f0, f1, strides)
@@ -222,7 +224,10 @@ def _moved_crop(image, labels, angle_deg, shift, starts, size, image_fill, label
 
     The image is resampled bilinearly and the labels nearest-neighbor; both
     planes have the same shape. The crops come back in the image's memory
-    order; an image in neither C nor F order is copied to C first.
+    order; an image in neither C nor F order is copied to C first. Beside
+    the crops and the image's float64 mirror, each plane allocates seven
+    chunk buffers of at most ``CHUNK_PIXELS`` pixels, six float64 and one
+    intp, and reuses them for every chunk.
     """
     if not (image.flags.c_contiguous or image.flags.f_contiguous):
         image = np.ascontiguousarray(image)
@@ -255,7 +260,7 @@ def _moved_crop(image, labels, angle_deg, shift, starts, size, image_fill, label
     n_slow, width = kept_img.shape
     step = max(1, CHUNK_PIXELS // width)  # whole rows of the memory frame
     pixels = min(n_slow * width, max(CHUNK_PIXELS, width))
-    buffers = [np.empty(pixels) for _ in range(6)] + [np.empty(pixels, np.intp) for _ in range(2)]
+    buffers = [np.empty(pixels) for _ in range(6)] + [np.empty(pixels, np.intp)]
     # inf * 0, signaling NaNs and the index casts of outside sources are part of the
     # arithmetic, not errors
     with np.errstate(invalid="ignore", over="ignore"):
@@ -264,9 +269,10 @@ def _moved_crop(image, labels, angle_deg, shift, starts, size, image_fill, label
         for r in range(0, n_slow, step):
             rows_here = min(step, n_slow - r)
             c0, c1, *scratch = (b[:rows_here * width].reshape(rows_here, width) for b in buffers)
-            # row + col is the same float as col + row, so either frame gives the same sources
-            np.add(slow0[r:r + rows_here, None], fast0, out=c0)
-            np.add(slow1[r:r + rows_here, None], fast1, out=c1)
+            # col + row is the same float as row + col, so either frame gives the same sources
+            for c, slow, fast in ((c0, slow0, fast0), (c1, slow1, fast1)):
+                c[...] = fast
+                c += slow[r:r + rows_here, None]
             outside = _outside(c0, c1, shape)
             _nearest(flat_lab, lab_strides, c0, c1, outside, label_fill,
                      kept_lab[r:r + rows_here], scratch)

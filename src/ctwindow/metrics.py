@@ -39,16 +39,6 @@ class SummaryStats:
     n: int
 
 
-def dice(a, b):
-    """2|a & b| / (|a| + |b|) for two binary masks of equal dims."""
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise ValueError(f"mask dims mismatch: {a.shape} vs {b.shape}")
-    counts = [np.count_nonzero(a), np.count_nonzero(b), np.count_nonzero(a & b)]
-    return float(dice_table(np.array(counts)))
-
-
 def multi_label_dice(pred, truth, labels, subject_id=""):
     """Per-label dice between two aligned label volumes.
 

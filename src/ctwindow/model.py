@@ -190,13 +190,19 @@ def _tiled_percentile(values, percentiles, copies):
     those steps on the same index and the same two values, so it returns
     the same floats and dtype, NaN included where the pool holds a NaN.
 
-    It sorts ``values`` in place and reads the order statistics off it, where
-    NumPy partitions the whole pool. A sorted and a partitioned array hold
-    the same value at every index they are read at: both put NaN last, and
-    only equal values may trade places, which changes no value here unless
-    the pool mixes -0.0 and 0.0 (a windowed pool holds no -0.0). One sort
-    is also faster than NumPy's partition at several indices at once,
-    which leaves its SIMD selection for a scalar one.
+    It partitions ``values`` in place at each needed rank ``first``, in
+    ascending order, each call on the part right of the rank before, where
+    NumPy partitions the whole pool at all its ranks at once. Then the part
+    from each rank on holds the order statistics from that rank on, so the
+    ``second`` statistic, at the same rank or the next one, is the minimum
+    of the part from it on. Where ``values`` holds a NaN, its ``max`` is
+    NaN and so is every result, as with ``np.percentile``.
+    The values read are those a sort or NumPy's partition puts at those
+    indices: only equal values may trade places, which changes no value
+    here unless the pool mixes -0.0 and 0.0 (a windowed pool holds no
+    -0.0). One sort is faster than NumPy's partition at several indices at
+    once, which leaves its SIMD selection for a scalar one, but a partition
+    at a single index is faster than a sort.
     """
     q = np.true_divide(percentiles, 100)
     count = copies * values.size
@@ -207,11 +213,16 @@ def _tiled_percentile(values, percentiles, copies):
     prev[above] = nxt[above] = -1
     prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
     first, second = prev // copies % values.size, nxt // copies % values.size
-    values.sort()
-    a, b = values[first], values[second]
+    start = 0
+    for rank in sorted(set(first.tolist())):  # np.unique would import numpy.ma, +1 MiB RSS
+        values[start:].partition(rank - start)
+        start = rank + 1
+    a = values[first]
+    b = np.array([values[rank:].min() for rank in second.tolist()], dtype=values.dtype)
     t = virtual - prev
     diff = b - a
     result = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
-    if np.isnan(values[-1]):  # NaN sorts last; np.percentile then returns NaN throughout
-        result[:] = values[-1]
+    top = values.max()
+    if np.isnan(top):  # np.percentile returns NaN throughout where the pool holds one
+        result[:] = top
     return result

@@ -156,39 +156,37 @@ def _fill(cfg, organs, seed, background, drawn, labels=None):
     each organ in config order, in C order inside its box. ``background``
     and ``drawn`` are ``_buffers``; ``organs`` and ``labels`` are those of
     ``_layout(cfg)``. ``Generator.normal`` computes ``mean + std * z`` in
-    float64 for the stream's next standard normal z. This draws the same z
-    into one float64 slab of at most ``DRAW_SLAB`` values, scales it in
-    place and casts it into the float32 buffer, so no float64 array of a
-    whole volume or organ is held; the background keeps only the values
-    at the zeros of ``labels``. With ``labels`` None, the background draws
-    only move the stream: no scaling, no cast, and ``background`` is None.
-    Each phantom's stream and buffers are its own, so phantoms may be
-    filled on different threads at once (``_fill_all``).
+    float64 for the stream's next standard normal z. One slab loop draws
+    every label in stream order: each checks its arguments with a ``normal``
+    call of size 0, then draws the same z into one shared float64 slab of
+    at most ``DRAW_SLAB`` values, scales it in place and casts it into its
+    float32 buffer, so no float64 array of a whole volume or organ is held.
+    An organ keeps every draw; the background keeps only the values at the
+    zeros of ``labels``. With ``labels`` None, the background draws only
+    move the stream: no scaling, no cast, and ``background`` is None. Each
+    phantom's stream and buffers are its own, so phantoms may be filled on
+    different threads at once (``_fill_all``).
     """
     rng = np.random.default_rng(seed)
-    mean, std = cfg.background_hu, cfg.background_noise_std
-    rng.normal(mean, std, size=0)  # its argument checks and errors, with no draw
     size = math.prod(cfg.dims)
     slab = np.empty(min(size, DRAW_SLAB))
-    written = 0
-    for start in range(0, size, DRAW_SLAB):
-        part = slab[:size - start]
-        rng.standard_normal(out=part)
-        if background is None:
-            continue
-        part *= std
-        part += mean
-        part = part[labels.reshape(-1)[start:start + part.size] == 0]
-        background[written:written + part.size] = part
-        written += part.size
-    for (organ, _, _), out in zip(organs, drawn):
-        rng.normal(organ.mean_hu, organ.noise_std, size=0)
-        for start in range(0, out.size, DRAW_SLAB):
-            part = slab[:out.size - start]
+    fills = [(cfg.background_hu, cfg.background_noise_std, size, background, labels)]
+    fills += [(organ.mean_hu, organ.noise_std, out.size, out, None)
+              for (organ, _, _), out in zip(organs, drawn)]
+    for mean, std, n, out, zeros_of in fills:
+        rng.normal(mean, std, size=0)  # its argument checks and errors, with no draw
+        written = 0
+        for start in range(0, n, DRAW_SLAB):
+            part = slab[:n - start]
             rng.standard_normal(out=part)
-            part *= organ.noise_std
-            part += organ.mean_hu
-            out[start:start + part.size] = part
+            if out is None:
+                continue
+            part *= std
+            part += mean
+            if zeros_of is not None:
+                part = part[zeros_of.reshape(-1)[start:start + part.size] == 0]
+            out[written:written + part.size] = part
+            written += part.size
 
 
 def _fill_all(cfg, organs, seeds, labels):

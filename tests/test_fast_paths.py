@@ -55,9 +55,23 @@ def pools(draw):
     return np.array(values, dtype=np.float32)
 
 
+def f32(*values):
+    return np.array(values, dtype=np.float32)
+
+
 @settings(max_examples=500, deadline=None)
 @given(values=pools(), copies=st.integers(1, 13),
        percentiles=st.lists(PERCENTILES, min_size=1, max_size=3))
+@example(values=f32(3.5), copies=1, percentiles=[0.0, 100.0])
+@example(values=f32(-1.5), copies=12, percentiles=[0.0, 50.0, 100.0])
+@example(values=f32(2.0, -7.0), copies=1, percentiles=[0.0, 30.0, 100.0])
+@example(values=f32(2.0, -7.0), copies=12, percentiles=[45.0, 55.0])
+@example(values=f32(*[2.5] * 7), copies=3, percentiles=[0.0, 10.0, 100.0])
+@example(values=f32(1.0, np.nan, 3.0), copies=12, percentiles=[0.0, 50.0])
+@example(values=f32(np.nan), copies=1, percentiles=[100.0])
+# equal first ranks (10 and 11 at 12 copies), and a second rank that is another's first
+@example(values=f32(5.0, 1.0, 4.0, 2.0, 3.0), copies=12, percentiles=[10.0, 11.0])
+@example(values=f32(5.0, 1.0, 4.0, 2.0, 3.0), copies=1, percentiles=[24.0, 26.0, 100.0])
 def test_tiled_percentile_matches_percentile_of_the_tiled_pool(values, copies, percentiles):
     with np.errstate(invalid="ignore"):
         expected = np.percentile(np.concatenate([values] * copies), percentiles)
@@ -247,10 +261,19 @@ EMPTY_BOX_NO_NOISE = PhantomConfig(
     background_noise_std=0.0, seed=3)
 
 
+# one organ of 256 voxels, so it and the background each span many slabs of 5
+BIG_ORGAN = PhantomConfig(
+    dims=(12, 10, 8), organs=[OrganSpec(3, "big", (5.5, 4.5, 3.5), (5.0, 4.0, 3.0), 60.0, 10.0)],
+    background_noise_std=8.0, seed=5)
+
+
 @settings(max_examples=200, deadline=None)
 @given(cfg=drawn_configs(), slab=st.sampled_from([5, 64, DRAW_SLAB]))
 @example(cfg=EMPTY_BOX_NO_NOISE, slab=7)
 @example(cfg=replace(EMPTY_BOX_NO_NOISE, background_noise_std=12.0), slab=DRAW_SLAB)
+@example(cfg=replace(EMPTY_BOX_NO_NOISE, background_noise_std=12.0), slab=1)
+@example(cfg=BIG_ORGAN, slab=1)
+@example(cfg=BIG_ORGAN, slab=5)
 def test_subjects_from_the_draws_equal_the_reduced_phantoms(cfg, slab):
     """For every slice axis, bit for bit, with the background drawn in slabs of a few voxels
     (a partial last one included) or whole, and the pairs' label scans in slabs of that size."""
@@ -427,8 +450,28 @@ def augment_cases(draw):
     return Slice2D(values), labels, cfg, draw(st.integers(0, 2 ** 32 - 1))
 
 
+def edge_case(layout):
+    """An ``augment_cases`` input whose sources land exactly on the last row and column.
+
+    A zero angle with a shift below half an ulp of the plane center gives
+    integer source coordinates, so the bilinear weight of each mirrored
+    neighbor is 0. The last row's, the last column's and the corner's are
+    inf, a signaling NaN and -inf, each the one non-finite neighbor of its
+    edge pixel.
+    """
+    values = np.arange(20, dtype=np.float32).reshape(4, 5)
+    values[2, 0] = np.inf
+    values[0, 3] = np.array(NAN_BITS[3], dtype=np.uint32).view(np.float32)
+    values[2, 3] = -np.inf
+    labels = np.arange(20, dtype=np.uint8).reshape(4, 5)
+    cfg = AugmentConfig(crop_size=(4, 5), max_rotation_deg=0.0, max_translation=(1e-300, 1e-300))
+    return Slice2D(layout(values)), layout(labels), cfg, 0
+
+
 @settings(max_examples=500, deadline=None)
 @given(case=augment_cases(), chunk=st.integers(1, 64))
+@example(case=edge_case(np.ascontiguousarray), chunk=3)
+@example(case=edge_case(np.asfortranarray), chunk=64)
 def test_augment_pair_matches_the_scipy_pipeline_bit_for_bit(case, chunk):
     """``chunk`` crop pixels per step make one-row chunks and partial last chunks."""
     img, labels, cfg, seed = case

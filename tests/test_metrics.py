@@ -1,40 +1,32 @@
 import numpy as np
 import pytest
 
-from ctwindow.metrics import (DiceRecord, dice, multi_label_dice, read_dice_csv,
-                              summarize, write_dice_csv)
+from ctwindow.metrics import (DiceRecord, multi_label_dice, read_dice_csv, summarize,
+                              write_dice_csv)
 from ctwindow.volume import LabelVolume
-
-
-def test_dice_examples():
-    a = np.zeros((4, 4), bool)
-    a[1:3, 1:3] = True
-    assert dice(a, a) == 1.0
-    b = np.zeros((4, 4), bool)
-    b[0, 0] = True
-    assert dice(a, b) == 0.0
-    c = np.zeros((4, 4), bool)
-    c[1, 1] = c[0, 3] = True
-    d = np.zeros((4, 4), bool)
-    d[1, 1] = d[3, 0] = True
-    assert dice(c, d) == 0.5
-
-
-def test_dice_empty_conventions_and_symmetry():
-    empty = np.zeros((3, 3), bool)
-    full = np.ones((3, 3), bool)
-    assert dice(empty, empty) == 1.0
-    assert dice(empty, full) == 0.0
-    rng = np.random.default_rng(0)
-    x = rng.random((6, 6)) > 0.5
-    y = rng.random((6, 6)) > 0.5
-    assert dice(x, y) == dice(y, x)
-    with pytest.raises(ValueError, match="mismatch"):
-        dice(np.zeros((2, 2), bool), np.zeros((3, 3), bool))
 
 
 def _label_volume(arr, names=None):
     return LabelVolume(np.asarray(arr, np.uint8), label_names=names or {})
+
+
+def test_multi_label_dice_examples():
+    """Per label: a shared voxel of two in each volume, disjoint masks, identical masks."""
+    pred = np.zeros((4, 4, 1), np.uint8)
+    truth = np.zeros((4, 4, 1), np.uint8)
+    pred[1, 1] = pred[0, 3] = truth[1, 1] = truth[3, 0] = 1
+    pred[2, 2] = truth[2, 3] = 2
+    pred[3, 3] = truth[3, 3] = 3
+    records = multi_label_dice(_label_volume(pred), _label_volume(truth), [1, 2, 3])
+    assert [r.dice for r in records] == [0.5, 0.0, 1.0]
+
+
+def test_multi_label_dice_is_symmetric():
+    rng = np.random.default_rng(0)
+    x = _label_volume(rng.integers(0, 3, (6, 6, 2)))
+    y = _label_volume(rng.integers(0, 3, (6, 6, 2)))
+    assert ([r.dice for r in multi_label_dice(x, y, [0, 1, 2])]
+            == [r.dice for r in multi_label_dice(y, x, [0, 1, 2])])
 
 
 def test_multi_label_dice_identity_and_empty_prediction():
